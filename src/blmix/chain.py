@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse as _sparse
 
 from . import pmf as _pmf
 from .errors import HorizonExceededError, InfeasibleSizeError, ParameterError
@@ -85,19 +86,25 @@ class MomentReport:
         return self.abs_err / scale if scale > 0 else 0.0
 
 
-@functools.lru_cache(maxsize=200_000)
-def _row_cached(n: int, k: int, x: int, trim: bool) -> FinitePmf:
-    added = hypergeom_pmf(HypergeomParams(n, n - x, k))
-    removed = hypergeom_pmf(HypergeomParams(n, x, k))
+def _row(n: int, k: int, x: int, trim: bool) -> FinitePmf:
+    added = hypergeom_pmf(HypergeomParams(n, n - x, k), trim)
+    removed = hypergeom_pmf(HypergeomParams(n, x, k), trim)
     row = difference_law(added, removed).shifted(x)
     if row.lo < 0 or row.hi > n:
         raise AssertionError("transition row escaped the state space")
     return row.truncated() if trim else row
 
 
+_row_cached = functools.lru_cache(maxsize=200_000)(_row)
+
+
 def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf:
     """Law of the next state from ``x``: x plus incoming-red minus
-    outgoing-red counts, both hypergeometric over the k swapped balls."""
+    outgoing-red counts, both hypergeometric over the k swapped balls.
+
+    With ``trim`` both hypergeometric inputs are computed on their Hoeffding
+    windows and the row's negligible tails are cut; ``lost_mass`` bounds the
+    probability dropped."""
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
     return _row_cached(params.n, params.k, int(x), trim)
@@ -110,6 +117,72 @@ def stationary(params: ChainParams) -> FinitePmf:
     return hypergeom_pmf(HypergeomParams(2 * n, n, n))
 
 
+class _SparseKernel:
+    """The kernel rows reached so far, built on first use and stored as one
+    CSR matrix in state order, so one step of a law is a single sparse
+    mat-vec that adds the rows up in the same order as a loop over states.
+    """
+
+    def __init__(self, params: ChainParams, trim: bool):
+        self.params = params
+        self.trim = trim
+        self._built = np.zeros(params.n + 1, dtype=bool)
+        self._lost = np.zeros(params.n + 1)  # lost mass of each built row
+        self._states = np.empty(0, dtype=np.intp)  # sorted; one per stored row
+        self._indptr = np.zeros(1, dtype=np.intp)
+        # int32 column indices are what scipy keeps, so it stores no copy
+        self._cols = np.empty(0, dtype=np.int32)
+        self._data = np.empty(0)
+        self._matrix_t = None  # transpose of the CSR matrix
+
+    def _add_rows(self, new: np.ndarray) -> None:
+        """Build the rows of the (sorted) states ``new`` and splice them
+        into the stored rows, in one copy of the stored entries."""
+        n, k = self.params.n, self.params.k
+        rows = [_row(n, k, int(x), self.trim) for x in new]
+        at = np.searchsorted(self._states, new)  # stored rows before each new one
+        data, cols, done = [], [], 0
+        for a, row in zip(at, rows):
+            span = slice(self._indptr[done], self._indptr[a])
+            data += [self._data[span], row.weights]
+            cols += [self._cols[span], np.arange(row.lo, row.hi + 1, dtype=np.int32)]
+            done = a
+        data.append(self._data[self._indptr[done]:])
+        cols.append(self._cols[self._indptr[done]:])
+        self._data = np.concatenate(data)
+        self._cols = np.concatenate(cols)
+        lengths = np.insert(np.diff(self._indptr), at,
+                            [r.weights.size for r in rows])
+        self._indptr = np.concatenate([[0], np.cumsum(lengths)])
+        self._states = np.insert(self._states, at, new)
+        self._lost[new] = [r.lost_mass for r in rows]
+        self._built[new] = True
+        self._matrix_t = _sparse.csr_matrix(
+            (self._data, self._cols, self._indptr),
+            shape=(self._states.size, n + 1)).T
+
+    def step(self, mu: FinitePmf) -> FinitePmf:
+        """The law one step after ``mu``, with the rows' lost mass added."""
+        n = self.params.n
+        x = mu.dense_on(0, n)
+        new = np.nonzero((x > 0) & ~self._built)[0]
+        if new.size:
+            self._add_rows(new)
+        # elementwise, not BLAS: a threaded dot would leave spinning threads
+        lost = mu.lost_mass + float(
+            (mu.weights * self._lost[mu.lo:mu.hi + 1]).sum())
+        return _pmf.from_weights(0, self._matrix_t @ x[self._states],
+                                 lost_mass=min(lost, 1.0))
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel(params: ChainParams, trim: bool) -> _SparseKernel:
+    """The kernel of the latest ``(params, trim)``, kept so that repeated
+    one-step calls build each row once.  Its results do not depend on which
+    rows it already holds: rows of states without mass add exact zeros."""
+    return _SparseKernel(params, trim)
+
+
 def evolve(params: ChainParams, mu: FinitePmf, steps: int,
            trim: bool = False) -> FinitePmf:
     """Push ``mu`` through the kernel ``steps`` times, accumulating any
@@ -118,18 +191,10 @@ def evolve(params: ChainParams, mu: FinitePmf, steps: int,
         raise ParameterError("distribution leaves the state space")
     if steps < 0:
         raise ParameterError("steps must be nonnegative")
-    n = params.n
+    kernel = _kernel(params, trim)
     out = mu
     for _ in range(steps):
-        dense = np.zeros(n + 1)
-        lost = out.lost_mass
-        for x, wx in zip(out.support, out.weights):
-            if wx == 0.0:
-                continue
-            row = transition_row(params, int(x), trim)
-            dense[row.lo:row.hi + 1] += wx * row.weights
-            lost += wx * row.lost_mass
-        out = _pmf.from_weights(0, dense, lost_mass=min(lost, 1.0))
+        out = kernel.step(out)
     return out
 
 
@@ -167,12 +232,12 @@ def distance_profile(params: ChainParams, t_max: int,
         if n > VECTOR_GUARD:
             raise InfeasibleSizeError(
                 f"single-start evolution refused for n={n} > {VECTOR_GUARD}")
-        trim = n > MATRIX_GUARD
+        kernel = _kernel(params, n > MATRIX_GUARD)
         mu = point_mass(0)
         for t in range(t_max + 1):
             d[t] = min(1.0, tv_distance(mu, pi) + mu.lost_mass)
             if t < t_max:
-                mu = evolve(params, mu, 1, trim=trim)
+                mu = kernel.step(mu)
         lost = mu.lost_mass
     if np.any(np.diff(d) > MONOTONE_TOL):
         raise AssertionError("distance profile increased beyond tolerance")

@@ -28,7 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; currently has no "
+                             "effect on the run or its output")
     return parser
 
 

@@ -147,12 +147,16 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     for name in ("kappa1", "kappa2", "kappa3", "kappa4"):
         if not merged[name] > 0:
             raise ConfigError(f"{name} must be positive")
+    horizon = merged.get("horizon")
+    if horizon is not None and (isinstance(horizon, bool)
+                                or not isinstance(horizon, int) or horizon < 0):
+        raise ConfigError(f"horizon must be a nonnegative integer, got {horizon!r}")
 
     return ExperimentConfig(
         experiment=exp, lam=float(lam), n_grid=tuple(grid),
         k_rule=merged["k_rule"], k=merged.get("k"),
         epsilons=tuple(float(e) for e in eps), replicas=replicas,
-        master_seed=int(merged["master_seed"]), horizon=merged.get("horizon"),
+        master_seed=int(merged["master_seed"]), horizon=horizon,
         output_dir=str(merged["output_dir"]),
         kappa1=float(merged["kappa1"]), kappa2=float(merged["kappa2"]),
         kappa3=float(merged["kappa3"]), kappa4=float(merged["kappa4"]),
@@ -198,7 +202,8 @@ def _default_profile_horizon(sched: _schedule.Schedule) -> int:
 def _profile_for(config: ExperimentConfig, n: int) -> tuple[int, _chain.MixingProfile]:
     k = config.k_for(n)
     sched = _schedule.make_schedule(n, k, config.lam)
-    horizon = config.horizon or _default_profile_horizon(sched)
+    horizon = (_default_profile_horizon(sched) if config.horizon is None
+               else config.horizon)
     policy = _resolve_policy(config, n)
     return k, _chain.distance_profile(ChainParams(n, k), horizon, policy)
 
@@ -260,7 +265,8 @@ def _run_coupling(config):
         y0 = config.y0 if config.y0 is not None else n
         rng = RngStream(config.master_seed, 1)
         if config.kind == "tau_couple":
-            horizon = config.horizon or math.ceil(sched.t_n + 3 * sched.s_n)
+            horizon = (math.ceil(sched.t_n + 3 * sched.s_n)
+                       if config.horizon is None else config.horizon)
             est = _coupling.survival_vs_bound(params, x0, y0, config.r,
                                               horizon, config.replicas, rng)
         else:
@@ -302,7 +308,8 @@ def _run_lowerbound(config):
     for n in config.n_grid:
         k = config.k_for(n)
         sched = _schedule.make_schedule(n, k, config.lam)
-        horizon = config.horizon or math.ceil(sched.t_n + 3 * sched.s_n)
+        horizon = (math.ceil(sched.t_n + 3 * sched.s_n)
+                   if config.horizon is None else config.horizon)
         params = ChainParams(n, k)
         for t in range(horizon + 1):
             rows.append((n, k, config.lam, t,

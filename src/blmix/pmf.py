@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as _fft
 
 from .errors import ParameterError
 from .rng import RngStream
@@ -147,11 +147,27 @@ class HypergeomParams:
         return min(self.draws, self.successes)
 
 
-def hypergeom_pmf(params: HypergeomParams) -> FinitePmf:
+def hypergeom_pmf(params: HypergeomParams, trim: bool = False) -> FinitePmf:
     """Exact hypergeometric pmf, computed in log space by the weight-ratio
-    recurrence spreading outward from the mode."""
+    recurrence spreading outward from the mode.
+
+    With ``trim`` the recurrence runs only on the window of draws within
+    ``dev = sqrt(draws * ln(2/TRIM_REL) / 2)`` of the mean; when the window
+    cuts the support, the Hoeffding bound on the dropped two-sided tail
+    (at most ``TRIM_REL``) is recorded as ``lost_mass``.
+    """
     pop, succ, m = params.population, params.successes, params.draws
     lo, hi = params.support_lo, params.support_hi
+    lost = 0.0
+    if trim:
+        mean = m * succ / pop
+        dev = math.sqrt(m * math.log(2.0 / TRIM_REL) / 2.0)
+        # round outward so every dropped point lies strictly beyond mean +- dev
+        win_lo = max(lo, math.floor(mean - dev))
+        win_hi = min(hi, math.ceil(mean + dev))
+        if (win_lo, win_hi) != (lo, hi):
+            lo, hi = win_lo, win_hi
+            lost = hoeffding_tail(params, dev / m)
     width = hi - lo + 1
     if width == 1:
         return point_mass(lo)
@@ -167,7 +183,7 @@ def hypergeom_pmf(params: HypergeomParams) -> FinitePmf:
     if i > 0:
         logw[:i] = -np.cumsum(logratio[:i][::-1])[::-1]
     w = np.exp(logw - logw.max())
-    return from_weights(lo, w, normalize=True)
+    return from_weights(lo, w, lost_mass=lost, normalize=True)
 
 
 @dataclass(frozen=True)
@@ -215,9 +231,14 @@ def difference_law(p_a: FinitePmf, p_b: FinitePmf) -> FinitePmf:
     if wa.size * wb.size <= _DIRECT_CONV_LIMIT:
         w = np.convolve(wa, wb)
     else:
-        w = fftconvolve(wa, wb)
+        size = wa.size + wb.size - 1
+        fft_len = _fft.next_fast_len(size, True)
+        w = _fft.irfft(_fft.rfft(wa, fft_len) * _fft.rfft(wb, fft_len),
+                       fft_len)[:size]
         np.maximum(w, 0.0, out=w)
-    lost = 1.0 - (1.0 - p_a.lost_mass) * (1.0 - p_b.lost_mass)
+    # written without 1 - (1 - a)(1 - b), which rounds masses below 1e-16 to 0
+    la, lb = p_a.lost_mass, p_b.lost_mass
+    lost = la + lb - la * lb
     return from_weights(p_a.lo - p_b.hi, w, lost_mass=lost, normalize=True)
 
 

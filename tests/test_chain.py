@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from blmix import (ChainParams, Eigenfunction, StartPolicy, distance_profile,
-                   eigen_eval, evolve, lower_bound_certificate, point_mass,
-                   stationary, t_mix, transition_row, tv_distance,
-                   verify_moment_identities)
-from blmix.chain import _kernel_matrix
+from blmix import (ChainParams, Eigenfunction, HypergeomParams, StartPolicy,
+                   distance_profile, eigen_eval, evolve, hypergeom_pmf,
+                   lower_bound_certificate, point_mass, stationary, t_mix,
+                   transition_row, tv_distance, verify_moment_identities)
+from blmix.chain import MATRIX_GUARD, _kernel_matrix
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
 from oracles import enum_transition_row
@@ -149,6 +149,31 @@ def test_state_zero_matches_all_states(n):
     d_all = distance_profile(params, t_max, StartPolicy.ALL_STATES).d_values
     d_zero = distance_profile(params, t_max, StartPolicy.STATE_ZERO).d_values
     assert np.abs(d_all - d_zero).max() <= 1e-10
+
+
+def test_trimmed_evolution_above_matrix_guard():
+    """Above MATRIX_GUARD the from-zero profile evolves with trimmed rows:
+    they must track the exact rows, certify a negligible lost mass, and stay
+    within the span of their two Hoeffding-window inputs."""
+    params = ChainParams(5000, 1250)
+    assert params.n > MATRIX_GUARD
+    laws = {}
+    for trim in (False, True):
+        mu, laws[trim] = point_mass(0), []
+        for _ in range(10):
+            mu = evolve(params, mu, 1, trim=trim)
+            laws[trim].append(mu)
+    reached = set()
+    for exact, trimmed in zip(laws[False], laws[True]):
+        assert tv_distance(exact, trimmed) <= 1e-14
+        reached.update(int(x) for x in trimmed.support)
+    assert 0 < laws[True][-1].lost_mass <= 1e-14
+    n, k = params.n, params.k
+    for x in reached:
+        row = transition_row(params, x, trim=True)
+        windows = (hypergeom_pmf(HypergeomParams(n, n - x, k), trim=True),
+                   hypergeom_pmf(HypergeomParams(n, x, k), trim=True))
+        assert row.hi - row.lo <= sum(w.hi - w.lo for w in windows)
 
 
 def test_matrix_guard():

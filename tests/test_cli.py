@@ -188,3 +188,20 @@ def test_cli_threads_do_not_change_bytes(tmp_path):
     first = read_output(tmp_path)
     assert main(["coupling", "--config", cfg, "--threads", "8"]) == 0
     assert read_output(tmp_path) == first
+
+
+@pytest.mark.parametrize("horizon", [-3, 2.5, True])
+def test_cli_rejects_bad_horizon(tmp_path, horizon):
+    cfg = write_config(tmp_path, minimal(
+        "profile", horizon=horizon, output_dir=str(tmp_path)))
+    assert main(["profile", "--config", cfg]) == 2
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_cli_zero_horizon_emits_only_t0(tmp_path):
+    cfg = write_config(tmp_path, minimal(
+        "profile", horizon=0, output_dir=str(tmp_path)))
+    assert main(["profile", "--config", cfg]) == 0
+    rows = parse_csv(read_output(tmp_path).decode()).rows
+    assert len(rows) == 1
+    assert rows[0][3] == 0  # the t column

@@ -14,6 +14,7 @@ from blmix import (DiscreteNormalParams, FinitePmf, HypergeomParams, RngStream,
                    hypergeom_pmf, point_mass, sample, sample_hypergeom,
                    tv_distance)
 from blmix.errors import ParameterError
+from blmix.pmf import TRIM_REL
 from oracles import enum_hypergeom
 
 
@@ -73,6 +74,52 @@ def test_hypergeom_matches_enumeration(population):
             assert set(oracle) == set(int(j) for j in pmf.support)
             for j, w in oracle.items():
                 assert pmf.prob(j) == pytest.approx(float(w), abs=1e-12)
+
+
+@st.composite
+def hypergeom_params(draw):
+    population = draw(st.integers(1, 3000))
+    successes = draw(st.integers(0, population))
+    draws = draw(st.integers(0, population))
+    return HypergeomParams(population, successes, draws)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergeom_params())
+def test_windowed_hypergeom_matches_full(params):
+    """The Hoeffding-window pmf agrees with the full pmf on its window, and
+    its lost mass bounds the mass it leaves out."""
+    full = hypergeom_pmf(params)
+    win = hypergeom_pmf(params, trim=True)
+    m = params.draws
+    mean = m * params.successes / params.population
+    dev = math.sqrt(m * math.log(2 / TRIM_REL) / 2)
+    covers = (math.floor(mean - dev) <= params.support_lo
+              and math.ceil(mean + dev) >= params.support_hi)
+    assert (win.lost_mass == 0.0) == covers
+    if covers:
+        assert (win.lo, win.hi) == (full.lo, full.hi)
+        assert np.array_equal(win.weights, full.weights)
+        return
+    assert win.lost_mass <= TRIM_REL * (1 + 1e-12)
+    assert full.lo <= win.lo and win.hi <= full.hi
+    on_window = full.weights[win.lo - full.lo:win.hi - full.lo + 1]
+    # relative agreement; subnormal weights carry no relative precision
+    scale = np.maximum(on_window, np.finfo(np.float64).tiny)
+    assert np.all(np.abs(win.weights - on_window) <= 1e-15 * scale)
+    dropped = (full.weights[:win.lo - full.lo].sum()
+               + full.weights[win.hi - full.lo + 1:].sum())
+    assert win.lost_mass >= dropped
+
+
+def test_windowed_hypergeom_examples():
+    cut = hypergeom_pmf(HypergeomParams(20_000, 9000, 5000), trim=True)
+    assert cut.lost_mass == pytest.approx(TRIM_REL, rel=1e-9)
+    assert cut.hi - cut.lo + 1 < 700  # the full pmf has 2309 positive points
+    small = HypergeomParams(10, 5, 5)
+    covered = hypergeom_pmf(small, trim=True)
+    assert covered.lo == 0 and covered.lost_mass == 0.0
+    assert np.array_equal(covered.weights, hypergeom_pmf(small).weights)
 
 
 def test_hypergeom_large_n_no_overflow():
@@ -145,6 +192,9 @@ def test_difference_law_examples():
     h = hypergeom_pmf(HypergeomParams(2, 1, 1))
     assert as_dict(difference_law(h, h)) == pytest.approx(
         {-1: 0.25, 0: 0.5, 1: 0.25})
+    # lost masses far below the double spacing at 1 still add up
+    tiny = FinitePmf(0, np.ones(1), lost_mass=1e-17)
+    assert difference_law(tiny, tiny).lost_mass == pytest.approx(2e-17)
 
 
 @settings(max_examples=200, deadline=None)
