@@ -95,9 +95,6 @@ def _row(n: int, k: int, x: int, trim: bool) -> FinitePmf:
     return row.truncated() if trim else row
 
 
-_row_cached = functools.lru_cache(maxsize=200_000)(_row)
-
-
 def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf:
     """Law of the next state from ``x``: x plus incoming-red minus
     outgoing-red counts, both hypergeometric over the k swapped balls.
@@ -107,7 +104,7 @@ def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf
     probability dropped."""
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
-    return _row_cached(params.n, params.k, int(x), trim)
+    return _row(params.n, params.k, int(x), trim)
 
 
 def stationary(params: ChainParams) -> FinitePmf:
@@ -202,7 +199,8 @@ def _kernel_matrix(params: ChainParams) -> np.ndarray:
     n = params.n
     if n > MATRIX_GUARD:
         raise InfeasibleSizeError(
-            f"full kernel materialization refused for n={n} > {MATRIX_GUARD}")
+            f"full kernel materialization refused for n={n} > {MATRIX_GUARD}; "
+            "the state-zero start policy scales further")
     P = np.zeros((n + 1, n + 1))
     for x in range(n + 1):
         row = transition_row(params, x)
@@ -217,12 +215,12 @@ def distance_profile(params: ChainParams, t_max: int,
     if t_max < 0:
         raise ParameterError("t_max must be nonnegative")
     n = params.n
-    pi = stationary(params)
     d = np.empty(t_max + 1)
     lost = 0.0
+    # each branch refuses an oversized n before it builds anything of size n
     if start_policy is StartPolicy.ALL_STATES:
-        pi_dense = pi.dense_on(0, n)
         P = _kernel_matrix(params)
+        pi_dense = stationary(params).dense_on(0, n)
         D = np.eye(n + 1)
         for t in range(t_max + 1):
             d[t] = 0.5 * np.abs(D - pi_dense).sum(axis=1).max()
@@ -231,7 +229,9 @@ def distance_profile(params: ChainParams, t_max: int,
     else:
         if n > VECTOR_GUARD:
             raise InfeasibleSizeError(
-                f"single-start evolution refused for n={n} > {VECTOR_GUARD}")
+                f"single-start evolution refused for n={n} > {VECTOR_GUARD}; "
+                "use the coupling simulation or the lower-bound certificate")
+        pi = stationary(params)
         kernel = _kernel(params, n > MATRIX_GUARD)
         mu = point_mass(0)
         for t in range(t_max + 1):

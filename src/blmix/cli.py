@@ -1,6 +1,8 @@
 """Command-line front end: ``blmix <experiment> --config file.json``.
 
-Exit codes: 0 success, 2 config error, 3 infeasible size, 4 I/O error.
+Exit codes: 0 success, 2 config error (a malformed config, a value outside a
+chain's domain, or a horizon too short for an epsilon), 3 infeasible size,
+4 I/O error.
 Seed precedence: config < BLMIX_SEED environment variable < --seed flag.
 """
 
@@ -12,7 +14,8 @@ import os
 import sys
 
 from .config import EXPERIMENTS, emit, parse_config, run
-from .errors import ConfigError, InfeasibleSizeError
+from .errors import (ConfigError, HorizonExceededError, InfeasibleSizeError,
+                     ParameterError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,11 +68,11 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        record = run(config, threads=max(1, args.threads))
+        record = run(config)
     except InfeasibleSizeError as exc:
         print(f"blmix: infeasible size: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ConfigError as exc:
+    except (ParameterError, HorizonExceededError) as exc:
         print(f"blmix: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

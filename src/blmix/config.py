@@ -12,8 +12,9 @@ import hashlib
 import io
 import json
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import approx as _approx
 from . import chain as _chain
@@ -21,56 +22,93 @@ from . import coupling as _coupling
 from . import schedule as _schedule
 from .chain import ChainParams, StartPolicy
 from .coupling import StoppingKind, StoppingSpec
-from .errors import ConfigError, InfeasibleSizeError
+from .errors import ConfigError
 from .rng import RngStream
 
 EXPERIMENTS = ("profile", "mixtime", "coupling", "approx", "lowerbound",
                "schedule", "sweep")
 
-_DEFAULTS = {
-    "k_rule": "floor_lambda_n",
-    "epsilons": [0.25, 0.5, 0.75],
-    "replicas": 10_000,
-    "master_seed": 12345,
-    "output_dir": ".",
-    "kappa1": 10.0, "kappa2": 10.0, "kappa3": 10.0, "kappa4": 10.0,
-    "start_policy": "auto",
-    "kind": "tau_couple",
-    "r": 1.0,
-}
+_REQUIRED = object()  # default of a field the config must give
 
-_KNOWN_FIELDS = frozenset(_DEFAULTS) | {
-    "experiment", "n", "n_grid", "lambda", "k", "horizon", "x0", "y0", "ell",
-}
 
-# Exact-kernel guards: worst-case-start profiles need the full kernel; the
-# from-zero shortcut scales further via truncated convolution.
-ALL_STATES_GUARD = 4096
-STATE_ZERO_GUARD = 100_000
+def _field(must: str, check, default=_REQUIRED, key=None, coerce=None):
+    """Declare a config field: the JSON ``key`` (the attribute name unless
+    given), the ``default`` (None makes the field optional), the ``check``
+    every given value must pass, ``must`` saying what that check demands, and
+    the ``coerce`` applied to the checked value."""
+    return field(metadata={"must": must, "check": check, "default": default,
+                           "key": key, "coerce": coerce})
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A JSON number that converts to a finite float."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _one_of(*options) -> tuple:
+    return f"one of {', '.join(options)}", lambda v: v in options
+
+
+_NONNEGATIVE_INT = ("a nonnegative integer", lambda v: _is_int(v) and v >= 0)
+_POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v > 0)
+_POSITIVE = ("a positive number", lambda v: _is_number(v) and v > 0)
+
+
+def _unique_grid(grid: list) -> tuple[int, ...]:
+    kept: list[int] = []
+    for n in grid:
+        if n in kept:
+            warnings.warn(f"duplicate n={n} in n_grid dropped")
+        else:
+            kept.append(n)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str
-    lam: float
-    n_grid: tuple[int, ...]
-    k_rule: str
-    k: int | None
-    epsilons: tuple[float, ...]
-    replicas: int
-    master_seed: int
-    horizon: int | None
-    output_dir: str
-    kappa1: float
-    kappa2: float
-    kappa3: float
-    kappa4: float
-    start_policy: str
-    kind: str
-    r: float
-    x0: int | None
-    y0: int | None
-    ell: int | None
+    """A validated experiment config.  Each field is declared once, with its
+    JSON key, default and check; ``parse_config`` works from these."""
+
+    experiment: str = _field(*_one_of(*EXPERIMENTS))
+    lam: float = _field(
+        "a number in the open interval (0, 1/2): the swap fraction limit is "
+        "required to stay strictly below 1/2",
+        lambda v: _is_number(v) and 0.0 < v < 0.5, key="lambda", coerce=float)
+    # a config gives either n (a one-entry grid) or n_grid
+    n_grid: tuple[int, ...] = _field(
+        "a non-empty list of positive integers (n: one positive integer)",
+        lambda v: (isinstance(v, list) and len(v) > 0
+                   and all(_is_int(n) and n > 0 for n in v)),
+        coerce=_unique_grid)
+    k_rule: str = _field(*_one_of("floor_lambda_n", "explicit"),
+                         default="floor_lambda_n")
+    k: int | None = _field(*_NONNEGATIVE_INT, default=None)
+    epsilons: tuple[float, ...] = _field(
+        "a non-empty list of numbers inside (0, 1)",
+        lambda v: (isinstance(v, list) and len(v) > 0
+                   and all(_is_number(e) and 0 < e < 1 for e in v)),
+        default=[0.25, 0.5, 0.75], coerce=lambda v: tuple(map(float, v)))
+    replicas: int = _field(*_POSITIVE_INT, default=10_000)
+    master_seed: int = _field("an integer", _is_int, default=12345)
+    horizon: int | None = _field(*_NONNEGATIVE_INT, default=None)
+    output_dir: str = _field("a string", lambda v: isinstance(v, str),
+                             default=".")
+    kappa1: float = _field(*_POSITIVE, default=10.0, coerce=float)
+    kappa3: float = _field(*_POSITIVE, default=10.0, coerce=float)
+    kappa4: float = _field(*_POSITIVE, default=10.0, coerce=float)
+    start_policy: str = _field(*_one_of("auto", *(p.value for p in StartPolicy)),
+                               default="auto")
+    kind: str = _field(*_one_of(*(m.value for m in StoppingKind)),
+                       default="tau_couple")
+    r: float = _field(*_POSITIVE, default=1.0, coerce=float)
+    x0: int | None = _field(*_NONNEGATIVE_INT, default=None)
+    y0: int | None = _field(*_NONNEGATIVE_INT, default=None)
+    ell: int | None = _field(*_POSITIVE_INT, default=None)
 
     def canonical(self) -> dict:
         # output_dir is excluded: the digest identifies the computation, and
@@ -87,7 +125,7 @@ class ExperimentConfig:
 
     def k_for(self, n: int) -> int:
         if self.k_rule == "explicit":
-            return int(self.k)
+            return self.k
         return _schedule.floor_k(n, self.lam)
 
 
@@ -99,70 +137,32 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(raw) - _KNOWN_FIELDS)
+    if "n" in raw:
+        if "n_grid" in raw:
+            raise ConfigError("give either n or n_grid, not both")
+        raw["n_grid"] = [raw.pop("n")]
+    if experiment:
+        raw["experiment"] = experiment
+    specs = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
+    unknown = sorted(set(raw) - set(specs))
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
 
-    merged = dict(_DEFAULTS)
-    merged.update(raw)
-    exp = experiment or merged.get("experiment")
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-
-    lam = merged.get("lambda")
-    if not isinstance(lam, (int, float)) or not 0.0 < lam < 0.5:
-        raise ConfigError(
-            "lambda must lie in the open interval (0, 1/2): the swap fraction "
-            f"limit is required to stay strictly below 1/2 (got {lam!r})")
-
-    if "n" in merged and "n_grid" in merged:
-        raise ConfigError("give either n or n_grid, not both")
-    grid_raw = merged.get("n_grid", [merged["n"]] if "n" in merged else [])
-    if not isinstance(grid_raw, list) or not grid_raw:
-        raise ConfigError("n (or a non-empty n_grid) is required")
-    grid: list[int] = []
-    for n in grid_raw:
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError(f"grid entries must be positive integers, got {n!r}")
-        if n in grid:
-            warnings.warn(f"duplicate n={n} in n_grid dropped")
-        else:
-            grid.append(n)
-
-    eps = merged["epsilons"]
-    if (not isinstance(eps, list) or not eps
-            or any(not isinstance(e, (int, float)) or not 0 < e < 1 for e in eps)):
-        raise ConfigError("epsilons must be a non-empty list inside (0, 1)")
-    replicas = merged["replicas"]
-    if not isinstance(replicas, int) or replicas < 1:
-        raise ConfigError("replicas must be a positive integer")
-    if merged["k_rule"] not in ("floor_lambda_n", "explicit"):
-        raise ConfigError("k_rule must be floor_lambda_n or explicit")
-    if merged["k_rule"] == "explicit" and not isinstance(merged.get("k"), int):
+    values = {}
+    for key, f in specs.items():
+        spec = f.metadata
+        value = raw.get(key, spec["default"])
+        if value is _REQUIRED:
+            raise ConfigError(f"{key} is required: {spec['must']}")
+        if value is None and spec["default"] is None:
+            values[f.name] = None
+            continue
+        if not spec["check"](value):
+            raise ConfigError(f"{key} must be {spec['must']}, got {value!r}")
+        values[f.name] = spec["coerce"](value) if spec["coerce"] else value
+    if values["k_rule"] == "explicit" and values["k"] is None:
         raise ConfigError("k_rule=explicit requires an integer k")
-    if merged["start_policy"] not in ("auto", "all_states", "state_zero"):
-        raise ConfigError("start_policy must be auto, all_states or state_zero")
-    if merged["kind"] not in [m.value for m in StoppingKind]:
-        raise ConfigError(f"kind must be one of {[m.value for m in StoppingKind]}")
-    for name in ("kappa1", "kappa2", "kappa3", "kappa4"):
-        if not merged[name] > 0:
-            raise ConfigError(f"{name} must be positive")
-    horizon = merged.get("horizon")
-    if horizon is not None and (isinstance(horizon, bool)
-                                or not isinstance(horizon, int) or horizon < 0):
-        raise ConfigError(f"horizon must be a nonnegative integer, got {horizon!r}")
-
-    return ExperimentConfig(
-        experiment=exp, lam=float(lam), n_grid=tuple(grid),
-        k_rule=merged["k_rule"], k=merged.get("k"),
-        epsilons=tuple(float(e) for e in eps), replicas=replicas,
-        master_seed=int(merged["master_seed"]), horizon=horizon,
-        output_dir=str(merged["output_dir"]),
-        kappa1=float(merged["kappa1"]), kappa2=float(merged["kappa2"]),
-        kappa3=float(merged["kappa3"]), kappa4=float(merged["kappa4"]),
-        start_policy=merged["start_policy"], kind=merged["kind"],
-        r=float(merged["r"]),
-        x0=merged.get("x0"), y0=merged.get("y0"), ell=merged.get("ell"))
+    return ExperimentConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -180,32 +180,28 @@ def lower_bound_offset(epsilon: float, lam: float) -> float:
             / abs(math.log(1 - 2 * lam)))
 
 
+def _horizon(config: ExperimentConfig, sched: _schedule.Schedule,
+             slack: int = 0) -> int:
+    """The configured horizon, or else the end of the cutoff window,
+    t_n + 3 s_n, plus ``slack`` steps, rounded up."""
+    if config.horizon is not None:
+        return config.horizon
+    return math.ceil(sched.t_n + 3 * sched.s_n + slack)
+
+
 def _resolve_policy(config: ExperimentConfig, n: int) -> StartPolicy:
     policy = config.start_policy
     if policy == "auto":
         policy = "all_states" if n <= 512 else "state_zero"
-    if policy == "all_states" and n > ALL_STATES_GUARD:
-        raise InfeasibleSizeError(
-            f"worst-case-start profile refused for n={n} > {ALL_STATES_GUARD}; "
-            "use start_policy=state_zero or a Monte Carlo experiment")
-    if policy == "state_zero" and n > STATE_ZERO_GUARD:
-        raise InfeasibleSizeError(
-            f"exact evolution refused for n={n} > {STATE_ZERO_GUARD}; "
-            "use the coupling or lowerbound experiments at this size")
     return StartPolicy(policy)
-
-
-def _default_profile_horizon(sched: _schedule.Schedule) -> int:
-    return math.ceil(sched.t_n + 3 * sched.s_n + 10)
 
 
 def _profile_for(config: ExperimentConfig, n: int) -> tuple[int, _chain.MixingProfile]:
     k = config.k_for(n)
     sched = _schedule.make_schedule(n, k, config.lam)
-    horizon = (_default_profile_horizon(sched) if config.horizon is None
-               else config.horizon)
     policy = _resolve_policy(config, n)
-    return k, _chain.distance_profile(ChainParams(n, k), horizon, policy)
+    return k, _chain.distance_profile(ChainParams(n, k),
+                                      _horizon(config, sched, slack=10), policy)
 
 
 def _run_schedule(config):
@@ -265,10 +261,9 @@ def _run_coupling(config):
         y0 = config.y0 if config.y0 is not None else n
         rng = RngStream(config.master_seed, 1)
         if config.kind == "tau_couple":
-            horizon = (math.ceil(sched.t_n + 3 * sched.s_n)
-                       if config.horizon is None else config.horizon)
             est = _coupling.survival_vs_bound(params, x0, y0, config.r,
-                                              horizon, config.replicas, rng)
+                                              _horizon(config, sched),
+                                              config.replicas, rng)
         else:
             kappa = {"tau1": config.kappa1, "tau3": config.kappa3,
                      "tau4": config.kappa4}[config.kind]
@@ -308,10 +303,8 @@ def _run_lowerbound(config):
     for n in config.n_grid:
         k = config.k_for(n)
         sched = _schedule.make_schedule(n, k, config.lam)
-        horizon = (math.ceil(sched.t_n + 3 * sched.s_n)
-                   if config.horizon is None else config.horizon)
         params = ChainParams(n, k)
-        for t in range(horizon + 1):
+        for t in range(_horizon(config, sched) + 1):
             rows.append((n, k, config.lam, t,
                          _chain.lower_bound_certificate(params, t)))
     return ("n", "k", "lambda", "t", "certified_bound"), rows
@@ -328,9 +321,8 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig, threads: int = 1) -> ResultRecord:
-    """Execute the configured experiment.  ``threads`` caps worker pools and
-    never affects the numerical output."""
+def run(config: ExperimentConfig) -> ResultRecord:
+    """Execute the configured experiment."""
     columns, rows = _RUNNERS[config.experiment](config)
     digest = config.digest
     columns = columns + ("config_digest",)

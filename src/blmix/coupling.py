@@ -116,6 +116,9 @@ def _survival_of_hits(params: ChainParams, x0: int, y0: int, horizon: int,
         raise ParameterError("replicas must be at least 1")
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
+    if not (0 <= x0 <= params.n and 0 <= y0 <= params.n):
+        raise ParameterError(
+            f"starting states ({x0}, {y0}) outside [0, {params.n}]")
     gen = rng.gen
     x = np.full(replicas, x0, dtype=np.int64)
     y = np.full(replicas, y0, dtype=np.int64)
@@ -161,13 +164,10 @@ def _hit_predicate(spec: StoppingSpec) -> Callable[[np.ndarray, np.ndarray], np.
     if spec.kind is StoppingKind.TAU1:
         band = spec.kappa * math.sqrt(n)
         return lambda x, y: (np.abs(x - half) < band) & (np.abs(y - half) < band)
-    if spec.kind is StoppingKind.TAU3:
-        band = spec.kappa * sched.r_n
-        return lambda x, y: ((np.abs(x - y) <= dist_thresh)
-                             & (np.abs(x - half) < band)
-                             & (np.abs(y - half) < band))
-    if spec.kind is StoppingKind.TAU4:
-        band = spec.kappa * math.sqrt(n)
+    if spec.kind in (StoppingKind.TAU3, StoppingKind.TAU4):
+        # tau3 and tau4 differ only in the width of the band about n/2
+        band = spec.kappa * (sched.r_n if spec.kind is StoppingKind.TAU3
+                             else math.sqrt(n))
         return lambda x, y: ((np.abs(x - y) <= dist_thresh)
                              & (np.abs(x - half) < band)
                              & (np.abs(y - half) < band))

@@ -64,6 +64,10 @@ def test_parse_value_validation():
         parse_config(minimal(k_rule="explicit"))
     with pytest.raises(ConfigError, match="kappa2"):
         parse_config(minimal(kappa2=-1.0))
+    for name, value in [("n", True), ("replicas", True), ("master_seed", "abc"),
+                        ("kappa1", "x"), ("x0", -1), ("k", 2.5)]:
+        with pytest.raises(ConfigError, match=name):
+            parse_config(minimal(**{name: value}))
     with pytest.raises(ConfigError, match="not valid JSON"):
         parse_config("{nope")
 
@@ -195,6 +199,29 @@ def test_cli_rejects_bad_horizon(tmp_path, horizon):
     cfg = write_config(tmp_path, minimal(
         "profile", horizon=horizon, output_dir=str(tmp_path)))
     assert main(["profile", "--config", cfg]) == 2
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("coupling", {"x0": 100}),
+    ("schedule", {"n": 2}),
+    ("schedule", {"master_seed": "abc"}),
+    ("schedule", {"k_rule": "explicit", "k": 500}),
+    ("schedule", {"n": True}),
+    ("mixtime", {"horizon": 1}),
+    ("approx", {"ell": 0}),
+    ("coupling", {"kind": "tau1", "kappa1": "x"}),
+    ("coupling", {"replicas": True}),
+    ("coupling", {"r": -1}),
+])
+def test_cli_bad_values_exit_2(tmp_path, experiment, extra):
+    """Malformed values, values outside a chain's domain and a horizon too
+    short for an epsilon all end in exit 2 and write nothing."""
+    doc = {"experiment": experiment, "n": 60 if experiment == "coupling" else 100,
+           "lambda": 0.25, "replicas": 50, "output_dir": str(tmp_path)}
+    doc.update(extra)
+    cfg = write_config(tmp_path, json.dumps(doc))
+    assert main([experiment, "--config", cfg]) == 2
     assert os.listdir(tmp_path) == ["config.json"]
 
 

@@ -1,0 +1,71 @@
+"""Payload pins: the CSV of each experiment on a small fixed config, with its
+``config_digest`` column dropped, must keep the sha256 recorded here.
+
+The digest column is left out so that a change to the config's canonical form
+(which renames the files and restamps every row) does not hide or fake a change
+to the numbers.  Any other change to these bytes is a change to the results
+and must be explained when the pins are updated.  The pins were taken with
+Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; the coupling pins depend on
+numpy's hypergeometric sampler and the profile pins on its floating-point
+arithmetic, so another numpy may need new pins.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from blmix.config import parse_config, render_csv, run
+
+PINS = {
+    "schedule": (
+        {"experiment": "schedule", "n_grid": [100, 1000, 1_000_000],
+         "lambda": 0.25},
+        "d48a281664e47a710ccfe17d6512edc5759048d8d3d61d33c07303d99c1789b1"),
+    # all_states at n=40; untrimmed and trimmed state_zero at n=700, 5000
+    "profile": (
+        {"experiment": "profile", "n_grid": [40, 700, 5000], "lambda": 0.25},
+        "8032f1e276f935b93ff89ed712d23049ba2875baa424692b87519707c8b79722"),
+    "mixtime": (
+        {"experiment": "mixtime", "n_grid": [100, 200], "lambda": 0.3},
+        "0e8f5cb214833685887e48ed42032f87a11f896a1c37c63993ecadfd1fc10837"),
+    "sweep": (
+        {"experiment": "sweep", "n_grid": [64, 128], "lambda": 0.2,
+         "epsilons": [0.1, 0.5], "k_rule": "explicit", "k": 16},
+        "9142d54ff5ac981e689889791b2947e53c22ce31cfbd8991439e07dc762aabb0"),
+    "coupling-tau_couple": (
+        {"experiment": "coupling", "n": 200, "lambda": 0.25,
+         "replicas": 2000, "master_seed": 7},
+        "0efe43f4543d97545af50d614b7d060affdff2260f08a0d67cf133bbb8329fa7"),
+    "coupling-tau1": (
+        {"experiment": "coupling", "n": 400, "lambda": 0.25, "replicas": 1000,
+         "kind": "tau1", "kappa1": 1.0, "master_seed": 8},
+        "2d08c557088513afca06aa72ffe59b3b378456dec19c15b68bb7951260e19c26"),
+    "coupling-tau3": (
+        {"experiment": "coupling", "n": 400, "lambda": 0.25, "replicas": 1000,
+         "kind": "tau3", "kappa3": 0.2, "master_seed": 9},
+        "83cb5e3f07299d27b5589a1a5c4933e91a33a0398599da9c15a71363799cca2c"),
+    "coupling-tau4": (
+        {"experiment": "coupling", "n": 400, "lambda": 0.25, "replicas": 1000,
+         "kind": "tau4", "kappa4": 1.0, "master_seed": 10},
+        "069a5588da88ad8750a6ead635ebd2af83f61d0059cc3359289673c8307d43e9"),
+    "approx": (
+        {"experiment": "approx", "n_grid": [100, 1000], "lambda": 0.25},
+        "5df07d5ac990c7b42d93571d2871bfbbfc3a42cdb72d3824c6dedd892cb3549e"),
+    "lowerbound": (
+        {"experiment": "lowerbound", "n_grid": [100, 100_000], "lambda": 0.25},
+        "9c9cfb6a32db6c22b337ccc54f58407dcfc755b1b792f79ff29059c026cb5c62"),
+}
+
+
+def csv_without_digest(text: str) -> str:
+    """The CSV with its last column, ``config_digest``, removed."""
+    assert text.split("\r\n", 1)[0].endswith(",config_digest")
+    return "\r\n".join(line.rsplit(",", 1)[0] for line in text.split("\r\n"))
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_payload_is_pinned(name):
+    doc, sha = PINS[name]
+    body = csv_without_digest(render_csv(run(parse_config(json.dumps(doc)))))
+    assert hashlib.sha256(body.encode()).hexdigest() == sha
