@@ -22,6 +22,9 @@ from .pmf import FinitePmf, HypergeomParams, difference_law, hypergeom_pmf, poin
 MATRIX_GUARD = 4096      # refuse full (n+1)^2 kernel materialization above this
 VECTOR_GUARD = 100_000   # refuse single-start evolution above this
 MONOTONE_TOL = 1e-12
+# all-states entries below this are zeroed: a product of two entries at or
+# above it is a normal double, so the dense matmul never meets a subnormal
+UNDERFLOW_FLOOR = 2.0**-510
 
 
 @dataclass(frozen=True)
@@ -208,10 +211,20 @@ def _kernel_matrix(params: ChainParams) -> np.ndarray:
     return P
 
 
+def _flush(A: np.ndarray) -> float:
+    """Zero the entries of ``A`` below UNDERFLOW_FLOOR in place and return
+    the largest row sum zeroed."""
+    small = A < UNDERFLOW_FLOOR
+    lost = float(A.sum(axis=1, where=small).max())
+    A[small] = 0.0
+    return lost
+
+
 def distance_profile(params: ChainParams, t_max: int,
                      start_policy: StartPolicy = StartPolicy.ALL_STATES) -> MixingProfile:
     """Worst-case (or from-zero) total variation to stationarity for
-    t = 0..t_max."""
+    t = 0..t_max.  ``lost_mass`` bounds the mass the kernel rows (trimmed, or
+    zeroed below UNDERFLOW_FLOOR) dropped, and each d(t) includes it."""
     if t_max < 0:
         raise ParameterError("t_max must be nonnegative")
     n = params.n
@@ -220,12 +233,18 @@ def distance_profile(params: ChainParams, t_max: int,
     # each branch refuses an oversized n before it builds anything of size n
     if start_policy is StartPolicy.ALL_STATES:
         P = _kernel_matrix(params)
+        # a row of D's error stays at most ``lost``: P is stochastic and all
+        # terms are nonnegative, so a step keeps the error and adds at most
+        # the largest row sums zeroed from P and from D
+        lost_p = _flush(P)
         pi_dense = stationary(params).dense_on(0, n)
         D = np.eye(n + 1)
         for t in range(t_max + 1):
-            d[t] = 0.5 * np.abs(D - pi_dense).sum(axis=1).max()
+            tv = 0.5 * np.abs(D - pi_dense).sum(axis=1).max()
+            d[t] = min(1.0, tv + lost)
             if t < t_max:
                 D = D @ P
+                lost += lost_p + _flush(D)
     else:
         if n > VECTOR_GUARD:
             raise InfeasibleSizeError(

@@ -22,13 +22,18 @@ from . import coupling as _coupling
 from . import schedule as _schedule
 from .chain import ChainParams, StartPolicy
 from .coupling import StoppingKind, StoppingSpec
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .rng import RngStream
 
 EXPERIMENTS = ("profile", "mixtime", "coupling", "approx", "lowerbound",
                "schedule", "sweep")
 
 _REQUIRED = object()  # default of a field the config must give
+# the largest sizes a config may ask for, so that the arrays they size stay
+# allocatable: a double of d(t) or of survival per step, and about 120 bytes
+# of coupling state per replica
+MAX_HORIZON = 10**6
+MAX_REPLICAS = 10**7
 
 
 def _field(must: str, check, default=_REQUIRED, key=None, coerce=None):
@@ -52,6 +57,11 @@ def _is_number(v) -> bool:
 
 def _one_of(*options) -> tuple:
     return f"one of {', '.join(options)}", lambda v: v in options
+
+
+def _int_range(lo: int, hi: int) -> tuple:
+    return (f"an integer from {lo} to {hi:,}",
+            lambda v: _is_int(v) and lo <= v <= hi)
 
 
 _NONNEGATIVE_INT = ("a nonnegative integer", lambda v: _is_int(v) and v >= 0)
@@ -93,9 +103,9 @@ class ExperimentConfig:
         lambda v: (isinstance(v, list) and len(v) > 0
                    and all(_is_number(e) and 0 < e < 1 for e in v)),
         default=[0.25, 0.5, 0.75], coerce=lambda v: tuple(map(float, v)))
-    replicas: int = _field(*_POSITIVE_INT, default=10_000)
+    replicas: int = _field(*_int_range(1, MAX_REPLICAS), default=10_000)
     master_seed: int = _field("an integer", _is_int, default=12345)
-    horizon: int | None = _field(*_NONNEGATIVE_INT, default=None)
+    horizon: int | None = _field(*_int_range(0, MAX_HORIZON), default=None)
     output_dir: str = _field("a string", lambda v: isinstance(v, str),
                              default=".")
     kappa1: float = _field(*_POSITIVE, default=10.0, coerce=float)
@@ -186,7 +196,17 @@ def _horizon(config: ExperimentConfig, sched: _schedule.Schedule,
     t_n + 3 s_n, plus ``slack`` steps, rounded up."""
     if config.horizon is not None:
         return config.horizon
-    return math.ceil(sched.t_n + 3 * sched.s_n + slack)
+    return _checked_default(math.ceil(sched.t_n + 3 * sched.s_n + slack))
+
+
+def _checked_default(horizon: int) -> int:
+    """A horizon the schedule set, refused above MAX_HORIZON: a tiny lambda
+    stretches t_n and s_n without bound."""
+    if horizon > MAX_HORIZON:
+        raise ParameterError(
+            f"the schedule sets a horizon of {horizon} steps, above "
+            f"{MAX_HORIZON:,}: lambda is too small (give a horizon)")
+    return horizon
 
 
 def _resolve_policy(config: ExperimentConfig, n: int) -> StartPolicy:
@@ -268,9 +288,11 @@ def _run_coupling(config):
             kappa = {"tau1": config.kappa1, "tau3": config.kappa3,
                      "tau4": config.kappa4}[config.kind]
             spec = StoppingSpec(StoppingKind(config.kind), sched, kappa=kappa)
+            horizon = config.horizon
+            if horizon is None:
+                horizon = _checked_default(_coupling.default_horizon(spec))
             est = _coupling.stopping_tail(params, spec, x0, y0,
-                                          config.replicas, rng,
-                                          horizon=config.horizon)
+                                          config.replicas, rng, horizon)
         for i, t in enumerate(est.t_grid):
             rows.append((n, k, config.kind, int(t),
                          float(est.empirical_survival[i]),

@@ -37,6 +37,10 @@ def make_schedule(n: int, k: int, lam: float) -> Schedule:
         raise ParameterError("n must be at least 3 (log log n must be positive)")
     if not 0.0 < lam < 0.5:
         raise ParameterError("lam must lie in the open interval (0, 1/2)")
+    if 1.0 - 2.0 * lam == 1.0:
+        raise ParameterError(
+            f"lam={lam!r} is too small: 1 - 2 lam rounds to 1, so t_n is "
+            "unbounded")
     if not 0 <= k <= n:
         raise ParameterError("k must lie in [0, n]")
     logn = math.log(n)

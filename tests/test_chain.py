@@ -1,13 +1,16 @@
 """Exact kernel, stationarity, mixing profiles, moment identities."""
 
+import math
+
 import numpy as np
 import pytest
 
 from blmix import (ChainParams, Eigenfunction, HypergeomParams, StartPolicy,
                    distance_profile, eigen_eval, evolve, hypergeom_pmf,
-                   lower_bound_certificate, point_mass, stationary, t_mix,
-                   transition_row, tv_distance, verify_moment_identities)
-from blmix.chain import MATRIX_GUARD, _kernel_matrix
+                   lower_bound_certificate, make_schedule, point_mass,
+                   stationary, t_mix, transition_row, tv_distance,
+                   verify_moment_identities)
+from blmix.chain import MATRIX_GUARD, UNDERFLOW_FLOOR, _kernel_matrix
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
 from oracles import enum_transition_row
@@ -149,6 +152,35 @@ def test_state_zero_matches_all_states(n):
     d_all = distance_profile(params, t_max, StartPolicy.ALL_STATES).d_values
     d_zero = distance_profile(params, t_max, StartPolicy.STATE_ZERO).d_values
     assert np.abs(d_all - d_zero).max() <= 1e-10
+
+
+def test_all_states_underflow_floor():
+    """The all-states profile zeroes kernel and D entries below
+    UNDERFLOW_FLOOR, so its matmul never meets a subnormal. Its d(t) is bit
+    for bit that of the unfloored loop, and lost_mass bounds the zeroed mass:
+    each step zeroes entries below the floor from a row of P and of D."""
+    n, k = 300, 75
+    sched = make_schedule(n, k, 0.25)
+    t_max = math.ceil(sched.t_n + 3 * sched.s_n + 10)  # the CLI's default
+    params = ChainParams(n, k)
+    profile = distance_profile(params, t_max, StartPolicy.ALL_STATES)
+    P = _kernel_matrix(params)
+    pi = stationary(params).dense_on(0, n)
+    D = np.eye(n + 1)
+    d = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        d[t] = 0.5 * np.abs(D - pi).sum(axis=1).max()
+        if t < t_max:
+            D = D @ P
+    np.minimum.accumulate(d, out=d)
+    assert profile.d_values.tobytes() == d.tobytes()
+    assert 0 < profile.lost_mass <= t_max * (n + 2) * UNDERFLOW_FLOOR
+    # the floored D_t lies below the exact one, so it lost at least the
+    # exact entries below the floor
+    below = D.sum(axis=1, where=D < UNDERFLOW_FLOOR).max()
+    assert profile.lost_mass >= below > 0
+    small = distance_profile(ChainParams(40, 10), t_max, StartPolicy.ALL_STATES)
+    assert small.lost_mass == 0.0
 
 
 def test_trimmed_evolution_above_matrix_guard():

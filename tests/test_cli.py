@@ -213,10 +213,17 @@ def test_cli_rejects_bad_horizon(tmp_path, horizon):
     ("coupling", {"kind": "tau1", "kappa1": "x"}),
     ("coupling", {"replicas": True}),
     ("coupling", {"r": -1}),
+    ("mixtime", {"lambda": 1e-300}),
+    ("profile", {"n": 50, "horizon": 10**15}),
+    ("coupling", {"replicas": 10**15}),
+    ("profile", {"n": 50, "lambda": 1e-15}),
+    ("coupling", {"kind": "tau1", "lambda": 1e-15}),
 ])
 def test_cli_bad_values_exit_2(tmp_path, experiment, extra):
-    """Malformed values, values outside a chain's domain and a horizon too
-    short for an epsilon all end in exit 2 and write nothing."""
+    """Malformed values, values outside a chain's domain, a horizon too
+    short for an epsilon, a horizon or replica count too large to allocate
+    and a lambda too small for the schedule all end in exit 2 and write
+    nothing."""
     doc = {"experiment": experiment, "n": 60 if experiment == "coupling" else 100,
            "lambda": 0.25, "replicas": 50, "output_dir": str(tmp_path)}
     doc.update(extra)
