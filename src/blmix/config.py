@@ -172,7 +172,15 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         values[f.name] = spec["coerce"](value) if spec["coerce"] else value
     if values["k_rule"] == "explicit" and values["k"] is None:
         raise ConfigError("k_rule=explicit requires an integer k")
-    return ExperimentConfig(**values)
+    config = ExperimentConfig(**values)
+    for n in config.n_grid:
+        # k = 0 swaps nothing, so d(t) never falls and every horizon is
+        # walked to its end
+        if config.k_for(n) == 0:
+            raise ConfigError(
+                f"k is 0 at n={n}, so the chain never moves: k must be at "
+                "least 1 (floor(lambda*n) is 0 when lambda < 1/n)")
+    return config
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ each of the three label blocks the two urns induce; this is equivalent by
 exchangeability of labels within a block and costs O(1) per step.
 
 The distance between the coupled copies never increases; this is asserted on
-every step and any violation aborts the run.
+every step of every replica still running and any violation aborts the run.
 """
 
 from __future__ import annotations
@@ -111,7 +111,13 @@ def _survival_of_hits(params: ChainParams, x0: int, y0: int, horizon: int,
                       hit: Callable[[np.ndarray, np.ndarray], np.ndarray]
                       ) -> np.ndarray:
     """P(tau > t) for t = 0..horizon where tau is the first time ``hit``
-    holds for the coupled pair."""
+    holds for the coupled pair.
+
+    A replica is dropped once hit, so each step draws only for the replicas
+    still running, and the loop ends when none are left (later rows stay 0).
+    Up to and including the first step at which a replica is hit, the draws
+    are those of stepping every replica; after it the curve differs from that
+    by sampling noise only."""
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
     if horizon < 0:
@@ -122,13 +128,15 @@ def _survival_of_hits(params: ChainParams, x0: int, y0: int, horizon: int,
     gen = rng.gen
     x = np.full(replicas, x0, dtype=np.int64)
     y = np.full(replicas, y0, dtype=np.int64)
-    alive = ~hit(x, y)
-    survival = np.empty(horizon + 1)
-    survival[0] = alive.mean()
-    for t in range(1, horizon + 1):
-        x, y = _step_arrays(params.n, params.k, x, y, gen)
-        alive &= ~hit(x, y)
-        survival[t] = alive.mean()
+    survival = np.zeros(horizon + 1)
+    for t in range(horizon + 1):
+        if t > 0:
+            x, y = _step_arrays(params.n, params.k, x, y, gen)
+        running = ~hit(x, y)
+        x, y = x[running], y[running]
+        survival[t] = x.size / replicas
+        if x.size == 0:
+            break
     return survival
 
 

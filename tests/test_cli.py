@@ -2,13 +2,16 @@
 
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blmix.cli import main
-from blmix.config import (ExperimentConfig, ResultRecord, emit, format_value,
-                          parse_config, parse_csv, parse_json, render_csv,
-                          render_json, run)
+from blmix.config import (EXPERIMENTS, ExperimentConfig, ResultRecord, emit,
+                          format_value, parse_config, parse_csv, parse_json,
+                          render_csv, render_json, run)
 from blmix.errors import ConfigError
 
 
@@ -218,12 +221,15 @@ def test_cli_rejects_bad_horizon(tmp_path, horizon):
     ("coupling", {"replicas": 10**15}),
     ("profile", {"n": 50, "lambda": 1e-15}),
     ("coupling", {"kind": "tau1", "lambda": 1e-15}),
+    ("profile", {"n": 50, "lambda": 1e-5}),
+    ("profile", {"k_rule": "explicit", "k": 0}),
+    ("coupling", {"n": 3}),
 ])
 def test_cli_bad_values_exit_2(tmp_path, experiment, extra):
     """Malformed values, values outside a chain's domain, a horizon too
-    short for an epsilon, a horizon or replica count too large to allocate
-    and a lambda too small for the schedule all end in exit 2 and write
-    nothing."""
+    short for an epsilon, a horizon or replica count too large to allocate,
+    a lambda too small for the schedule and a k of 0 (lambda < 1/n or an
+    explicit 0) all end in exit 2 and write nothing."""
     doc = {"experiment": experiment, "n": 60 if experiment == "coupling" else 100,
            "lambda": 0.25, "replicas": 50, "output_dir": str(tmp_path)}
     doc.update(extra)
@@ -239,3 +245,74 @@ def test_cli_zero_horizon_emits_only_t0(tmp_path):
     rows = parse_csv(read_output(tmp_path).decode()).rows
     assert len(rows) == 1
     assert rows[0][3] == 0  # the t column
+
+
+# ------------------------------------------------------------- config fuzzing
+
+def _in_range(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+# values of the right type, mostly in range; edges such as k = 0, k > n or a
+# start state above n are left in
+_FUZZ_FIELDS = {
+    "lambda": st.one_of(_in_range(0.01, 0.5),
+                        st.sampled_from([1e-300, 1e-5, 0.01])),
+    "n": st.integers(1, 64),
+    "n_grid": st.lists(st.integers(1, 64), min_size=1, max_size=3),
+    "k_rule": st.sampled_from(["floor_lambda_n", "explicit"]),
+    "k": st.integers(0, 64),
+    "epsilons": st.lists(_in_range(0.0, 1.0), min_size=1, max_size=3),
+    "replicas": st.integers(1, 50),
+    "master_seed": st.integers(-2**40, 2**40),
+    "start_policy": st.sampled_from(["auto", "all_states", "state_zero"]),
+    "kind": st.sampled_from(["tau_couple", "tau1", "tau3", "tau4"]),
+    "r": _in_range(0.0, 50.0),
+    "kappa1": _in_range(0.0, 20.0),
+    "kappa3": _in_range(0.0, 20.0),
+    "kappa4": _in_range(0.0, 20.0),
+    "x0": st.integers(0, 64),
+    "y0": st.integers(0, 64),
+    "ell": st.integers(1, 64),
+}
+_BAD_VALUES = st.sampled_from([True, None, "x", 2.5, -1, 1e300, [1], {}])
+
+
+@st.composite
+def _config_docs(draw):
+    grid = draw(st.sampled_from(["n", "n_grid"]))
+    doc = draw(st.fixed_dictionaries(
+        {"lambda": _FUZZ_FIELDS["lambda"], grid: _FUZZ_FIELDS[grid]},
+        optional={k: v for k, v in _FUZZ_FIELDS.items()
+                  if k not in ("lambda", "n", "n_grid")}))
+    # An explicit k unties k from lambda, and a small lambda then sets a
+    # default horizon of up to 10^6 steps: a valid but slow run.  Such
+    # documents always carry a horizon.
+    if doc.get("k_rule") == "explicit":
+        doc.setdefault("k", draw(_FUZZ_FIELDS["k"]))
+        doc["horizon"] = draw(st.integers(0, 20))
+    elif draw(st.booleans()):
+        doc["horizon"] = draw(st.integers(0, 20))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from([*_FUZZ_FIELDS, "horizon", "unknown"]))
+        doc[key] = draw(_BAD_VALUES)
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore:duplicate n")
+@settings(max_examples=150, deadline=None)
+@given(experiment=st.sampled_from(EXPERIMENTS), doc=_config_docs())
+def test_cli_fuzzed_configs_exit_cleanly(experiment, doc):
+    """Any config document with n <= 64, at most 50 replicas and a horizon
+    of at most 20 ends in a documented exit code, never a traceback, and a
+    failed run writes no payload."""
+    with tempfile.TemporaryDirectory() as root:
+        out_dir = os.path.join(root, "out")
+        os.mkdir(out_dir)
+        path = os.path.join(root, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(dict(doc, output_dir=out_dir), fh)
+        code = main([experiment, "--config", path])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            assert os.listdir(out_dir) == []

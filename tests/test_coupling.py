@@ -1,5 +1,6 @@
 """Shared-selection coupling: exactness oracles and Monte Carlo estimators."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from blmix import (ChainParams, CoupledState, RngStream, StoppingKind,
                    StoppingSpec, band_excursion, coupled_step, make_schedule,
                    stopping_tail, survival_vs_bound, transition_row)
-from blmix.coupling import default_horizon
+from blmix.coupling import (_ci_halfwidth, _hit_predicate, _step_arrays,
+                            _survival_of_hits, default_horizon)
 from blmix.errors import ParameterError
 from oracles import block_joint_law, enum_coupled_joint, marginals
 
@@ -107,6 +109,63 @@ def test_survival_below_bound_with_slack():
                   <= est.theoretical_bound + 3 * est.ci_halfwidth)
 
 
+def _every_replica_survival(params, x0, y0, horizon, replicas, rng, hit):
+    """Reference loop: step every replica to the horizon, hit or not, and
+    keep an alive mask."""
+    gen = rng.gen
+    x = np.full(replicas, x0, dtype=np.int64)
+    y = np.full(replicas, y0, dtype=np.int64)
+    alive = ~hit(x, y)
+    survival = np.empty(horizon + 1)
+    survival[0] = alive.mean()
+    for t in range(1, horizon + 1):
+        x, y = _step_arrays(params.n, params.k, x, y, gen)
+        alive &= ~hit(x, y)
+        survival[t] = alive.mean()
+    return survival
+
+
+# the four coupling payload pins (tests/test_payloads.py): kind, n, kappa,
+# master seed, replicas; k = n/4 at lambda = 1/4, start (0, n)
+COUPLING_PINS = [(StoppingKind.TAU_COUPLE, 200, None, 7, 2000),
+                 (StoppingKind.TAU1, 400, 1.0, 8, 1000),
+                 (StoppingKind.TAU3, 400, 0.2, 9, 1000),
+                 (StoppingKind.TAU4, 400, 1.0, 10, 1000)]
+
+
+@pytest.mark.parametrize("kind, n, kappa, seed, replicas", COUPLING_PINS)
+def test_dropping_hit_replicas_matches_stepping_all(kind, n, kappa, seed,
+                                                    replicas):
+    """Dropping hit replicas leaves the curve bit for bit equal to stepping
+    every replica up to and including the first t at which survival falls
+    below 1, and within 3 combined 95% half-widths after it."""
+    sched = make_schedule(n, n // 4, 0.25)
+    if kind is StoppingKind.TAU_COUPLE:
+        spec = StoppingSpec(kind, sched, r=1.0)
+        horizon = math.ceil(sched.t_n + 3 * sched.s_n)
+    else:
+        spec = StoppingSpec(kind, sched, kappa=kappa)
+        horizon = default_horizon(spec)
+    params, hit = ChainParams(n, n // 4), _hit_predicate(spec)
+    pruned = _survival_of_hits(params, 0, n, horizon, replicas,
+                               RngStream(seed, 1), hit)
+    full = _every_replica_survival(params, 0, n, horizon, replicas,
+                                   RngStream(seed, 1), hit)
+    assert pruned.shape == full.shape == (horizon + 1,)
+    assert np.any(full < 1.0)
+    first = int(np.argmax(full < 1.0))
+    assert np.array_equal(pruned[:first + 1], full[:first + 1])
+    combined = np.hypot(_ci_halfwidth(pruned, replicas),
+                        _ci_halfwidth(full, replicas))
+    assert np.all(np.abs(pruned - full) <= 3 * combined)
+    if full[-1] == 0.0:
+        # every replica hit before the horizon: the rows after the last one
+        # still exist and are exact zeros
+        gone = int(np.argmax(pruned == 0.0))
+        assert 0 < gone < horizon
+        assert np.all(pruned[gone:] == 0.0)
+
+
 def test_survival_reproducible():
     args = (ChainParams(80, 20), 0, 80, 2.0, 15, 2000)
     a = survival_vs_bound(*args, RngStream(123, 0))
@@ -152,8 +211,12 @@ def test_tau_couple_consistent_with_survival_vs_bound():
 
 
 def test_tau1_tail_decreasing_in_kappa():
-    """Wider target bands are hit no later; with shared randomness the tail
-    is pointwise monotone in kappa."""
+    """Wider target bands are hit no later, so the tail falls as kappa
+    grows.  The three runs share a seed but not their draws replica by
+    replica: a hit replica is no longer stepped, so the draws a replica gets
+    depend on which others were hit before it.  The order is therefore one
+    of the estimates, not of shared paths; here each curve drops from 1 to 0
+    within one step, a step earlier for each wider band."""
     sched = make_schedule(2000, 500, 0.25)
     params = ChainParams(2000, 500)
     tails = []

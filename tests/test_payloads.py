@@ -33,22 +33,27 @@ PINS = {
         {"experiment": "sweep", "n_grid": [64, 128], "lambda": 0.2,
          "epsilons": [0.1, 0.5], "k_rule": "explicit", "k": 16},
         "9142d54ff5ac981e689889791b2947e53c22ce31cfbd8991439e07dc762aabb0"),
+    # The coupling pins were retaken when hit replicas stopped being stepped:
+    # the generator's draws then go to fewer replicas after the first hit,
+    # so the curves change by sampling noise only.
+    # tests/test_coupling.py::test_dropping_hit_replicas_matches_stepping_all
+    # checks these four configs against a loop that steps every replica.
     "coupling-tau_couple": (
         {"experiment": "coupling", "n": 200, "lambda": 0.25,
          "replicas": 2000, "master_seed": 7},
-        "0efe43f4543d97545af50d614b7d060affdff2260f08a0d67cf133bbb8329fa7"),
+        "baff78f0584192e39f323028254c59e1c237cf9e0428aa9aff8d2826a3233fc2"),
     "coupling-tau1": (
         {"experiment": "coupling", "n": 400, "lambda": 0.25, "replicas": 1000,
          "kind": "tau1", "kappa1": 1.0, "master_seed": 8},
-        "2d08c557088513afca06aa72ffe59b3b378456dec19c15b68bb7951260e19c26"),
+        "b14af44f36009e1fc26df588d6b8d01cc3ce56877d5927128a027b81c1263f81"),
     "coupling-tau3": (
         {"experiment": "coupling", "n": 400, "lambda": 0.25, "replicas": 1000,
          "kind": "tau3", "kappa3": 0.2, "master_seed": 9},
-        "83cb5e3f07299d27b5589a1a5c4933e91a33a0398599da9c15a71363799cca2c"),
+        "b74e12bc3feec8005620d55babc3933c32f8438de6386a66d9767c3754ab949d"),
     "coupling-tau4": (
         {"experiment": "coupling", "n": 400, "lambda": 0.25, "replicas": 1000,
          "kind": "tau4", "kappa4": 1.0, "master_seed": 10},
-        "069a5588da88ad8750a6ead635ebd2af83f61d0059cc3359289673c8307d43e9"),
+        "8b51fcda183cbb36d694f93b58b4c276e0f0d2c73f72b6d2d2d78b995e1dc992"),
     "approx": (
         {"experiment": "approx", "n_grid": [100, 1000], "lambda": 0.25},
         "5df07d5ac990c7b42d93571d2871bfbbfc3a42cdb72d3824c6dedd892cb3549e"),
