@@ -205,18 +205,22 @@ def _kernel_matrix(params: ChainParams) -> np.ndarray:
             f"full kernel materialization refused for n={n} > {MATRIX_GUARD}; "
             "the state-zero start policy scales further")
     P = np.zeros((n + 1, n + 1))
-    for x in range(n + 1):
+    for x in range(n // 2 + 1):
         row = transition_row(params, x)
         P[x, row.lo:row.hi + 1] = row.weights
+    # swapping the colours maps the chain to itself (each colour has n balls
+    # in all), so row n - x is row x reversed
+    P[n // 2 + 1:] = P[n - n // 2 - 1::-1, ::-1]
     return P
 
 
-def _flush(A: np.ndarray) -> float:
+def _flush(A: np.ndarray, small: np.ndarray | None = None) -> float:
     """Zero the entries of ``A`` below UNDERFLOW_FLOOR in place and return
-    the largest row sum zeroed."""
-    small = A < UNDERFLOW_FLOOR
+    the largest row sum zeroed.  ``small``, a boolean array of A's shape,
+    is used for the mask in place of a new one."""
+    small = np.less(A, UNDERFLOW_FLOOR, out=small)
     lost = float(A.sum(axis=1, where=small).max())
-    A[small] = 0.0
+    np.copyto(A, 0.0, where=small)
     return lost
 
 
@@ -238,13 +242,18 @@ def distance_profile(params: ChainParams, t_max: int,
         # the largest row sums zeroed from P and from D
         lost_p = _flush(P)
         pi_dense = stationary(params).dense_on(0, n)
-        D = np.eye(n + 1)
+        # P and pi are mirror images of themselves, so row n - x of D is
+        # row x reversed and rows 0..n//2 hold every distance; the loop
+        # reuses its buffers, since fresh ones would be page-faulted each step
+        D = np.eye(n // 2 + 1, n + 1)
+        D_next, gap = np.empty_like(D), np.empty_like(D)
+        small = np.empty(D.shape, dtype=bool)
         for t in range(t_max + 1):
-            tv = 0.5 * np.abs(D - pi_dense).sum(axis=1).max()
-            d[t] = min(1.0, tv + lost)
+            np.abs(np.subtract(D, pi_dense, out=gap), out=gap)
+            d[t] = min(1.0, 0.5 * gap.sum(axis=1).max() + lost)
             if t < t_max:
-                D = D @ P
-                lost += lost_p + _flush(D)
+                D, D_next = np.matmul(D, P, out=D_next), D
+                lost += lost_p + _flush(D, small)
     else:
         if n > VECTOR_GUARD:
             raise InfeasibleSizeError(

@@ -201,19 +201,24 @@ def lower_bound_offset(epsilon: float, lam: float) -> float:
 def _horizon(config: ExperimentConfig, sched: _schedule.Schedule,
              slack: int = 0) -> int:
     """The configured horizon, or else the end of the cutoff window,
-    t_n + 3 s_n, plus ``slack`` steps, rounded up."""
+    t_n + 3 s_n, plus ``slack`` steps, rounded up.  An explicit k with
+    0 < k/n < 1/2 is timed by its own swap fraction k/n, not by lambda."""
     if config.horizon is not None:
         return config.horizon
+    if config.k_rule == "explicit" and 0 < 2 * sched.k < sched.n:
+        sched = _schedule.make_schedule(sched.n, sched.k, sched.k / sched.n)
     return _checked_default(math.ceil(sched.t_n + 3 * sched.s_n + slack))
 
 
 def _checked_default(horizon: int) -> int:
-    """A horizon the schedule set, refused above MAX_HORIZON: a tiny lambda
-    stretches t_n and s_n without bound."""
+    """A horizon the schedule set, refused above MAX_HORIZON: a tiny swap
+    fraction (lambda, or k/n for an explicit k) stretches t_n and s_n
+    without bound."""
     if horizon > MAX_HORIZON:
         raise ParameterError(
             f"the schedule sets a horizon of {horizon} steps, above "
-            f"{MAX_HORIZON:,}: lambda is too small (give a horizon)")
+            f"{MAX_HORIZON:,}: the swap fraction is too small (give a "
+            "horizon)")
     return horizon
 
 

@@ -88,6 +88,20 @@ def test_color_swap_symmetry(n, k):
         assert np.abs(Pt - Pt[::-1, ::-1]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 41, 301])
+def test_kernel_matrix_is_mirrored(n):
+    """The dense kernel builds rows 0..n//2 and mirrors the rest: it equals
+    its colour-swapped image bit for bit, and every row still matches its
+    transition row."""
+    for k in sorted({1, n // 4, n // 2, n}):
+        params = ChainParams(n, k)
+        P = _kernel_matrix(params)
+        assert np.array_equal(P, P[::-1, ::-1])
+        for x in range(n + 1):
+            row = transition_row(params, x).dense_on(0, n)
+            assert np.abs(P[x] - row).max() <= 1e-15
+
+
 @pytest.mark.parametrize("n,k", [(10, 3), (64, 16), (200, 50)])
 def test_eigenvalue_property(n, k):
     params = ChainParams(n, k)
@@ -154,19 +168,24 @@ def test_state_zero_matches_all_states(n):
     assert np.abs(d_all - d_zero).max() <= 1e-10
 
 
+def _default_horizon(n, k):
+    sched = make_schedule(n, k, 0.25)
+    return math.ceil(sched.t_n + 3 * sched.s_n + 10)  # the CLI's default
+
+
 def test_all_states_underflow_floor():
     """The all-states profile zeroes kernel and D entries below
     UNDERFLOW_FLOOR, so its matmul never meets a subnormal. Its d(t) is bit
-    for bit that of the unfloored loop, and lost_mass bounds the zeroed mass:
-    each step zeroes entries below the floor from a row of P and of D."""
+    for bit that of the unfloored loop over the same rows 0..n//2, and
+    lost_mass bounds the zeroed mass: each step zeroes entries below the
+    floor from a row of P and of D."""
     n, k = 300, 75
-    sched = make_schedule(n, k, 0.25)
-    t_max = math.ceil(sched.t_n + 3 * sched.s_n + 10)  # the CLI's default
+    t_max = _default_horizon(n, k)
     params = ChainParams(n, k)
     profile = distance_profile(params, t_max, StartPolicy.ALL_STATES)
     P = _kernel_matrix(params)
     pi = stationary(params).dense_on(0, n)
-    D = np.eye(n + 1)
+    D = np.eye(n // 2 + 1, n + 1)
     d = np.empty(t_max + 1)
     for t in range(t_max + 1):
         d[t] = 0.5 * np.abs(D - pi).sum(axis=1).max()
@@ -181,6 +200,30 @@ def test_all_states_underflow_floor():
     assert profile.lost_mass >= below > 0
     small = distance_profile(ChainParams(40, 10), t_max, StartPolicy.ALL_STATES)
     assert small.lost_mass == 0.0
+
+
+@pytest.mark.parametrize("n", [40, 41, 300, 301, 1024])
+def test_all_states_half_rows_match_every_row(n):
+    """The all-states profile evolves only the starts x <= n/2, whose colour
+    swaps are the other starts. Its d(t) is the maximum over every start of
+    a loop over all n + 1 rows (floored like the profile, so that it runs
+    without subnormals) within 1e-14."""
+    k = n // 4
+    t_max = _default_horizon(n, k)
+    params = ChainParams(n, k)
+    profile = distance_profile(params, t_max, StartPolicy.ALL_STATES)
+    P = _kernel_matrix(params)
+    P[P < UNDERFLOW_FLOOR] = 0.0
+    pi = stationary(params).dense_on(0, n)
+    D = np.eye(n + 1)
+    d = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        d[t] = 0.5 * np.abs(D - pi).sum(axis=1).max()
+        if t < t_max:
+            D = D @ P
+            D[D < UNDERFLOW_FLOOR] = 0.0
+    np.minimum.accumulate(d, out=d)
+    assert np.abs(profile.d_values - d).max() <= 1e-14
 
 
 def test_trimmed_evolution_above_matrix_guard():

@@ -247,6 +247,18 @@ def test_cli_zero_horizon_emits_only_t0(tmp_path):
     assert rows[0][3] == 0  # the t column
 
 
+def test_cli_explicit_k_horizon_follows_k_over_n(tmp_path):
+    """An explicit k with 0 < k/n < 1/2 unties the chain from lambda, so its
+    default horizon comes from k/n: at n = 64 and k = 16 it is t = 0..31,
+    not the 531,557 steps lambda = 1e-5 would set."""
+    cfg = write_config(tmp_path, json.dumps({
+        "experiment": "profile", "n": 64, "k_rule": "explicit", "k": 16,
+        "lambda": 1e-5, "output_dir": str(tmp_path)}))
+    assert main(["profile", "--config", cfg]) == 0
+    rows = parse_csv(read_output(tmp_path).decode()).rows
+    assert [row[3] for row in rows] == list(range(32))  # the t column
+
+
 # ------------------------------------------------------------- config fuzzing
 
 def _in_range(lo, hi):
@@ -285,11 +297,14 @@ def _config_docs(draw):
         {"lambda": _FUZZ_FIELDS["lambda"], grid: _FUZZ_FIELDS[grid]},
         optional={k: v for k, v in _FUZZ_FIELDS.items()
                   if k not in ("lambda", "n", "n_grid")}))
-    # An explicit k unties k from lambda, and a small lambda then sets a
-    # default horizon of up to 10^6 steps: a valid but slow run.  Such
+    # An explicit k with 2k >= n keeps the default horizon of lambda, and a
+    # small lambda then sets up to 10^6 steps: a valid but slow run.  Such
     # documents always carry a horizon.
+    ns = doc["n_grid"] if grid == "n_grid" else [doc["n"]]
     if doc.get("k_rule") == "explicit":
         doc.setdefault("k", draw(_FUZZ_FIELDS["k"]))
+    if (doc.get("k_rule") == "explicit"
+            and any(2 * doc["k"] >= n for n in ns)):
         doc["horizon"] = draw(st.integers(0, 20))
     elif draw(st.booleans()):
         doc["horizon"] = draw(st.integers(0, 20))
