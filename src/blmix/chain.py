@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from . import pmf as _pmf
 from .errors import HorizonExceededError, InfeasibleSizeError, ParameterError
@@ -157,6 +156,10 @@ class _SparseKernel:
         self._states = np.insert(self._states, at, new)
         self._lost[new] = [r.lost_mass for r in rows]
         self._built[new] = True
+        # imported here, not with the module: scipy takes longer to load
+        # than the rest of the package, and only this kernel needs it
+        from scipy import sparse as _sparse
+
         self._matrix_t = _sparse.csr_matrix(
             (self._data, self._cols, self._indptr),
             shape=(self._states.size, n + 1)).T
@@ -343,10 +346,13 @@ def lower_bound_certificate(params: ChainParams, t: int) -> float:
     v_pi = (n - 1) / (2 * n - 1)
     best = 0.0
     sd = math.sqrt(v0)
+    # the sets stay disjoint for ever fewer r as alpha or r grows, and the
+    # bound grows with r, so each r-loop can stop at its first overlap
     for ja in range(21):
         alpha = float(1 << ja)
         for jr in range(21):
             r = float(1 << jr)
-            if m - r * sd > alpha:
-                best = max(best, 1.0 - v_pi / alpha**2 - 1.0 / r**2)
+            if not m - r * sd > alpha:
+                break
+            best = max(best, 1.0 - v_pi / alpha**2 - 1.0 / r**2)
     return min(max(best, 0.0), 1.0)

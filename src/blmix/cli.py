@@ -45,6 +45,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"blmix: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"blmix: config error: config is not UTF-8 text: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         config = parse_config(text, experiment=args.experiment)

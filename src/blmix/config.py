@@ -139,12 +139,26 @@ class ExperimentConfig:
         return _schedule.floor_k(n, self.lam)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict, refusing a repeated key, which
+    json.loads would otherwise resolve silently to its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats the field {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
-    """Validate a JSON config document; unknown fields are hard errors."""
+    """Validate a JSON config document; unknown and repeated fields are hard
+    errors."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests too deeply to decode") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if "n" in raw:

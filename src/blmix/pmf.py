@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 from .errors import ParameterError
 from .rng import RngStream
@@ -225,6 +224,21 @@ def tv_distance(p: FinitePmf, q: FinitePmf) -> float:
     return float(0.5 * np.abs(p.dense_on(lo, hi) - q.dense_on(lo, hi)).sum())
 
 
+def _fast_len(size: int) -> int:
+    """The smallest 2^a 3^b 5^c at least ``size``, a length pocketfft
+    transforms fast; ``scipy.fft.next_fast_len(size, True)`` is the same."""
+    best = 1 << (size - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 * 2^a >= size
+            best = min(best, p35 << ((size - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def difference_law(p_a: FinitePmf, p_b: FinitePmf) -> FinitePmf:
     """Exact law of A - B for independent A ~ p_a, B ~ p_b."""
     wa, wb = p_a.weights, p_b.weights[::-1]
@@ -232,9 +246,9 @@ def difference_law(p_a: FinitePmf, p_b: FinitePmf) -> FinitePmf:
         w = np.convolve(wa, wb)
     else:
         size = wa.size + wb.size - 1
-        fft_len = _fft.next_fast_len(size, True)
-        w = _fft.irfft(_fft.rfft(wa, fft_len) * _fft.rfft(wb, fft_len),
-                       fft_len)[:size]
+        fft_len = _fast_len(size)
+        w = np.fft.irfft(np.fft.rfft(wa, fft_len) * np.fft.rfft(wb, fft_len),
+                         fft_len)[:size]
         np.maximum(w, 0.0, out=w)
     # written without 1 - (1 - a)(1 - b), which rounds masses below 1e-16 to 0
     la, lb = p_a.lost_mass, p_b.lost_mass

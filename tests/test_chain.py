@@ -303,6 +303,37 @@ def test_certificate_examples():
     assert 0.0 <= lower_bound_certificate(ChainParams(50, 12), 3) <= 1.0
 
 
+def _certificate_every_pair(params, t):
+    """The certificate by the full 21 x 21 search over alpha, r = 2^j."""
+    n, k = params.n, params.k
+    f1k = eigen_eval(params, Eigenfunction.F1, k)
+    f2k = eigen_eval(params, Eigenfunction.F2, k)
+    scale = math.sqrt(n - 1)
+    m = abs(scale * f1k**t)
+    second = (n - 1) * (1.0 / (2 * n - 1) + (2 * n - 2) / (2 * n - 1) * f2k**t)
+    sd = math.sqrt(max(second - (scale * f1k**t) ** 2, 0.0))
+    v_pi = (n - 1) / (2 * n - 1)
+    best = 0.0
+    for ja in range(21):
+        for jr in range(21):
+            alpha, r = float(1 << ja), float(1 << jr)
+            if m - r * sd > alpha:
+                best = max(best, 1.0 - v_pi / alpha**2 - 1.0 / r**2)
+    return min(max(best, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 101, 1000, 10**4, 10**6, 10**9])
+def test_certificate_matches_full_search(n):
+    """Stopping each r-loop at its first overlap returns the same float."""
+    for k in sorted({1, max(1, n // 10), max(1, n // 4), n // 2, n - 1, n}):
+        if k == 0:
+            continue
+        params = ChainParams(n, k)
+        for t in range(0, 120, 3):
+            assert (lower_bound_certificate(params, t)
+                    == _certificate_every_pair(params, t)), (n, k, t)
+
+
 def test_certificate_sound_against_exact_tv():
     params = ChainParams(300, 75)
     pi = stationary(params)

@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blmix
 from blmix.cli import main
 from blmix.config import (EXPERIMENTS, ExperimentConfig, ResultRecord, emit,
                           format_value, parse_config, parse_csv, parse_json,
@@ -236,6 +239,34 @@ def test_cli_bad_values_exit_2(tmp_path, experiment, extra):
     cfg = write_config(tmp_path, json.dumps(doc))
     assert main([experiment, "--config", cfg]) == 2
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(b'{"lambda": 0.25, "n": 50\xff}', id="not-utf8"),
+    pytest.param(b"[" * 200_000 + b"]" * 200_000, id="deep"),
+    pytest.param(b'{"lambda": 0.25, "n": 50, "lambda": 0.3}', id="repeated"),
+])
+def test_cli_undecodable_config_exits_2(tmp_path, text):
+    """A config the JSON decoder cannot read, or one that repeats a key,
+    ends in exit 2 and writes nothing."""
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main(["schedule", "--config", str(path),
+                 "--output-dir", str(tmp_path)]) == 2
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy takes longer to import than the rest of the package, and only
+    the state-zero sparse kernel uses it, so the CLI starts without it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blmix.__file__)))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, blmix.cli; print(sorted(m for m "
+         "in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_zero_horizon_emits_only_t0(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as scipy_fft
 from scipy import stats
 
 from blmix import (DiscreteNormalParams, FinitePmf, HypergeomParams, RngStream,
@@ -14,7 +15,7 @@ from blmix import (DiscreteNormalParams, FinitePmf, HypergeomParams, RngStream,
                    hypergeom_pmf, point_mass, sample, sample_hypergeom,
                    tv_distance)
 from blmix.errors import ParameterError
-from blmix.pmf import TRIM_REL
+from blmix.pmf import _DIRECT_CONV_LIMIT, TRIM_REL, _fast_len, from_weights
 from oracles import enum_hypergeom
 
 
@@ -204,6 +205,44 @@ def test_difference_law_moments(p, q):
     assert d.mean() == pytest.approx(p.mean() - q.mean(), rel=1e-9, abs=1e-9)
     assert d.variance() == pytest.approx(p.variance() + q.variance(),
                                          rel=1e-9, abs=1e-9)
+
+
+FFT_SHAPES = [
+    # untrimmed inputs at n = 4e4, k = n/4: one row's pair of laws (3309 x
+    # 3309), then two pairs of unequal widths (3837 x 3309, 3309 x 1925)
+    (HypergeomParams(40_000, 20_000, 10_000), HypergeomParams(40_000, 20_000, 10_000)),
+    (HypergeomParams(40_000, 20_000, 20_000), HypergeomParams(40_000, 20_000, 10_000)),
+    (HypergeomParams(40_000, 20_000, 10_000), HypergeomParams(40_000, 4_000, 10_000)),
+]
+
+
+@pytest.mark.parametrize("a, b", FFT_SHAPES)
+def test_difference_law_fft_branch(a, b):
+    """Above _DIRECT_CONV_LIMIT the law comes from numpy's FFT: bit for bit
+    what scipy.fft gives at the same length, within 1e-15 of the direct
+    convolution everywhere, and nonnegative."""
+    p, q = hypergeom_pmf(a), hypergeom_pmf(b)
+    wa, wb = p.weights, q.weights[::-1]
+    assert wa.size * wb.size > _DIRECT_CONV_LIMIT
+    got = difference_law(p, q)
+
+    size = wa.size + wb.size - 1
+    fft_len = scipy_fft.next_fast_len(size, True)
+    w = scipy_fft.irfft(scipy_fft.rfft(wa, fft_len) * scipy_fft.rfft(wb, fft_len),
+                        fft_len)[:size]
+    ref = from_weights(p.lo - q.hi, np.maximum(w, 0.0), normalize=True)
+    assert got.offset == ref.offset
+    assert got.weights.tobytes() == ref.weights.tobytes()
+
+    direct = np.convolve(wa, wb)
+    lo, hi = p.lo - q.hi, p.hi - q.lo
+    assert np.abs(got.dense_on(lo, hi) - direct / direct.sum()).max() <= 1e-15
+    assert np.all(got.weights >= 0)
+
+
+def test_fast_len_matches_scipy():
+    assert all(_fast_len(size) == scipy_fft.next_fast_len(size, True)
+               for size in range(1, 100_001))
 
 
 # -------------------------------------------------------------- tail bound
