@@ -89,8 +89,13 @@ class MomentReport:
 
 
 def _row(n: int, k: int, x: int, trim: bool) -> FinitePmf:
-    added = hypergeom_pmf(HypergeomParams(n, n - x, k), trim)
     removed = hypergeom_pmf(HypergeomParams(n, x, k), trim)
+    # the other urn holds x whites, so the reds drawn from it, Hyp(n, n - x,
+    # k), are k minus a Hyp(n, x, k): ``removed`` reflected about k/2, with
+    # its Hoeffding window and lost mass.  At x = n/2 that reflection is the
+    # law itself, kept as is so that the row is a palindrome bit for bit
+    added = removed if 2 * x == n else FinitePmf(
+        k - removed.hi, removed.weights[::-1], removed.lost_mass)
     row = difference_law(added, removed).shifted(x)
     if row.lo < 0 or row.hi > n:
         raise AssertionError("transition row escaped the state space")
@@ -100,9 +105,12 @@ def _row(n: int, k: int, x: int, trim: bool) -> FinitePmf:
 def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf:
     """Law of the next state from ``x``: x plus incoming-red minus
     outgoing-red counts, both hypergeometric over the k swapped balls.
+    The other urn holds x whites, so one hypergeometric law, Hyp(n, x, k),
+    gives both counts: outgoing reds are Hyp(n, x, k) and incoming reds are
+    k minus an independent copy.
 
-    With ``trim`` both hypergeometric inputs are computed on their Hoeffding
-    windows and the row's negligible tails are cut; ``lost_mass`` bounds the
+    With ``trim`` the hypergeometric law is computed on its Hoeffding
+    window and the row's negligible tails are cut; ``lost_mass`` bounds the
     probability dropped."""
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
@@ -120,6 +128,12 @@ class _SparseKernel:
     """The kernel rows reached so far, built on first use and stored as one
     CSR matrix in state order, so one step of a law is a single sparse
     mat-vec that adds the rows up in the same order as a loop over states.
+
+    Only the rows x <= n/2 are built: swapping the colours maps the chain to
+    itself, so the row of a state x > n/2 is stored as the row of n - x
+    reversed, taken from the stored entries when n - x is stored and built
+    (not stored) otherwise.  A stored row is the same bits whichever states
+    were reached first.
     """
 
     def __init__(self, params: ChainParams, trim: bool):
@@ -134,27 +148,44 @@ class _SparseKernel:
         self._data = np.empty(0)
         self._matrix_t = None  # transpose of the CSR matrix
 
+    def _half_row(self, x: int) -> tuple[int, np.ndarray, float]:
+        """``(lo, weights, lost_mass)`` of the row of ``x <= n/2``, read from
+        the stored entries when it is stored and built otherwise."""
+        if self._built[x]:
+            i = np.searchsorted(self._states, x)
+            span = slice(self._indptr[i], self._indptr[i + 1])
+            return int(self._cols[span.start]), self._data[span], self._lost[x]
+        row = _row(self.params.n, self.params.k, x, self.trim)
+        return row.lo, row.weights, row.lost_mass
+
     def _add_rows(self, new: np.ndarray) -> None:
         """Build the rows of the (sorted) states ``new`` and splice them
         into the stored rows, in one copy of the stored entries."""
-        n, k = self.params.n, self.params.k
-        rows = [_row(n, k, int(x), self.trim) for x in new]
+        n = self.params.n
+        half = {int(c): self._half_row(int(c))
+                for c in np.unique(np.minimum(new, n - new))}
+        rows = []
+        for x in new:
+            lo, w, lost = half[min(x, n - x)]
+            if 2 * x > n:  # the row of n - x, reversed
+                lo, w = n - (lo + w.size - 1), w[::-1]
+            rows.append((lo, w, lost))
         at = np.searchsorted(self._states, new)  # stored rows before each new one
         data, cols, done = [], [], 0
-        for a, row in zip(at, rows):
+        for a, (lo, w, _) in zip(at, rows):
             span = slice(self._indptr[done], self._indptr[a])
-            data += [self._data[span], row.weights]
-            cols += [self._cols[span], np.arange(row.lo, row.hi + 1, dtype=np.int32)]
+            data += [self._data[span], w]
+            cols += [self._cols[span], np.arange(lo, lo + w.size, dtype=np.int32)]
             done = a
         data.append(self._data[self._indptr[done]:])
         cols.append(self._cols[self._indptr[done]:])
         self._data = np.concatenate(data)
         self._cols = np.concatenate(cols)
         lengths = np.insert(np.diff(self._indptr), at,
-                            [r.weights.size for r in rows])
+                            [w.size for _, w, _ in rows])
         self._indptr = np.concatenate([[0], np.cumsum(lengths)])
         self._states = np.insert(self._states, at, new)
-        self._lost[new] = [r.lost_mass for r in rows]
+        self._lost[new] = [lost for _, _, lost in rows]
         self._built[new] = True
         # imported here, not with the module: scipy takes longer to load
         # than the rest of the package, and only this kernel needs it

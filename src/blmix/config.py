@@ -152,7 +152,7 @@ def _unique_keys(pairs: list) -> dict:
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     """Validate a JSON config document; unknown and repeated fields are hard
-    errors."""
+    errors, and so is an ``experiment`` other than the given one."""
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -166,7 +166,13 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
             raise ConfigError("give either n or n_grid, not both")
         raw["n_grid"] = [raw.pop("n")]
     if experiment:
-        raw["experiment"] = experiment
+        # the command names the experiment: a config naming another one,
+        # or a malformed one, is refused rather than overridden
+        given = raw.setdefault("experiment", experiment)
+        if given != experiment:
+            named = repr(given) if given in EXPERIMENTS else "malformed"
+            raise ConfigError(f"config's experiment is {named}, but the "
+                              f"command runs {experiment!r}")
     specs = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}
     unknown = sorted(set(raw) - set(specs))
     if unknown:

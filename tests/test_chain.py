@@ -1,18 +1,21 @@
 """Exact kernel, stationarity, mixing profiles, moment identities."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 from blmix import (ChainParams, Eigenfunction, HypergeomParams, StartPolicy,
-                   distance_profile, eigen_eval, evolve, hypergeom_pmf,
-                   lower_bound_certificate, make_schedule, point_mass,
-                   stationary, t_mix, transition_row, tv_distance,
+                   difference_law, distance_profile, eigen_eval, evolve,
+                   hypergeom_pmf, lower_bound_certificate, make_schedule,
+                   point_mass, stationary, t_mix, transition_row, tv_distance,
                    verify_moment_identities)
+from blmix import chain
 from blmix.chain import MATRIX_GUARD, UNDERFLOW_FLOOR, _kernel_matrix
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
+from blmix.pmf import from_weights
 from oracles import enum_transition_row
 
 
@@ -100,6 +103,35 @@ def test_kernel_matrix_is_mirrored(n):
         for x in range(n + 1):
             row = transition_row(params, x).dense_on(0, n)
             assert np.abs(P[x] - row).max() <= 1e-15
+
+
+def _two_law_row(n, k, x, trim):
+    """A row built from two hypergeometric laws: the reds drawn from the
+    other urn, Hyp(n, n - x, k), and from the urn holding x reds,
+    Hyp(n, x, k)."""
+    added = hypergeom_pmf(HypergeomParams(n, n - x, k), trim)
+    removed = hypergeom_pmf(HypergeomParams(n, x, k), trim)
+    row = difference_law(added, removed).shifted(x)
+    return row.truncated() if trim else row
+
+
+@pytest.mark.parametrize("n,trim", [(40, False), (41, False), (300, False),
+                                    (1024, False), (5000, True), (20000, True)])
+def test_one_law_rows_match_two_law_rows(n, trim):
+    """Each row takes its incoming reds as the reflection k - Hyp(n, x, k)
+    of its outgoing reds' law.  It has the support of the row built from
+    two laws, its lost mass up to the rounding of the trimmed tails' sum,
+    and weights within 1e-15."""
+    xs = sorted({0, 1, 2, n // 4, n // 2 - 1, n // 2, n // 2 + 1,
+                 n - n // 4, n - 2, n - 1, n, *range(0, n + 1, n // 17)})
+    for k in sorted({1, n // 4, n // 2, n - 1, n}):
+        for x in xs:
+            row = transition_row(ChainParams(n, k), x, trim=trim)
+            ref = _two_law_row(n, k, x, trim)
+            assert (row.lo, row.hi) == (ref.lo, ref.hi)
+            assert row.lost_mass == pytest.approx(ref.lost_mass, rel=1e-13,
+                                                  abs=0)
+            assert np.abs(row.weights - ref.weights).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n,k", [(10, 3), (64, 16), (200, 50)])
@@ -249,6 +281,83 @@ def test_trimmed_evolution_above_matrix_guard():
         windows = (hypergeom_pmf(HypergeomParams(n, n - x, k), trim=True),
                    hypergeom_pmf(HypergeomParams(n, x, k), trim=True))
         assert row.hi - row.lo <= sum(w.hi - w.lo for w in windows)
+
+
+def _stored_row(kernel, x):
+    """The columns and weights the sparse kernel stores for state x."""
+    i = np.searchsorted(kernel._states, x)
+    assert kernel._states[i] == x
+    span = slice(kernel._indptr[i], kernel._indptr[i + 1])
+    return kernel._cols[span], kernel._data[span]
+
+
+@pytest.mark.parametrize("n,trim", [(41, False), (300, False), (5000, True)])
+def test_sparse_kernel_mirrors_rows_above_half(n, trim):
+    """The sparse kernel stores the row of each state x > n/2 as the row of
+    n - x reversed, bit for bit, whether or not n - x was stored first."""
+    params = ChainParams(n, n // 4)
+    # only states above n/2 carry mass: their mirrors are built, not stored
+    upper = chain._SparseKernel(params, trim)
+    upper.step(from_weights(n // 2 + 1, np.ones(n - n // 2), normalize=True))
+    assert upper._states.tolist() == list(range(n // 2 + 1, n + 1))
+    for x in range(n // 2 + 1, n + 1):
+        cols, w = _stored_row(upper, x)
+        ref = transition_row(params, n - x, trim=trim)
+        assert cols.tolist() == list(range(n - ref.hi, n - ref.lo + 1))
+        assert w.tobytes() == ref.weights[::-1].tobytes()
+        assert upper._lost[x] == ref.lost_mass
+    # every state carries mass: each upper row mirrors a stored row
+    full = chain._SparseKernel(params, trim)
+    full.step(from_weights(0, np.ones(n + 1), normalize=True))
+    for x in range(n // 2 + 1, n + 1):
+        cols, w = _stored_row(full, x)
+        mirror_cols, mirror_w = _stored_row(full, n - x)
+        assert cols.tolist() == (n - mirror_cols[::-1]).tolist()
+        assert w.tobytes() == mirror_w[::-1].tobytes()
+        assert w.tobytes() == _stored_row(upper, x)[1].tobytes()
+        assert full._lost[x] == full._lost[n - x]
+
+
+@pytest.mark.parametrize("n", [300, 5000])
+def test_state_zero_profile_ignores_build_history(n):
+    """The cached kernel's rows do not depend on the order states were
+    reached in: a state-zero profile on a fresh kernel is byte-equal to one
+    taken after an evolution from state n has filled the kernel with upper
+    rows first."""
+    params = ChainParams(n, n // 4)
+    t_max = _default_horizon(n, n // 4)
+    chain._kernel.cache_clear()
+    fresh = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
+    chain._kernel.cache_clear()
+    evolve(params, point_mass(n), t_max, trim=n > MATRIX_GUARD)
+    assert chain._kernel(params, n > MATRIX_GUARD)._built[n]
+    after = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
+    assert after.d_values.tobytes() == fresh.d_values.tobytes()
+    assert after.lost_mass == fresh.lost_mass
+
+
+def test_state_zero_profile_builds_each_colour_swap_pair_once(monkeypatch):
+    """At n = 10^4 the state-zero profile builds the row of each state
+    x <= n/2 at most once, and the row of its colour swap n - x from it."""
+    n, k = 10_000, 2500
+    built = collections.Counter()
+    row = chain._row
+
+    def counted(n_, k_, x, trim):
+        built[x] += 1
+        return row(n_, k_, x, trim)
+
+    monkeypatch.setattr(chain, "_row", counted)
+    chain._kernel.cache_clear()
+    profile = distance_profile(ChainParams(n, k), _default_horizon(n, k),
+                               StartPolicy.STATE_ZERO)
+    kernel = chain._kernel(ChainParams(n, k), True)
+    chain._kernel.cache_clear()
+    assert max(built.values()) == 1
+    assert max(built) <= n // 2
+    # the upper half was reached too, and its rows were mirrored, not built
+    assert kernel._built[n // 2 + 1:].any()
+    assert profile.d_values[-1] < 0.25
 
 
 def test_matrix_guard():
