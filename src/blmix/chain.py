@@ -129,11 +129,12 @@ class _SparseKernel:
     CSR matrix in state order, so one step of a law is a single sparse
     mat-vec that adds the rows up in the same order as a loop over states.
 
-    Only the rows x <= n/2 are built: swapping the colours maps the chain to
-    itself, so the row of a state x > n/2 is stored as the row of n - x
-    reversed, taken from the stored entries when n - x is stored and built
-    (not stored) otherwise.  A stored row is the same bits whichever states
-    were reached first.
+    Only the rows x <= n/2 are built, each at most once: swapping the
+    colours maps the chain to itself, so the row of a state x > n/2 is stored
+    as the row of n - x reversed.  That row is taken from the stored entries
+    when n - x is stored; otherwise it is built and kept aside until n - x is
+    reached.  A stored row is the same bits whichever states were reached
+    first.
     """
 
     def __init__(self, params: ChainParams, trim: bool):
@@ -147,14 +148,17 @@ class _SparseKernel:
         self._cols = np.empty(0, dtype=np.int32)
         self._data = np.empty(0)
         self._matrix_t = None  # transpose of the CSR matrix
+        self._aside = {}  # rows built only as mirrors, by unreached state
 
     def _half_row(self, x: int) -> tuple[int, np.ndarray, float]:
         """``(lo, weights, lost_mass)`` of the row of ``x <= n/2``, read from
-        the stored entries when it is stored and built otherwise."""
+        the stored entries or the rows kept aside, and built otherwise."""
         if self._built[x]:
             i = np.searchsorted(self._states, x)
             span = slice(self._indptr[i], self._indptr[i + 1])
             return int(self._cols[span.start]), self._data[span], self._lost[x]
+        if x in self._aside:
+            return self._aside[x]
         row = _row(self.params.n, self.params.k, x, self.trim)
         return row.lo, row.weights, row.lost_mass
 
@@ -187,6 +191,8 @@ class _SparseKernel:
         self._states = np.insert(self._states, at, new)
         self._lost[new] = [lost for _, _, lost in rows]
         self._built[new] = True
+        self._aside = {c: row for c, row in {**self._aside, **half}.items()
+                       if not self._built[c]}
         # imported here, not with the module: scipy takes longer to load
         # than the rest of the package, and only this kernel needs it
         from scipy import sparse as _sparse

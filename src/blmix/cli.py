@@ -23,6 +23,17 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
+def _thread_count(text: str) -> int:
+    """A ``--threads`` value: an integer of at least 1."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blmix",
@@ -31,9 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; currently has no "
-                             "effect on the run or its output")
+    parser.add_argument("--threads", type=_thread_count, default=None,
+                        help="worker threads of the Monte Carlo experiments "
+                             "(default: the CPUs available); the output does "
+                             "not depend on it")
     return parser
 
 
@@ -72,7 +84,7 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        record = run(config)
+        record = run(config, args.threads)
     except InfeasibleSizeError as exc:
         print(f"blmix: infeasible size: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -257,7 +257,7 @@ def _profile_for(config: ExperimentConfig, n: int) -> tuple[int, _chain.MixingPr
                                       _horizon(config, sched, slack=10), policy)
 
 
-def _run_schedule(config):
+def _run_schedule(config, threads):
     rows = []
     for n in config.n_grid:
         s = _schedule.make_schedule(n, config.k_for(n), config.lam)
@@ -265,7 +265,7 @@ def _run_schedule(config):
     return ("n", "k", "lambda", "delta_n", "t_n", "s_n", "p_lambda", "r_n"), rows
 
 
-def _run_profile(config):
+def _run_profile(config, threads):
     rows = []
     for n in config.n_grid:
         k, prof = _profile_for(config, n)
@@ -275,7 +275,7 @@ def _run_profile(config):
     return ("n", "k", "lambda", "t", "d_of_t", "start_policy", "lost_mass"), rows
 
 
-def _run_mixtime(config):
+def _run_mixtime(config, threads):
     rows = []
     for n in config.n_grid:
         k, prof = _profile_for(config, n)
@@ -291,7 +291,7 @@ def _run_mixtime(config):
             "t_n", "s_n", "c_eps", "lower_ok", "upper_ok"), rows
 
 
-def _run_sweep(config):
+def _run_sweep(config, threads):
     rows = []
     for n in config.n_grid:
         k, prof = _profile_for(config, n)
@@ -304,7 +304,7 @@ def _run_sweep(config):
             "cutoff_ratio"), rows
 
 
-def _run_coupling(config):
+def _run_coupling(config, threads):
     rows = []
     for n in config.n_grid:
         k = config.k_for(n)
@@ -316,7 +316,7 @@ def _run_coupling(config):
         if config.kind == "tau_couple":
             est = _coupling.survival_vs_bound(params, x0, y0, config.r,
                                               _horizon(config, sched),
-                                              config.replicas, rng)
+                                              config.replicas, rng, threads)
         else:
             kappa = {"tau1": config.kappa1, "tau3": config.kappa3,
                      "tau4": config.kappa4}[config.kind]
@@ -325,7 +325,8 @@ def _run_coupling(config):
             if horizon is None:
                 horizon = _checked_default(_coupling.default_horizon(spec))
             est = _coupling.stopping_tail(params, spec, x0, y0,
-                                          config.replicas, rng, horizon)
+                                          config.replicas, rng, horizon,
+                                          threads)
         for i, t in enumerate(est.t_grid):
             rows.append((n, k, config.kind, int(t),
                          float(est.empirical_survival[i]),
@@ -335,7 +336,7 @@ def _run_coupling(config):
             "theoretical_bound"), rows
 
 
-def _run_approx(config):
+def _run_approx(config, threads):
     rows = []
     for n in config.n_grid:
         k = config.k_for(n)
@@ -353,7 +354,7 @@ def _run_approx(config):
             "shift_term", "center_term", "total_bound", "exact_tv"), rows
 
 
-def _run_lowerbound(config):
+def _run_lowerbound(config, threads):
     rows = []
     for n in config.n_grid:
         k = config.k_for(n)
@@ -376,9 +377,11 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> ResultRecord:
-    """Execute the configured experiment."""
-    columns, rows = _RUNNERS[config.experiment](config)
+def run(config: ExperimentConfig, threads: int | None = None) -> ResultRecord:
+    """Execute the configured experiment.  ``threads`` sets the worker
+    threads of the coupling Monte Carlo (default: the CPUs available); it is
+    not part of the config, since the results do not depend on it."""
+    columns, rows = _RUNNERS[config.experiment](config, threads)
     digest = config.digest
     columns = columns + ("config_digest",)
     rows = tuple(tuple(r) + (digest,) for r in rows)

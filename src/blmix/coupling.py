@@ -8,12 +8,23 @@ exchangeability of labels within a block and costs O(1) per step.
 
 The distance between the coupled copies never increases; this is asserted on
 every step of every replica still running and any violation aborts the run.
+
+A survival curve splits its replicas into one near-equal chunk per MIN_CHUNK
+replicas, at least one and at most CHUNKS.  Chunk c draws from ``RngStream.chunk(c)``,
+the stream jumped c times, runs on its own, and reports how many of its
+replicas survive each t; the curve is the sum over chunks.  The chunks run on
+up to ``threads`` worker threads (numpy releases the interpreter lock while it
+draws), and since the layout is fixed the curve does not depend on
+``threads``.  The chunk generators start afresh from the stream's key, so a
+curve depends on the stream's (master_seed, stream_id) alone, not on draws
+already taken from ``RngStream.gen``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +36,13 @@ from .rng import RngStream
 from .schedule import Schedule
 
 Z_CRIT = 1.96  # normal-approximation 95% binomial interval
+CHUNKS = 8  # most replica chunks of a survival curve, each with its own stream
+# fewest replicas of a chunk: a step of a chunk costs about 0.2 ms however few
+# replicas it holds (numpy checks the arrays of every draw call), against
+# about 0.4 us a replica, so smaller chunks would spend more on calls than
+# threads save, and a curve of fewer than 2 * MIN_CHUNK replicas stays one
+# chunk, drawing from the stream itself
+MIN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -106,18 +124,60 @@ def _chain_step_arrays(n: int, k: int, x: np.ndarray,
     return x - removed + added
 
 
-def _survival_of_hits(params: ChainParams, x0: int, y0: int, horizon: int,
-                      replicas: int, rng: RngStream,
-                      hit: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                      ) -> np.ndarray:
-    """P(tau > t) for t = 0..horizon where tau is the first time ``hit``
-    holds for the coupled pair.
+def _chunk_sizes(replicas: int) -> list[int]:
+    """Replicas of each chunk: one chunk per MIN_CHUNK replicas, at least one
+    and at most CHUNKS, near-equal with the first ones one larger."""
+    chunks = min(CHUNKS, max(1, replicas // MIN_CHUNK))
+    q, r = divmod(replicas, chunks)
+    return [q + (c < r) for c in range(chunks)]
+
+
+def _worker_count(threads: int | None, chunks: int) -> int:
+    """Worker threads for ``chunks`` chunks: ``threads``, or the CPUs this
+    process may run on, capped at the chunk count."""
+    if threads is None:
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity masks on this platform
+            threads = os.cpu_count() or 1
+    if threads < 1:
+        raise ParameterError(f"threads must be at least 1, got {threads}")
+    return min(threads, chunks)
+
+
+def _chunk_survivors(params: ChainParams, x0: int, y0: int, horizon: int,
+                     size: int, gen: np.random.Generator,
+                     hit: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                     ) -> np.ndarray:
+    """How many of ``size`` replicas drawing from ``gen`` are not yet hit at
+    t = 0..horizon.
 
     A replica is dropped once hit, so each step draws only for the replicas
-    still running, and the loop ends when none are left (later rows stay 0).
-    Up to and including the first step at which a replica is hit, the draws
-    are those of stepping every replica; after it the curve differs from that
-    by sampling noise only."""
+    still running, and the loop ends when none are left (later counts stay
+    0).  Up to and including the first step at which a replica is hit, the
+    draws are those of stepping every replica; after it the counts differ
+    from that by sampling noise only."""
+    x = np.full(size, x0, dtype=np.int64)
+    y = np.full(size, y0, dtype=np.int64)
+    alive = np.zeros(horizon + 1, dtype=np.int64)
+    for t in range(horizon + 1):
+        if t > 0:
+            x, y = _step_arrays(params.n, params.k, x, y, gen)
+        running = ~hit(x, y)
+        x, y = x[running], y[running]
+        alive[t] = x.size
+        if x.size == 0:
+            break
+    return alive
+
+
+def _survival_of_hits(params: ChainParams, x0: int, y0: int, horizon: int,
+                      replicas: int, rng: RngStream,
+                      hit: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                      threads: int | None = None) -> np.ndarray:
+    """P(tau > t) for t = 0..horizon where tau is the first time ``hit``
+    holds for the coupled pair: the survivors of every chunk over
+    ``replicas``, whatever the number of ``threads``."""
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
     if horizon < 0:
@@ -125,19 +185,25 @@ def _survival_of_hits(params: ChainParams, x0: int, y0: int, horizon: int,
     if not (0 <= x0 <= params.n and 0 <= y0 <= params.n):
         raise ParameterError(
             f"starting states ({x0}, {y0}) outside [0, {params.n}]")
-    gen = rng.gen
-    x = np.full(replicas, x0, dtype=np.int64)
-    y = np.full(replicas, y0, dtype=np.int64)
-    survival = np.zeros(horizon + 1)
-    for t in range(horizon + 1):
-        if t > 0:
-            x, y = _step_arrays(params.n, params.k, x, y, gen)
-        running = ~hit(x, y)
-        x, y = x[running], y[running]
-        survival[t] = x.size / replicas
-        if x.size == 0:
-            break
-    return survival
+    sizes = _chunk_sizes(replicas)
+    workers = _worker_count(threads, len(sizes))
+
+    def survivors(c: int) -> np.ndarray:
+        return _chunk_survivors(params, x0, y0, horizon, sizes[c],
+                                rng.chunk(c), hit)
+
+    chunks = range(len(sizes))
+    if workers == 1:
+        counts = [survivors(c) for c in chunks]
+    else:
+        # imported here, not with the module: it loads logging, which a
+        # serial run does not need
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            # reading every result re-raises a worker's AssertionError here
+            counts = list(pool.map(survivors, chunks))
+    return np.sum(counts, axis=0) / replicas
 
 
 def _ci_halfwidth(p_hat: np.ndarray, replicas: int) -> np.ndarray:
@@ -146,15 +212,16 @@ def _ci_halfwidth(p_hat: np.ndarray, replicas: int) -> np.ndarray:
 
 
 def survival_vs_bound(params: ChainParams, x0: int, y0: int, r: float,
-                      t_max: int, replicas: int,
-                      rng: RngStream) -> SurvivalEstimate:
+                      t_max: int, replicas: int, rng: RngStream,
+                      threads: int | None = None) -> SurvivalEstimate:
     """Empirical survival of the first time the coupled distance drops to
-    ``r`` or below, against the geometric path-coupling bound."""
+    ``r`` or below, against the geometric path-coupling bound.  ``threads``
+    (default: the CPUs available) sets the worker threads, not the result."""
     if r <= 0:
         raise ParameterError("r must be positive")
     n, k = params.n, params.k
     surv = _survival_of_hits(params, x0, y0, t_max, replicas, rng,
-                             lambda x, y: np.abs(x - y) <= r)
+                             lambda x, y: np.abs(x - y) <= r, threads)
     t_grid = np.arange(t_max + 1)
     rate = 1.0 - 2.0 * k * (n - k) / n**2
     bound = np.minimum(1.0, rate**t_grid * abs(x0 - y0) / r)
@@ -192,15 +259,15 @@ def default_horizon(spec: StoppingSpec) -> int:
 
 
 def stopping_tail(params: ChainParams, spec: StoppingSpec, x0: int, y0: int,
-                  replicas: int, rng: RngStream,
-                  horizon: int | None = None) -> SurvivalEstimate:
+                  replicas: int, rng: RngStream, horizon: int | None = None,
+                  threads: int | None = None) -> SurvivalEstimate:
     """Empirical tail P(tau > t) of a band/distance stopping time, with the
     per-t binomial interval.  No closed-form bound applies uniformly, so the
-    bound column is all-ones."""
+    bound column is all-ones.  ``threads`` is as in ``survival_vs_bound``."""
     if horizon is None:
         horizon = default_horizon(spec)
     surv = _survival_of_hits(params, x0, y0, horizon, replicas, rng,
-                             _hit_predicate(spec))
+                             _hit_predicate(spec), threads)
     t_grid = np.arange(horizon + 1)
     return SurvivalEstimate(t_grid, surv, _ci_halfwidth(surv, replicas),
                             np.ones(horizon + 1))

@@ -28,13 +28,18 @@ class RngStream:
             if not isinstance(v, int) or not -_U64 < v < _U64:
                 raise ParameterError(f"{name} must be a 64-bit integer, got {v!r}")
 
+    def _philox(self) -> np.random.Philox:
+        key = (self.master_seed % _U64) * _U64 + (self.stream_id % _U64)
+        return np.random.Philox(key=key)
+
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            key = (self.master_seed % _U64) * _U64 + (self.stream_id % _U64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            self._gen = np.random.Generator(self._philox())
         return self._gen
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """A fresh stream with the same master seed and a new id."""
-        return RngStream(self.master_seed, stream_id)
+    def chunk(self, c: int) -> np.random.Generator:
+        """A fresh generator for chunk ``c``: the stream's start jumped ahead
+        c times by 2^128 draws, so chunk 0 repeats ``gen`` from its start and
+        no two chunks overlap."""
+        return np.random.Generator(self._philox().jumped(c))

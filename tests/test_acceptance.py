@@ -198,9 +198,9 @@ def test_criterion_11_determinism_across_threads(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(
         {"experiment": "coupling", "n": 120, "lambda": 0.25,
-         "replicas": 2000, "horizon": 10, "master_seed": 7,
+         "replicas": 20_000, "horizon": 10, "master_seed": 7,
          "output_dir": str(tmp_path)}))
-    payloads = []
+    payloads = []  # 20,000 replicas make four chunks for the threads to share
     for threads in ("1", "7"):
         assert cli_main(["coupling", "--config", str(cfg),
                          "--threads", threads]) == 0

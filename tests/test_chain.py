@@ -336,10 +336,9 @@ def test_state_zero_profile_ignores_build_history(n):
     assert after.lost_mass == fresh.lost_mass
 
 
-def test_state_zero_profile_builds_each_colour_swap_pair_once(monkeypatch):
-    """At n = 10^4 the state-zero profile builds the row of each state
-    x <= n/2 at most once, and the row of its colour swap n - x from it."""
-    n, k = 10_000, 2500
+@pytest.fixture
+def row_builds(monkeypatch):
+    """A counter of the kernel rows built, by state, on a fresh kernel."""
     built = collections.Counter()
     row = chain._row
 
@@ -349,15 +348,36 @@ def test_state_zero_profile_builds_each_colour_swap_pair_once(monkeypatch):
 
     monkeypatch.setattr(chain, "_row", counted)
     chain._kernel.cache_clear()
+    yield built
+    chain._kernel.cache_clear()
+
+
+def test_state_zero_profile_builds_each_colour_swap_pair_once(row_builds):
+    """At n = 10^4 the state-zero profile builds the row of each state
+    x <= n/2 at most once, and the row of its colour swap n - x from it."""
+    n, k = 10_000, 2500
+    built = row_builds
     profile = distance_profile(ChainParams(n, k), _default_horizon(n, k),
                                StartPolicy.STATE_ZERO)
     kernel = chain._kernel(ChainParams(n, k), True)
-    chain._kernel.cache_clear()
     assert max(built.values()) == 1
     assert max(built) <= n // 2
     # the upper half was reached too, and its rows were mirrored, not built
     assert kernel._built[n // 2 + 1:].any()
     assert profile.d_values[-1] < 0.25
+
+
+def test_evolve_from_the_top_builds_each_canonical_row_once(row_builds):
+    """An evolution from state n reaches states above n/2 before their
+    colour swaps; the row built to mirror one is kept, so each canonical
+    state min(x, n - x) is built exactly once."""
+    n, k = 5000, 1250
+    params = ChainParams(n, k)
+    evolve(params, point_mass(n), 40, trim=True)
+    reached = np.nonzero(chain._kernel(params, True)._built)[0]
+    canonical = set(np.minimum(reached, n - reached).tolist())
+    assert sorted(row_builds) == sorted(canonical)
+    assert sum(row_builds.values()) == len(canonical)
 
 
 def test_matrix_guard():

@@ -193,11 +193,25 @@ def test_cli_bad_env_seed(tmp_path, monkeypatch):
 
 
 def test_cli_threads_do_not_change_bytes(tmp_path):
-    cfg = coupling_config(tmp_path, tmp_path, seed=77)
+    # enough replicas for three chunks, so that the threads have work
+    cfg = coupling_config(tmp_path, tmp_path, seed=77, replicas=12_300)
     assert main(["coupling", "--config", cfg, "--threads", "1"]) == 0
     first = read_output(tmp_path)
-    assert main(["coupling", "--config", cfg, "--threads", "8"]) == 0
-    assert read_output(tmp_path) == first
+    for threads in (["--threads", "2"], ["--threads", "7"], []):
+        assert main(["coupling", "--config", cfg] + threads) == 0
+        assert read_output(tmp_path) == first
+
+
+@pytest.mark.parametrize("threads", ["0", "-5", "two"])
+def test_cli_rejects_bad_threads(tmp_path, capsys, threads):
+    """A thread count below 1, or not an integer, exits 2 with a message
+    and writes nothing."""
+    cfg = coupling_config(tmp_path, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["coupling", "--config", cfg, "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 @pytest.mark.parametrize("horizon", [-3, 2.5, True])

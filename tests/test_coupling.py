@@ -1,6 +1,7 @@
 """Shared-selection coupling: exactness oracles and Monte Carlo estimators."""
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from blmix import (ChainParams, CoupledState, RngStream, StoppingKind,
                    StoppingSpec, band_excursion, coupled_step, make_schedule,
                    stopping_tail, survival_vs_bound, transition_row)
-from blmix.coupling import (_ci_halfwidth, _hit_predicate, _step_arrays,
-                            _survival_of_hits, default_horizon)
+from blmix.coupling import (CHUNKS, MIN_CHUNK, _chunk_sizes, _chunk_survivors,
+                            _ci_halfwidth, _hit_predicate, _step_arrays,
+                            _survival_of_hits, _worker_count, default_horizon)
 from blmix.errors import ParameterError
 from oracles import block_joint_law, enum_coupled_joint, marginals
 
@@ -109,20 +111,19 @@ def test_survival_below_bound_with_slack():
                   <= est.theoretical_bound + 3 * est.ci_halfwidth)
 
 
-def _every_replica_survival(params, x0, y0, horizon, replicas, rng, hit):
+def _every_replica_survivors(params, x0, y0, horizon, size, gen, hit):
     """Reference loop: step every replica to the horizon, hit or not, and
-    keep an alive mask."""
-    gen = rng.gen
-    x = np.full(replicas, x0, dtype=np.int64)
-    y = np.full(replicas, y0, dtype=np.int64)
+    count the replicas never hit."""
+    x = np.full(size, x0, dtype=np.int64)
+    y = np.full(size, y0, dtype=np.int64)
     alive = ~hit(x, y)
-    survival = np.empty(horizon + 1)
-    survival[0] = alive.mean()
+    survivors = np.empty(horizon + 1, dtype=np.int64)
+    survivors[0] = alive.sum()
     for t in range(1, horizon + 1):
         x, y = _step_arrays(params.n, params.k, x, y, gen)
         alive &= ~hit(x, y)
-        survival[t] = alive.mean()
-    return survival
+        survivors[t] = alive.sum()
+    return survivors
 
 
 # the four coupling payload pins (tests/test_payloads.py): kind, n, kappa,
@@ -133,12 +134,7 @@ COUPLING_PINS = [(StoppingKind.TAU_COUPLE, 200, None, 7, 2000),
                  (StoppingKind.TAU4, 400, 1.0, 10, 1000)]
 
 
-@pytest.mark.parametrize("kind, n, kappa, seed, replicas", COUPLING_PINS)
-def test_dropping_hit_replicas_matches_stepping_all(kind, n, kappa, seed,
-                                                    replicas):
-    """Dropping hit replicas leaves the curve bit for bit equal to stepping
-    every replica up to and including the first t at which survival falls
-    below 1, and within 3 combined 95% half-widths after it."""
+def _pin_setup(kind, n, kappa):
     sched = make_schedule(n, n // 4, 0.25)
     if kind is StoppingKind.TAU_COUPLE:
         spec = StoppingSpec(kind, sched, r=1.0)
@@ -146,24 +142,106 @@ def test_dropping_hit_replicas_matches_stepping_all(kind, n, kappa, seed,
     else:
         spec = StoppingSpec(kind, sched, kappa=kappa)
         horizon = default_horizon(spec)
-    params, hit = ChainParams(n, n // 4), _hit_predicate(spec)
-    pruned = _survival_of_hits(params, 0, n, horizon, replicas,
-                               RngStream(seed, 1), hit)
-    full = _every_replica_survival(params, 0, n, horizon, replicas,
-                                   RngStream(seed, 1), hit)
-    assert pruned.shape == full.shape == (horizon + 1,)
-    assert np.any(full < 1.0)
-    first = int(np.argmax(full < 1.0))
-    assert np.array_equal(pruned[:first + 1], full[:first + 1])
-    combined = np.hypot(_ci_halfwidth(pruned, replicas),
-                        _ci_halfwidth(full, replicas))
-    assert np.all(np.abs(pruned - full) <= 3 * combined)
-    if full[-1] == 0.0:
-        # every replica hit before the horizon: the rows after the last one
-        # still exist and are exact zeros
-        gone = int(np.argmax(pruned == 0.0))
-        assert 0 < gone < horizon
-        assert np.all(pruned[gone:] == 0.0)
+    return ChainParams(n, n // 4), _hit_predicate(spec), horizon
+
+
+@pytest.mark.parametrize("kind, n, kappa, seed, replicas", COUPLING_PINS + [
+    (StoppingKind.TAU_COUPLE, 200, None, 7, 3 * MIN_CHUNK + 5),
+    (StoppingKind.TAU4, 400, 1.0, 10, 2 * MIN_CHUNK)])
+def test_dropping_hit_replicas_matches_stepping_all(kind, n, kappa, seed,
+                                                    replicas):
+    """In each chunk, dropping hit replicas leaves the survivor counts bit
+    for bit equal to stepping every replica of the chunk on the chunk's
+    generator, up to and including the first t at which one is hit, and
+    within 3 combined 95% half-widths after it.  The curve is the chunks'
+    sum over the replicas."""
+    params, hit, horizon = _pin_setup(kind, n, kappa)
+    rng = RngStream(seed, 1)
+    sizes = _chunk_sizes(replicas)
+    pruned_total = np.zeros(horizon + 1, dtype=np.int64)
+    for c, size in enumerate(sizes):
+        pruned = _chunk_survivors(params, 0, n, horizon, size, rng.chunk(c),
+                                  hit)
+        full = _every_replica_survivors(params, 0, n, horizon, size,
+                                        rng.chunk(c), hit)
+        assert pruned.shape == full.shape == (horizon + 1,)
+        assert np.any(full < size)
+        first = int(np.argmax(full < size))
+        assert np.array_equal(pruned[:first + 1], full[:first + 1])
+        combined = np.hypot(_ci_halfwidth(pruned / size, size),
+                            _ci_halfwidth(full / size, size))
+        assert np.all(np.abs(pruned - full) / size <= 3 * combined)
+        if full[-1] == 0:
+            # every replica hit before the horizon: the counts after the
+            # last one still exist and are exact zeros
+            gone = int(np.argmax(pruned == 0))
+            assert 0 < gone < horizon
+            assert np.all(pruned[gone:] == 0)
+        pruned_total += pruned
+    curve = _survival_of_hits(params, 0, n, horizon, replicas, rng, hit)
+    assert np.array_equal(curve, pruned_total / replicas)
+
+
+def test_chunk_sizes_are_near_equal():
+    """One chunk per MIN_CHUNK replicas, at least one and at most CHUNKS."""
+    assert _chunk_sizes(3) == [3]
+    assert _chunk_sizes(2 * MIN_CHUNK - 1) == [2 * MIN_CHUNK - 1]
+    assert _chunk_sizes(3 * MIN_CHUNK + 2) == [MIN_CHUNK + 1] * 2 + [MIN_CHUNK]
+    assert _chunk_sizes(10**5) == [12_500] * CHUNKS
+    for replicas in (1, 7, 1001, 5 * MIN_CHUNK + 3, 10**5 + 5, 10**7):
+        sizes = _chunk_sizes(replicas)
+        assert sum(sizes) == replicas and max(sizes) - min(sizes) <= 1
+        assert len(sizes) == min(CHUNKS, max(1, replicas // MIN_CHUNK))
+
+
+@pytest.mark.parametrize("replicas", [CHUNKS // 2, 3 * MIN_CHUNK + 5,
+                                      CHUNKS * MIN_CHUNK + 3])
+def test_survival_does_not_depend_on_threads(replicas):
+    """The chunk layout depends on the replicas alone, so the curve is bit
+    for bit the same on 1, 2 or CHUNKS workers, or as many as the CPUs, and
+    with fewer replicas than chunks."""
+    params, hit, horizon = _pin_setup(StoppingKind.TAU_COUPLE, 200, None)
+    curves = [_survival_of_hits(params, 0, 200, horizon, replicas,
+                                RngStream(5, 1), hit, threads)
+              for threads in (1, 2, CHUNKS, None)]
+    assert curves[0][0] == 1.0
+    for curve in curves[1:]:
+        assert curve.tobytes() == curves[0].tobytes()
+
+
+def test_worker_count_is_capped_at_the_chunks():
+    assert _worker_count(1, CHUNKS) == 1
+    assert _worker_count(3, CHUNKS) == 3
+    assert _worker_count(10**6, CHUNKS) == CHUNKS
+    assert _worker_count(10**6, 3) == 3
+    assert 1 <= _worker_count(None, CHUNKS) <= CHUNKS
+    for threads in (0, -5):
+        with pytest.raises(ParameterError):
+            _worker_count(threads, CHUNKS)
+
+
+class _ExpandingGen:
+    """A generator whose every hypergeometric draw is -1, so each coupled
+    step moves the two copies apart; records the threads that drew."""
+
+    def __init__(self):
+        self.threads = set()
+
+    def hypergeometric(self, ngood, nbad, nsample):
+        self.threads.add(threading.get_ident())
+        return np.full(np.shape(ngood), -1)
+
+
+def test_contraction_violation_in_a_worker_reaches_the_caller(monkeypatch):
+    bad = _ExpandingGen()
+    chunk = RngStream.chunk
+    monkeypatch.setattr(RngStream, "chunk",
+                        lambda self, c: bad if c == 3 else chunk(self, c))
+    params, hit, horizon = _pin_setup(StoppingKind.TAU_COUPLE, 200, None)
+    with pytest.raises(AssertionError, match="contraction violated"):
+        _survival_of_hits(params, 0, 200, horizon, 4 * MIN_CHUNK,
+                          RngStream(5, 1), hit, threads=2)
+    assert bad.threads and threading.get_ident() not in bad.threads
 
 
 def test_survival_reproducible():

@@ -50,6 +50,9 @@ PINS = {
     # so the curves change by sampling noise only.
     # tests/test_coupling.py::test_dropping_hit_replicas_matches_stepping_all
     # checks these four configs against a loop that steps every replica.
+    # Each runs fewer than 2 * coupling.MIN_CHUNK replicas, so it is one
+    # replica chunk drawing from the stream itself, and the pins held when
+    # larger curves were split into chunks on worker threads.
     "coupling-tau_couple": (
         {"experiment": "coupling", "n": 200, "lambda": 0.25,
          "replicas": 2000, "master_seed": 7},

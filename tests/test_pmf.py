@@ -267,6 +267,17 @@ def test_sampling_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_chunk_streams_start_at_the_stream_and_differ():
+    """Chunk 0 repeats the stream's generator from its start; the chunks
+    jumped apart draw pairwise different sequences, each reproducible."""
+    rng = RngStream(7, 1)
+    draws = [rng.chunk(c).integers(0, 2**63, size=16) for c in range(8)]
+    assert np.array_equal(draws[0], rng.gen.integers(0, 2**63, size=16))
+    assert np.array_equal(draws[5], RngStream(7, 1).chunk(5)
+                          .integers(0, 2**63, size=16))
+    assert len({d.tobytes() for d in draws}) == len(draws)
+
+
 def test_sampling_forced_draw():
     draws = sample_hypergeom(HypergeomParams(8, 5, 8), RngStream(1, 0), size=50)
     assert np.all(draws == 5)
