@@ -7,7 +7,7 @@ from .chain import (ChainParams, Eigenfunction, MixingProfile, StartPolicy,
                     transition_row, verify_moment_identities)
 from .coupling import (CoupledState, StoppingKind, StoppingSpec,
                        SurvivalEstimate, band_excursion, coupled_step,
-                       stopping_tail, survival_vs_bound)
+                       default_horizon, stopping_tail)
 from .errors import (BlmixError, ConfigError, HorizonExceededError,
                      InfeasibleSizeError, ParameterError)
 from .pmf import (DiscreteNormalParams, FinitePmf, HypergeomParams,

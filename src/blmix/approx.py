@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainParams, transition_row
-from .errors import ParameterError
+from .errors import InfeasibleSizeError, ParameterError
 from .pmf import (DiscreteNormalParams, FinitePmf, HypergeomParams,
                   discrete_normal_norm_const, discrete_normal_pmf,
                   hypergeom_pmf, tv_distance)
 
 EXACT_TV_GUARD = 10_000  # compute the exact one-step TV only up to this n
+APPROX_GUARD = 10**7  # the largest n: each law holds k + 1 points, untrimmed
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,9 @@ class ApproxParams:
     ell: int
 
     def __post_init__(self):
+        if self.n > APPROX_GUARD:
+            raise InfeasibleSizeError(
+                f"n={self.n} is above APPROX_GUARD={APPROX_GUARD:,}")
         if not 0 < self.k < self.n:
             raise ParameterError("k must lie strictly between 0 and n")
         if not 0 < self.ell < self.n:

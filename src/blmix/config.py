@@ -8,6 +8,7 @@ output files can be joined back to the run that produced them.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -31,9 +32,11 @@ EXPERIMENTS = ("profile", "mixtime", "coupling", "approx", "lowerbound",
 _REQUIRED = object()  # default of a field the config must give
 # the largest sizes a config may ask for, so that the arrays they size stay
 # allocatable: a double of d(t) or of survival per step, and about 120 bytes
-# of coupling state per replica
+# of coupling state per replica; and the largest n a double holds exactly,
+# since lambda * n and the schedule are taken in floats
 MAX_HORIZON = 10**6
 MAX_REPLICAS = 10**7
+MAX_N = 2**53
 
 
 def _field(must: str, check, default=_REQUIRED, key=None, coerce=None):
@@ -91,9 +94,9 @@ class ExperimentConfig:
         lambda v: _is_number(v) and 0.0 < v < 0.5, key="lambda", coerce=float)
     # a config gives either n (a one-entry grid) or n_grid
     n_grid: tuple[int, ...] = _field(
-        "a non-empty list of positive integers (n: one positive integer)",
+        "a non-empty list of integers from 1 to 2**53 (n: one such integer)",
         lambda v: (isinstance(v, list) and len(v) > 0
-                   and all(_is_int(n) and n > 0 for n in v)),
+                   and all(_is_int(n) and 0 < n <= MAX_N for n in v)),
         coerce=_unique_grid)
     k_rule: str = _field(*_one_of("floor_lambda_n", "explicit"),
                          default="floor_lambda_n")
@@ -155,7 +158,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     errors, and so is an ``experiment`` other than the given one."""
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or too many digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("config nests too deeply to decode") from exc
@@ -219,21 +222,18 @@ def lower_bound_offset(epsilon: float, lam: float) -> float:
 
 
 def _horizon(config: ExperimentConfig, sched: _schedule.Schedule,
-             slack: int = 0) -> int:
-    """The configured horizon, or else the end of the cutoff window,
-    t_n + 3 s_n, plus ``slack`` steps, rounded up.  An explicit k with
-    0 < k/n < 1/2 is timed by its own swap fraction k/n, not by lambda."""
+             length=lambda s: s.t_n + 3 * s.s_n) -> int:
+    """The configured horizon, or else ``length`` of the schedule (by
+    default the end of the cutoff window, t_n + 3 s_n) rounded up.  An
+    explicit k with 0 < k/n < 1/2 is timed by its own swap fraction k/n, not
+    by lambda; only the horizon is, so bands and thresholds keep lambda's
+    schedule.  A default above MAX_HORIZON is refused: a tiny swap fraction
+    stretches t_n and s_n without bound."""
     if config.horizon is not None:
         return config.horizon
     if config.k_rule == "explicit" and 0 < 2 * sched.k < sched.n:
         sched = _schedule.make_schedule(sched.n, sched.k, sched.k / sched.n)
-    return _checked_default(math.ceil(sched.t_n + 3 * sched.s_n + slack))
-
-
-def _checked_default(horizon: int) -> int:
-    """A horizon the schedule set, refused above MAX_HORIZON: a tiny swap
-    fraction (lambda, or k/n for an explicit k) stretches t_n and s_n
-    without bound."""
+    horizon = math.ceil(length(sched))
     if horizon > MAX_HORIZON:
         raise ParameterError(
             f"the schedule sets a horizon of {horizon} steps, above "
@@ -253,8 +253,8 @@ def _profile_for(config: ExperimentConfig, n: int) -> tuple[int, _chain.MixingPr
     k = config.k_for(n)
     sched = _schedule.make_schedule(n, k, config.lam)
     policy = _resolve_policy(config, n)
-    return k, _chain.distance_profile(ChainParams(n, k),
-                                      _horizon(config, sched, slack=10), policy)
+    horizon = _horizon(config, sched, lambda s: s.t_n + 3 * s.s_n + 10)
+    return k, _chain.distance_profile(ChainParams(n, k), horizon, policy)
 
 
 def _run_schedule(config, threads):
@@ -298,7 +298,7 @@ def _run_sweep(config, threads):
         for eps in config.epsilons:
             tm = _chain.t_mix(prof, eps)
             tm_c = _chain.t_mix(prof, 1.0 - eps)
-            ratio = tm / tm_c if tm_c > 0 else math.inf
+            ratio = tm / tm_c if tm_c > 0 else None
             rows.append((n, k, config.lam, eps, tm, tm_c, ratio))
     return ("n", "k", "lambda", "epsilon", "t_mix_eps", "t_mix_complement",
             "cutoff_ratio"), rows
@@ -312,21 +312,15 @@ def _run_coupling(config, threads):
         sched = _schedule.make_schedule(n, k, config.lam)
         x0 = config.x0 if config.x0 is not None else 0
         y0 = config.y0 if config.y0 is not None else n
-        rng = RngStream(config.master_seed, 1)
-        if config.kind == "tau_couple":
-            est = _coupling.survival_vs_bound(params, x0, y0, config.r,
-                                              _horizon(config, sched),
-                                              config.replicas, rng, threads)
-        else:
-            kappa = {"tau1": config.kappa1, "tau3": config.kappa3,
-                     "tau4": config.kappa4}[config.kind]
-            spec = StoppingSpec(StoppingKind(config.kind), sched, kappa=kappa)
-            horizon = config.horizon
-            if horizon is None:
-                horizon = _checked_default(_coupling.default_horizon(spec))
-            est = _coupling.stopping_tail(params, spec, x0, y0,
-                                          config.replicas, rng, horizon,
-                                          threads)
+        # tau_couple has no band, so any positive kappa serves it
+        kappa = {"tau1": config.kappa1, "tau3": config.kappa3,
+                 "tau4": config.kappa4}.get(config.kind, 10.0)
+        spec = StoppingSpec(StoppingKind(config.kind), sched, kappa, config.r)
+        horizon = _horizon(config, sched, lambda s: _coupling.default_horizon(
+            dataclasses.replace(spec, schedule=s)))
+        est = _coupling.stopping_tail(params, spec, x0, y0, config.replicas,
+                                      RngStream(config.master_seed, 1),
+                                      horizon, threads)
         for i, t in enumerate(est.t_grid):
             rows.append((n, k, config.kind, int(t),
                          float(est.empirical_survival[i]),

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import ChainParams
-from .errors import ParameterError
+from .errors import InfeasibleSizeError, ParameterError
 from .rng import RngStream
 from .schedule import Schedule
 
@@ -43,6 +43,7 @@ CHUNKS = 8  # most replica chunks of a survival curve, each with its own stream
 # threads save, and a curve of fewer than 2 * MIN_CHUNK replicas stays one
 # chunk, drawing from the stream itself
 MIN_CHUNK = 4096
+SAMPLER_LIMIT = 10**9  # numpy's hypergeometric needs urn counts below this
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,16 @@ def _step_arrays(n: int, k: int, x: np.ndarray, y: np.ndarray,
     return new_x, new_y
 
 
+def _check_sampler(n: int) -> None:
+    if n >= SAMPLER_LIMIT:
+        raise InfeasibleSizeError(
+            f"n={n} reaches {SAMPLER_LIMIT:,}: numpy's hypergeometric "
+            "sampler takes urn counts below it only")
+
+
 def coupled_step(params: ChainParams, s: CoupledState,
                  rng: RngStream) -> CoupledState:
+    _check_sampler(params.n)
     if not (0 <= s.x <= params.n and 0 <= s.y <= params.n):
         raise ParameterError("coupled state outside the state space")
     x, y = _step_arrays(params.n, params.k,
@@ -185,6 +194,7 @@ def _survival_of_hits(params: ChainParams, x0: int, y0: int, horizon: int,
     if not (0 <= x0 <= params.n and 0 <= y0 <= params.n):
         raise ParameterError(
             f"starting states ({x0}, {y0}) outside [0, {params.n}]")
+    _check_sampler(params.n)
     sizes = _chunk_sizes(replicas)
     workers = _worker_count(threads, len(sizes))
 
@@ -211,31 +221,13 @@ def _ci_halfwidth(p_hat: np.ndarray, replicas: int) -> np.ndarray:
     return np.maximum(hw, Z_CRIT / (2.0 * replicas))
 
 
-def survival_vs_bound(params: ChainParams, x0: int, y0: int, r: float,
-                      t_max: int, replicas: int, rng: RngStream,
-                      threads: int | None = None) -> SurvivalEstimate:
-    """Empirical survival of the first time the coupled distance drops to
-    ``r`` or below, against the geometric path-coupling bound.  ``threads``
-    (default: the CPUs available) sets the worker threads, not the result."""
-    if r <= 0:
-        raise ParameterError("r must be positive")
-    n, k = params.n, params.k
-    surv = _survival_of_hits(params, x0, y0, t_max, replicas, rng,
-                             lambda x, y: np.abs(x - y) <= r, threads)
-    t_grid = np.arange(t_max + 1)
-    rate = 1.0 - 2.0 * k * (n - k) / n**2
-    bound = np.minimum(1.0, rate**t_grid * abs(x0 - y0) / r)
-    return SurvivalEstimate(t_grid, surv, _ci_halfwidth(surv, replicas), bound)
-
-
 def _hit_predicate(spec: StoppingSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     sched = spec.schedule
     n = sched.n
     half = n / 2.0
     dist_thresh = math.sqrt(n) / math.log(math.log(n))
     if spec.kind is StoppingKind.TAU_COUPLE:
-        r = spec.r
-        return lambda x, y: np.abs(x - y) <= r
+        return lambda x, y: np.abs(x - y) <= spec.r
     if spec.kind is StoppingKind.TAU1:
         band = spec.kappa * math.sqrt(n)
         return lambda x, y: (np.abs(x - half) < band) & (np.abs(y - half) < band)
@@ -250,27 +242,33 @@ def _hit_predicate(spec: StoppingSpec) -> Callable[[np.ndarray, np.ndarray], np.
 
 
 def default_horizon(spec: StoppingSpec) -> int:
+    """The default horizon of a stopping time's tail, rounded up."""
     sched = spec.schedule
-    if spec.kind is StoppingKind.TAU1:
-        return math.ceil(sched.t_n)
-    if spec.kind is StoppingKind.TAU4:
-        return math.ceil(2.0 * sched.s_n)
-    return math.ceil(sched.s_n)
+    return math.ceil({StoppingKind.TAU_COUPLE: sched.t_n + 3 * sched.s_n,
+                      StoppingKind.TAU1: sched.t_n,
+                      StoppingKind.TAU3: sched.s_n,
+                      StoppingKind.TAU4: 2.0 * sched.s_n}[spec.kind])
 
 
 def stopping_tail(params: ChainParams, spec: StoppingSpec, x0: int, y0: int,
                   replicas: int, rng: RngStream, horizon: int | None = None,
                   threads: int | None = None) -> SurvivalEstimate:
-    """Empirical tail P(tau > t) of a band/distance stopping time, with the
-    per-t binomial interval.  No closed-form bound applies uniformly, so the
-    bound column is all-ones.  ``threads`` is as in ``survival_vs_bound``."""
+    """Empirical tail P(tau > t), t = 0..horizon, of the stopping time
+    ``spec`` for the pair started at (x0, y0), with the per-t binomial
+    interval.  The bound column is the path-coupling bound
+    min(1, (1 - 2k(n-k)/n^2)^t |x0 - y0| / r) for tau_couple, all ones for
+    the band kinds.  ``threads`` sets the worker threads, not the result."""
     if horizon is None:
         horizon = default_horizon(spec)
     surv = _survival_of_hits(params, x0, y0, horizon, replicas, rng,
                              _hit_predicate(spec), threads)
     t_grid = np.arange(horizon + 1)
-    return SurvivalEstimate(t_grid, surv, _ci_halfwidth(surv, replicas),
-                            np.ones(horizon + 1))
+    bound = np.ones(horizon + 1)
+    if spec.kind is StoppingKind.TAU_COUPLE:
+        n, k = params.n, params.k
+        rate = 1.0 - 2.0 * k * (n - k) / n**2
+        bound = np.minimum(1.0, rate**t_grid * abs(x0 - y0) / spec.r)
+    return SurvivalEstimate(t_grid, surv, _ci_halfwidth(surv, replicas), bound)
 
 
 def band_excursion(schedule: Schedule, x0: int, r: float, s: int,
@@ -283,6 +281,7 @@ def band_excursion(schedule: Schedule, x0: int, r: float, s: int,
     if s < 0 or r <= 0:
         raise ParameterError("s must be nonnegative and r positive")
     n, k = schedule.n, schedule.k
+    _check_sampler(n)
     horizon = s + math.ceil(schedule.s_n)
     gen = rng.gen
     x = np.full(replicas, x0, dtype=np.int64)

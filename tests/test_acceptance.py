@@ -12,10 +12,11 @@ import time
 import numpy as np
 
 from blmix import (ApproxParams, ChainParams, RngStream, StartPolicy,
-                   distance_profile, evolve, hyper_vs_dnormal_tv,
-                   lower_bound_certificate, make_schedule, normalization_constant,
-                   one_step_tv, point_mass, stationary, survival_vs_bound, t_mix,
-                   transition_row, tv_distance, verify_moment_identities)
+                   StoppingKind, StoppingSpec, distance_profile, evolve,
+                   hyper_vs_dnormal_tv, lower_bound_certificate, make_schedule,
+                   normalization_constant, one_step_tv, point_mass, stationary,
+                   stopping_tail, t_mix, transition_row, tv_distance,
+                   verify_moment_identities)
 from blmix.chain import _kernel_matrix
 from blmix.cli import main as cli_main
 from blmix.config import lower_bound_offset
@@ -100,10 +101,12 @@ def test_criterion_05_coalescence_bound():
     n = 200
     params = ChainParams(n, 50)
     ok = True
+    sched = make_schedule(n, 50, 0.25)
     radii = (1.0, float(math.floor(math.sqrt(n) / math.log(math.log(n)))))
     for stream, r in enumerate(radii):
-        est = survival_vs_bound(params, 0, n, r, 30, 100_000,
-                                RngStream(2026, stream))
+        spec = StoppingSpec(StoppingKind.TAU_COUPLE, sched, r=r)
+        est = stopping_tail(params, spec, 0, n, 100_000,
+                            RngStream(2026, stream), horizon=30)
         ok = ok and np.all(est.empirical_survival
                            <= est.theoretical_bound + 3 * est.ci_halfwidth)
     elapsed = time.monotonic() - start

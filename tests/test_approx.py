@@ -9,8 +9,9 @@ from blmix import (ApproxParams, ChainParams, FourChainSetup,
                    central_region_check, discrete_normal_pmf,
                    hyper_vs_dnormal_tv, normalization_constant, one_step_tv,
                    shift_split_terms, tv_distance, window_constants)
+from blmix.approx import APPROX_GUARD
 from blmix.pmf import discrete_normal_norm_const
-from blmix.errors import ParameterError
+from blmix.errors import InfeasibleSizeError, ParameterError
 
 
 def test_approx_params_validation_and_fields():
@@ -21,6 +22,17 @@ def test_approx_params_validation_and_fields():
     ap = ApproxParams(100, 25, 50)
     assert (ap.p, ap.q, ap.f) == (0.5, 0.5, 0.25)
     assert ap.sigma == pytest.approx(math.sqrt(25 * 0.25 * 0.75), rel=1e-12)
+
+
+def test_approx_params_refuse_n_above_the_guard():
+    """Above APPROX_GUARD the untrimmed laws grow too large to build, so
+    the parameters, and with them every approximation, refuse the size."""
+    n = APPROX_GUARD
+    assert ApproxParams(n, n // 4, n // 2).n == n
+    with pytest.raises(InfeasibleSizeError):
+        ApproxParams(n + 1, n // 4, n // 2)
+    with pytest.raises(InfeasibleSizeError):
+        hyper_vs_dnormal_tv(n + 1, n // 4, n // 2)
 
 
 # -------------------------------------------------------------- normalization

@@ -153,6 +153,14 @@ def test_cli_exit_codes(tmp_path):
         {"experiment": "profile", "n": 5000, "lambda": 0.25,
          "start_policy": "all_states", "output_dir": str(tmp_path)}))
     assert main(["profile", "--config", big]) == 3
+    # numpy's hypergeometric sampler takes urn counts below 10**9 only, and
+    # approx builds laws of k + 1 points, so it stops at n = 10**7
+    for experiment, n in (("coupling", 10**9), ("approx", 10**7 + 1)):
+        cfg = write_config(tmp_path, json.dumps(
+            {"experiment": experiment, "n": n, "lambda": 0.25, "replicas": 10,
+             "horizon": 3, "output_dir": str(tmp_path)}))
+        assert main([experiment, "--config", cfg]) == 3
+    assert os.listdir(tmp_path) == ["config.json"]
     assert main(["schedule", "--config", str(tmp_path / "missing.json")]) == 4
     gone = write_config(tmp_path, minimal(output_dir=str(tmp_path / "nope")))
     assert main(["schedule", "--config", gone]) == 4
@@ -243,11 +251,13 @@ def test_cli_rejects_bad_horizon(tmp_path, horizon):
     ("coupling", {"n": 3}),
     ("schedule", {"experiment": "coupling"}),
     ("schedule", {"experiment": [[["schedule"]]]}),
+    ("schedule", {"n": 2**53 + 1}),
+    ("lowerbound", {"n": 10**400}),
 ])
 def test_cli_bad_values_exit_2(tmp_path, experiment, extra):
     """Malformed values, values outside a chain's domain, a horizon too
     short for an epsilon, a horizon or replica count too large to allocate,
-    a lambda too small for the schedule, a k of 0 (lambda < 1/n or an
+    an n beyond 2**53, a lambda too small for the schedule, a k of 0 (lambda < 1/n or an
     explicit 0) and a config naming another experiment than the command, or
     a malformed one, all end in exit 2 and write nothing."""
     doc = {"experiment": experiment, "n": 60 if experiment == "coupling" else 100,
@@ -262,10 +272,13 @@ def test_cli_bad_values_exit_2(tmp_path, experiment, extra):
     pytest.param(b'{"lambda": 0.25, "n": 50\xff}', id="not-utf8"),
     pytest.param(b"[" * 200_000 + b"]" * 200_000, id="deep"),
     pytest.param(b'{"lambda": 0.25, "n": 50, "lambda": 0.3}', id="repeated"),
+    pytest.param(b'{"lambda": 0.25, "n": 1' + b"0" * 5000 + b"}",
+                 id="too-many-digits"),
 ])
 def test_cli_undecodable_config_exits_2(tmp_path, text):
-    """A config the JSON decoder cannot read, or one that repeats a key,
-    ends in exit 2 and writes nothing."""
+    """A config the JSON decoder cannot read (one an integer of more digits
+    than Python converts included), or one that repeats a key, ends in exit
+    2 and writes nothing."""
     path = tmp_path / "config.json"
     path.write_bytes(text)
     assert main(["schedule", "--config", str(path),
@@ -305,6 +318,54 @@ def test_cli_explicit_k_horizon_follows_k_over_n(tmp_path):
     assert main(["profile", "--config", cfg]) == 0
     rows = parse_csv(read_output(tmp_path).decode()).rows
     assert [row[3] for row in rows] == list(range(32))  # the t column
+
+
+@pytest.mark.parametrize("kind, steps", [("tau1", 4), ("tau3", 7),
+                                         ("tau4", 13), ("tau_couple", 22)])
+def test_cli_explicit_k_coupling_horizon_follows_k_over_n(tmp_path, kind,
+                                                          steps):
+    """The stopping-time tails take their default horizons from k/n too:
+    t_n, s_n, 2 s_n and t_n + 3 s_n at k/n = 1/4, not the 10**5 steps and
+    more that lambda = 1e-5 would set."""
+    cfg = write_config(tmp_path, json.dumps({
+        "experiment": "coupling", "n": 64, "k_rule": "explicit", "k": 16,
+        "lambda": 1e-5, "replicas": 50, "kind": kind,
+        "output_dir": str(tmp_path)}))
+    assert main(["coupling", "--config", cfg]) == 0
+    rows = parse_csv(read_output(tmp_path).decode()).rows
+    assert [row[3] for row in rows] == list(range(steps))  # the t column
+
+
+def test_cli_largest_n(tmp_path):
+    """n = 2**53 is the largest n a config may give: the closed forms run at
+    it, and the exact profile refuses it as an infeasible size."""
+    for experiment, code in (("schedule", 0), ("lowerbound", 0),
+                             ("profile", 3)):
+        out = tmp_path / experiment
+        out.mkdir()
+        cfg = write_config(tmp_path, json.dumps({
+            "experiment": experiment, "n": 2**53, "lambda": 0.25,
+            "output_dir": str(out)}))
+        assert main([experiment, "--config", cfg]) == code
+        assert len(os.listdir(out)) == (2 if code == 0 else 0)
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_cli_sweep_without_complement_time_writes_strict_json(tmp_path):
+    """When t_mix(1 - epsilon) is 0 the cutoff ratio is undefined: it is an
+    empty CSV cell and a JSON null, never Infinity, which is not JSON."""
+    cfg = write_config(tmp_path, json.dumps({
+        "experiment": "sweep", "n": 3, "k_rule": "explicit", "k": 1,
+        "lambda": 0.25, "epsilons": [0.04], "output_dir": str(tmp_path)}))
+    assert main(["sweep", "--config", cfg]) == 0
+    [path] = [p for p in os.listdir(tmp_path) if p.endswith(".json")
+              and p != "config.json"]
+    [row] = json.loads((tmp_path / path).read_text(), parse_constant=_refuse)
+    assert (row["t_mix_complement"], row["cutoff_ratio"]) == (0, None)
+    assert read_output(tmp_path).decode().splitlines()[1].split(",")[6] == ""
 
 
 # ------------------------------------------------------------- config fuzzing

@@ -1,6 +1,5 @@
 """Shared-selection coupling: exactness oracles and Monte Carlo estimators."""
 
-import math
 import threading
 from fractions import Fraction
 
@@ -8,12 +7,12 @@ import numpy as np
 import pytest
 
 from blmix import (ChainParams, CoupledState, RngStream, StoppingKind,
-                   StoppingSpec, band_excursion, coupled_step, make_schedule,
-                   stopping_tail, survival_vs_bound, transition_row)
-from blmix.coupling import (CHUNKS, MIN_CHUNK, _chunk_sizes, _chunk_survivors,
-                            _ci_halfwidth, _hit_predicate, _step_arrays,
-                            _survival_of_hits, _worker_count, default_horizon)
-from blmix.errors import ParameterError
+                   StoppingSpec, band_excursion, coupled_step, default_horizon,
+                   make_schedule, stopping_tail, transition_row)
+from blmix.coupling import (CHUNKS, MIN_CHUNK, SAMPLER_LIMIT, _chunk_sizes,
+                            _chunk_survivors, _ci_halfwidth, _hit_predicate,
+                            _step_arrays, _survival_of_hits, _worker_count)
+from blmix.errors import InfeasibleSizeError, ParameterError
 from oracles import block_joint_law, enum_coupled_joint, marginals
 
 
@@ -88,24 +87,48 @@ def test_coupled_step_domain_check():
         coupled_step(ChainParams(5, 2), CoupledState(1, 9), RngStream(0, 0))
 
 
+def test_sizes_beyond_the_sampler_are_refused():
+    """numpy's hypergeometric sampler takes urn counts below SAMPLER_LIMIT
+    only, so every coupling entry point refuses n = SAMPLER_LIMIT as an
+    infeasible size before it draws or allocates replicas."""
+    n = SAMPLER_LIMIT
+    sched = make_schedule(n, n // 4, 0.25)
+    spec = StoppingSpec(StoppingKind.TAU_COUPLE, sched, r=1.0)
+    with pytest.raises(InfeasibleSizeError):
+        coupled_step(ChainParams(n, n // 4), CoupledState(0, n),
+                     RngStream(0, 0))
+    with pytest.raises(InfeasibleSizeError):
+        stopping_tail(ChainParams(n, n // 4), spec, 0, n, 10, RngStream(0, 0),
+                      horizon=3)
+    with pytest.raises(InfeasibleSizeError):
+        band_excursion(sched, 0, 10.0, 0, 10, RngStream(0, 0))
+
+
 # ------------------------------------------------------- coalescence survival
 
+def tau_couple(n, k, r):
+    """The coalescence time to distance ``r`` of the chain (n, k), with
+    the schedule of lambda = k/n."""
+    return StoppingSpec(StoppingKind.TAU_COUPLE, make_schedule(n, k, k / n),
+                        r=r)
+
+
 def test_survival_equal_start_is_zero():
-    est = survival_vs_bound(ChainParams(50, 12), 20, 20, 1.0, 10, 100,
-                            RngStream(3, 0))
+    est = stopping_tail(ChainParams(50, 12), tau_couple(50, 12, 1.0), 20, 20,
+                        100, RngStream(3, 0), horizon=10)
     assert np.all(est.empirical_survival == 0.0)
 
 
 def test_survival_bound_frozen_value():
-    est = survival_vs_bound(ChainParams(100, 25), 0, 100, 5.0, 12, 10,
-                            RngStream(3, 0))
+    est = stopping_tail(ChainParams(100, 25), tau_couple(100, 25, 5.0), 0, 100,
+                        10, RngStream(3, 0), horizon=12)
     assert est.theoretical_bound[10] == pytest.approx(0.625**10 * 20, rel=1e-12)
     assert np.all(est.theoretical_bound <= 1.0)
 
 
 def test_survival_below_bound_with_slack():
-    est = survival_vs_bound(ChainParams(100, 25), 0, 100, 5.0, 20, 10_000,
-                            RngStream(17, 0))
+    est = stopping_tail(ChainParams(100, 25), tau_couple(100, 25, 5.0), 0, 100,
+                        10_000, RngStream(17, 0), horizon=20)
     assert np.all(np.diff(est.empirical_survival) <= 0)
     assert np.all(est.empirical_survival
                   <= est.theoretical_bound + 3 * est.ci_halfwidth)
@@ -136,13 +159,9 @@ COUPLING_PINS = [(StoppingKind.TAU_COUPLE, 200, None, 7, 2000),
 
 def _pin_setup(kind, n, kappa):
     sched = make_schedule(n, n // 4, 0.25)
-    if kind is StoppingKind.TAU_COUPLE:
-        spec = StoppingSpec(kind, sched, r=1.0)
-        horizon = math.ceil(sched.t_n + 3 * sched.s_n)
-    else:
-        spec = StoppingSpec(kind, sched, kappa=kappa)
-        horizon = default_horizon(spec)
-    return ChainParams(n, n // 4), _hit_predicate(spec), horizon
+    # tau_couple has no band: its kappa is None in the pins
+    spec = StoppingSpec(kind, sched, kappa=kappa or 10.0, r=1.0)
+    return ChainParams(n, n // 4), _hit_predicate(spec), default_horizon(spec)
 
 
 @pytest.mark.parametrize("kind, n, kappa, seed, replicas", COUPLING_PINS + [
@@ -245,11 +264,11 @@ def test_contraction_violation_in_a_worker_reaches_the_caller(monkeypatch):
 
 
 def test_survival_reproducible():
-    args = (ChainParams(80, 20), 0, 80, 2.0, 15, 2000)
-    a = survival_vs_bound(*args, RngStream(123, 0))
-    b = survival_vs_bound(*args, RngStream(123, 0))
+    args = (ChainParams(80, 20), tau_couple(80, 20, 2.0), 0, 80, 2000)
+    a = stopping_tail(*args, RngStream(123, 0), horizon=15)
+    b = stopping_tail(*args, RngStream(123, 0), horizon=15)
     assert np.array_equal(a.empirical_survival, b.empirical_survival)
-    c = survival_vs_bound(*args, RngStream(124, 0))
+    c = stopping_tail(*args, RngStream(124, 0), horizon=15)
     assert not np.array_equal(a.empirical_survival, c.empirical_survival)
 
 
@@ -265,6 +284,8 @@ def test_stopping_spec_validation():
 
 def test_default_horizons():
     sched = make_schedule(400, 100, 0.25)
+    assert (default_horizon(StoppingSpec(StoppingKind.TAU_COUPLE, sched, r=1.0))
+            == int(np.ceil(sched.t_n + 3 * sched.s_n)))
     assert default_horizon(StoppingSpec(StoppingKind.TAU1, sched)) == int(np.ceil(sched.t_n))
     assert default_horizon(StoppingSpec(StoppingKind.TAU3, sched)) == int(np.ceil(sched.s_n))
     assert default_horizon(StoppingSpec(StoppingKind.TAU4, sched)) == int(np.ceil(2 * sched.s_n))
@@ -276,16 +297,6 @@ def test_tau4_inside_band_stops_immediately():
     est = stopping_tail(ChainParams(400, 100), spec, 200, 200, 500,
                         RngStream(8, 0))
     assert np.all(est.empirical_survival == 0.0)
-
-
-def test_tau_couple_consistent_with_survival_vs_bound():
-    sched = make_schedule(400, 100, 0.25)
-    spec = StoppingSpec(StoppingKind.TAU_COUPLE, sched, r=1.0)
-    tail = stopping_tail(ChainParams(400, 100), spec, 0, 400, 2000,
-                         RngStream(21, 0), horizon=12)
-    direct = survival_vs_bound(ChainParams(400, 100), 0, 400, 1.0, 12, 2000,
-                               RngStream(21, 0))
-    assert np.array_equal(tail.empirical_survival, direct.empirical_survival)
 
 
 def test_tau1_tail_decreasing_in_kappa():
