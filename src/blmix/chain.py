@@ -125,74 +125,48 @@ def stationary(params: ChainParams) -> FinitePmf:
 
 
 class _SparseKernel:
-    """The kernel rows reached so far, built on first use and stored as one
-    CSR matrix in state order, so one step of a law is a single sparse
-    mat-vec that adds the rows up in the same order as a loop over states.
-
-    Only the rows x <= n/2 are built, each at most once: swapping the
-    colours maps the chain to itself, so the row of a state x > n/2 is stored
-    as the row of n - x reversed.  That row is taken from the stored entries
-    when n - x is stored; otherwise it is built and kept aside until n - x is
-    reached.  A stored row is the same bits whichever states were reached
-    first.
+    """The kernel rows of the states c <= n/2 reached so far, each built
+    once, on first use, and stored as one CSR matrix in state order, so a
+    step is one sparse product that sums the rows in the order of a loop
+    over states.  Swapping the colours maps the chain to itself, so the row
+    of x > n/2 is the row of n - x reversed: a step sends the mass of each
+    such x through the row of n - x and reverses that part of the result.
     """
 
     def __init__(self, params: ChainParams, trim: bool):
         self.params = params
         self.trim = trim
-        self._built = np.zeros(params.n + 1, dtype=bool)
-        self._lost = np.zeros(params.n + 1)  # lost mass of each built row
+        self._built = np.zeros(params.n // 2 + 1, dtype=bool)
+        self._lost = np.zeros(params.n // 2 + 1)  # lost mass of each built row
         self._states = np.empty(0, dtype=np.intp)  # sorted; one per stored row
         self._indptr = np.zeros(1, dtype=np.intp)
         # int32 column indices are what scipy keeps, so it stores no copy
         self._cols = np.empty(0, dtype=np.int32)
         self._data = np.empty(0)
         self._matrix_t = None  # transpose of the CSR matrix
-        self._aside = {}  # rows built only as mirrors, by unreached state
-
-    def _half_row(self, x: int) -> tuple[int, np.ndarray, float]:
-        """``(lo, weights, lost_mass)`` of the row of ``x <= n/2``, read from
-        the stored entries or the rows kept aside, and built otherwise."""
-        if self._built[x]:
-            i = np.searchsorted(self._states, x)
-            span = slice(self._indptr[i], self._indptr[i + 1])
-            return int(self._cols[span.start]), self._data[span], self._lost[x]
-        if x in self._aside:
-            return self._aside[x]
-        row = _row(self.params.n, self.params.k, x, self.trim)
-        return row.lo, row.weights, row.lost_mass
 
     def _add_rows(self, new: np.ndarray) -> None:
-        """Build the rows of the (sorted) states ``new`` and splice them
-        into the stored rows, in one copy of the stored entries."""
-        n = self.params.n
-        half = {int(c): self._half_row(int(c))
-                for c in np.unique(np.minimum(new, n - new))}
-        rows = []
-        for x in new:
-            lo, w, lost = half[min(x, n - x)]
-            if 2 * x > n:  # the row of n - x, reversed
-                lo, w = n - (lo + w.size - 1), w[::-1]
-            rows.append((lo, w, lost))
+        """Build the rows of the (sorted) states ``new`` <= n/2 and splice
+        them into the stored rows, in one copy of the stored entries."""
+        n, k = self.params.n, self.params.k
+        rows = [_row(n, k, int(c), self.trim) for c in new]
         at = np.searchsorted(self._states, new)  # stored rows before each new one
         data, cols, done = [], [], 0
-        for a, (lo, w, _) in zip(at, rows):
+        for a, row in zip(at, rows):
             span = slice(self._indptr[done], self._indptr[a])
-            data += [self._data[span], w]
-            cols += [self._cols[span], np.arange(lo, lo + w.size, dtype=np.int32)]
+            data += [self._data[span], row.weights]
+            cols += [self._cols[span], row.support.astype(np.int32)]
             done = a
         data.append(self._data[self._indptr[done]:])
         cols.append(self._cols[self._indptr[done]:])
         self._data = np.concatenate(data)
         self._cols = np.concatenate(cols)
         lengths = np.insert(np.diff(self._indptr), at,
-                            [w.size for _, w, _ in rows])
+                            [row.weights.size for row in rows])
         self._indptr = np.concatenate([[0], np.cumsum(lengths)])
         self._states = np.insert(self._states, at, new)
-        self._lost[new] = [lost for _, _, lost in rows]
+        self._lost[new] = [row.lost_mass for row in rows]
         self._built[new] = True
-        self._aside = {c: row for c, row in {**self._aside, **half}.items()
-                       if not self._built[c]}
         # imported here, not with the module: scipy takes longer to load
         # than the rest of the package, and only this kernel needs it
         from scipy import sparse as _sparse
@@ -204,14 +178,20 @@ class _SparseKernel:
     def step(self, mu: FinitePmf) -> FinitePmf:
         """The law one step after ``mu``, with the rows' lost mass added."""
         n = self.params.n
+        half = n // 2
         x = mu.dense_on(0, n)
-        new = np.nonzero((x > 0) & ~self._built)[0]
+        # column 0 holds the mass of each state c <= n/2, column 1 that of
+        # its colour swap n - c (none at the middle state of an even n)
+        both = np.zeros((half + 1, 2))
+        both[:, 0] = x[:half + 1]
+        both[:n - half, 1] = x[:half:-1]
+        new = np.nonzero(both.any(axis=1) & ~self._built)[0]
         if new.size:
             self._add_rows(new)
         # elementwise, not BLAS: a threaded dot would leave spinning threads
-        lost = mu.lost_mass + float(
-            (mu.weights * self._lost[mu.lo:mu.hi + 1]).sum())
-        return _pmf.from_weights(0, self._matrix_t @ x[self._states],
+        lost = mu.lost_mass + float((both * self._lost[:, None]).sum())
+        out = self._matrix_t @ both[self._states]
+        return _pmf.from_weights(0, out[:, 0] + out[::-1, 1],
                                  lost_mass=min(lost, 1.0))
 
 

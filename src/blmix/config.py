@@ -193,8 +193,10 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         if not spec["check"](value):
             raise ConfigError(f"{key} must be {spec['must']}, got {value!r}")
         values[f.name] = spec["coerce"](value) if spec["coerce"] else value
-    if values["k_rule"] == "explicit" and values["k"] is None:
-        raise ConfigError("k_rule=explicit requires an integer k")
+    # a k the rule would not use is refused, not silently replaced
+    if (values["k_rule"] == "explicit") != (values["k"] is not None):
+        raise ConfigError("k is required with k_rule=explicit and refused "
+                          "without it")
     config = ExperimentConfig(**values)
     for n in config.n_grid:
         # k = 0 swaps nothing, so d(t) never falls and every horizon is

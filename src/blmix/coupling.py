@@ -258,6 +258,8 @@ def stopping_tail(params: ChainParams, spec: StoppingSpec, x0: int, y0: int,
     interval.  The bound column is the path-coupling bound
     min(1, (1 - 2k(n-k)/n^2)^t |x0 - y0| / r) for tau_couple, all ones for
     the band kinds.  ``threads`` sets the worker threads, not the result."""
+    if (spec.schedule.n, spec.schedule.k) != (params.n, params.k):
+        raise ParameterError("spec's schedule is of another chain than params")
     if horizon is None:
         horizon = default_horizon(spec)
     surv = _survival_of_hits(params, x0, y0, horizon, replicas, rng,

@@ -15,7 +15,7 @@ from blmix import chain
 from blmix.chain import MATRIX_GUARD, UNDERFLOW_FLOOR, _kernel_matrix
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
-from blmix.pmf import from_weights
+from blmix.pmf import FinitePmf, from_weights
 from oracles import enum_transition_row
 
 
@@ -189,7 +189,7 @@ def test_profile_monotone_and_bounded():
         assert np.all((0 <= d) & (d <= 1))
 
 
-@pytest.mark.parametrize("n", [16, 64, 256, 512])
+@pytest.mark.parametrize("n", [16, 17, 64, 65, 256, 301, 512])
 def test_state_zero_matches_all_states(n):
     """The from-zero shortcut reproduces the worst-case profile exactly on
     the sizes where both are computable."""
@@ -283,54 +283,53 @@ def test_trimmed_evolution_above_matrix_guard():
         assert row.hi - row.lo <= sum(w.hi - w.lo for w in windows)
 
 
-def _stored_row(kernel, x):
-    """The columns and weights the sparse kernel stores for state x."""
-    i = np.searchsorted(kernel._states, x)
-    assert kernel._states[i] == x
-    span = slice(kernel._indptr[i], kernel._indptr[i + 1])
-    return kernel._cols[span], kernel._data[span]
-
-
-@pytest.mark.parametrize("n,trim", [(41, False), (300, False), (5000, True)])
-def test_sparse_kernel_mirrors_rows_above_half(n, trim):
-    """The sparse kernel stores the row of each state x > n/2 as the row of
-    n - x reversed, bit for bit, whether or not n - x was stored first."""
+@pytest.mark.parametrize("n", [40, 41, 300, 301])
+def test_sparse_kernel_step_matches_kernel_matrix(n):
+    """The sparse kernel stores only the rows x <= n/2, and steps the mass
+    above n/2 through their colour swaps: one step of a law with mass on
+    every state is the law times the full kernel matrix within 1e-15."""
     params = ChainParams(n, n // 4)
-    # only states above n/2 carry mass: their mirrors are built, not stored
-    upper = chain._SparseKernel(params, trim)
-    upper.step(from_weights(n // 2 + 1, np.ones(n - n // 2), normalize=True))
-    assert upper._states.tolist() == list(range(n // 2 + 1, n + 1))
-    for x in range(n // 2 + 1, n + 1):
-        cols, w = _stored_row(upper, x)
-        ref = transition_row(params, n - x, trim=trim)
-        assert cols.tolist() == list(range(n - ref.hi, n - ref.lo + 1))
-        assert w.tobytes() == ref.weights[::-1].tobytes()
-        assert upper._lost[x] == ref.lost_mass
-    # every state carries mass: each upper row mirrors a stored row
-    full = chain._SparseKernel(params, trim)
-    full.step(from_weights(0, np.ones(n + 1), normalize=True))
-    for x in range(n // 2 + 1, n + 1):
-        cols, w = _stored_row(full, x)
-        mirror_cols, mirror_w = _stored_row(full, n - x)
-        assert cols.tolist() == (n - mirror_cols[::-1]).tolist()
-        assert w.tobytes() == mirror_w[::-1].tobytes()
-        assert w.tobytes() == _stored_row(upper, x)[1].tobytes()
-        assert full._lost[x] == full._lost[n - x]
+    mu = from_weights(0, np.random.default_rng(n).random(n + 1), normalize=True)
+    out = chain._SparseKernel(params, False).step(mu)
+    ref = mu.dense_on(0, n) @ _kernel_matrix(params)
+    assert np.abs(out.dense_on(0, n) - ref).max() <= 1e-15
+    assert out.lost_mass == 0.0
+
+
+@pytest.mark.parametrize("n,trim", [(40, False), (41, False), (300, False),
+                                    (301, False), (5000, True), (5001, True)])
+def test_sparse_kernel_step_commutes_with_colour_swap(n, trim):
+    """The step of a law's colour swap is the colour swap of its step: bit
+    for bit at odd n, where no state is its own swap, and within 1e-16 at
+    even n, whose middle state is."""
+    kernel = chain._SparseKernel(ChainParams(n, n // 4), trim)
+    w = np.random.default_rng(n).random(n + 1)
+    w /= w.sum()
+    out = kernel.step(FinitePmf(0, w))
+    swapped = kernel.step(FinitePmf(0, w[::-1]))
+    if n % 2:
+        assert (swapped.dense_on(0, n).tobytes()
+                == out.dense_on(0, n)[::-1].tobytes())
+    else:
+        assert np.abs(swapped.dense_on(0, n)
+                      - out.dense_on(0, n)[::-1]).max() <= 1e-16
+    assert swapped.lost_mass == pytest.approx(out.lost_mass, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [300, 5000])
 def test_state_zero_profile_ignores_build_history(n):
     """The cached kernel's rows do not depend on the order states were
     reached in: a state-zero profile on a fresh kernel is byte-equal to one
-    taken after an evolution from state n has filled the kernel with upper
-    rows first."""
+    taken after an evolution from state n, which starts above n/2, has
+    filled the kernel first."""
     params = ChainParams(n, n // 4)
     t_max = _default_horizon(n, n // 4)
     chain._kernel.cache_clear()
     fresh = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
     chain._kernel.cache_clear()
     evolve(params, point_mass(n), t_max, trim=n > MATRIX_GUARD)
-    assert chain._kernel(params, n > MATRIX_GUARD)._built[n]
+    # state n is stepped through the row of its colour swap 0
+    assert chain._kernel(params, n > MATRIX_GUARD)._built[0]
     after = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
     assert after.d_values.tobytes() == fresh.d_values.tobytes()
     assert after.lost_mass == fresh.lost_mass
@@ -354,16 +353,17 @@ def row_builds(monkeypatch):
 
 def test_state_zero_profile_builds_each_colour_swap_pair_once(row_builds):
     """At n = 10^4 the state-zero profile builds the row of each state
-    x <= n/2 at most once, and the row of its colour swap n - x from it."""
+    x <= n/2 at most once, and steps its colour swap n - x through it."""
     n, k = 10_000, 2500
     built = row_builds
-    profile = distance_profile(ChainParams(n, k), _default_horizon(n, k),
-                               StartPolicy.STATE_ZERO)
+    t_max = _default_horizon(n, k)
+    profile = distance_profile(ChainParams(n, k), t_max, StartPolicy.STATE_ZERO)
     kernel = chain._kernel(ChainParams(n, k), True)
     assert max(built.values()) == 1
     assert max(built) <= n // 2
-    # the upper half was reached too, and its rows were mirrored, not built
-    assert kernel._built[n // 2 + 1:].any()
+    # the upper half was reached too, and no row was stored for it
+    assert evolve(ChainParams(n, k), point_mass(0), t_max, trim=True).hi > n // 2
+    assert kernel._states.tolist() == sorted(built)
     assert profile.d_values[-1] < 0.25
 
 

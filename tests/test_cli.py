@@ -253,13 +253,15 @@ def test_cli_rejects_bad_horizon(tmp_path, horizon):
     ("schedule", {"experiment": [[["schedule"]]]}),
     ("schedule", {"n": 2**53 + 1}),
     ("lowerbound", {"n": 10**400}),
+    ("schedule", {"k": 5}),
 ])
 def test_cli_bad_values_exit_2(tmp_path, experiment, extra):
     """Malformed values, values outside a chain's domain, a horizon too
     short for an epsilon, a horizon or replica count too large to allocate,
     an n beyond 2**53, a lambda too small for the schedule, a k of 0 (lambda < 1/n or an
-    explicit 0) and a config naming another experiment than the command, or
-    a malformed one, all end in exit 2 and write nothing."""
+    explicit 0), a k given without k_rule=explicit and a config naming
+    another experiment than the command, or a malformed one, all end in exit
+    2 and write nothing."""
     doc = {"experiment": experiment, "n": 60 if experiment == "coupling" else 100,
            "lambda": 0.25, "replicas": 50, "output_dir": str(tmp_path)}
     doc.update(extra)

@@ -104,6 +104,18 @@ def test_sizes_beyond_the_sampler_are_refused():
         band_excursion(sched, 0, 10.0, 0, 10, RngStream(0, 0))
 
 
+def test_stopping_tail_refuses_another_chains_schedule():
+    """The bands and thresholds of a stopping time come from its schedule
+    and the steps from ``params``: a schedule of another chain, whose band
+    the chain may never reach, is refused instead of giving a survival of 1
+    at every t."""
+    spec = StoppingSpec(StoppingKind.TAU1, make_schedule(400, 100, 0.25),
+                        kappa=1.0)
+    with pytest.raises(ParameterError):
+        stopping_tail(ChainParams(100, 25), spec, 0, 100, 200, RngStream(1, 0),
+                      horizon=5)
+
+
 # ------------------------------------------------------- coalescence survival
 
 def tau_couple(n, k, r):
