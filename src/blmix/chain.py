@@ -16,7 +16,8 @@ import numpy as np
 
 from . import pmf as _pmf
 from .errors import HorizonExceededError, InfeasibleSizeError, ParameterError
-from .pmf import FinitePmf, HypergeomParams, difference_law, hypergeom_pmf, point_mass, tv_distance
+from .pmf import (SUM_TOL, FinitePmf, HypergeomParams, as_index,
+                  hypergeom_pmf, point_mass, tv_distance)
 
 MATRIX_GUARD = 4096      # refuse full (n+1)^2 kernel materialization above this
 VECTOR_GUARD = 100_000   # refuse single-start evolution above this
@@ -24,6 +25,7 @@ MONOTONE_TOL = 1e-12
 # all-states entries below this are zeroed: a product of two entries at or
 # above it is a normal double, so the dense matmul never meets a subnormal
 UNDERFLOW_FLOOR = 2.0**-510
+ROW_BLOCK = 128  # states whose rows ``_rows`` builds together
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,8 @@ class ChainParams:
     k: int
 
     def __post_init__(self):
+        for name in ("n", "k"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.n < 1:
             raise ParameterError("n must be positive")
         if not 0 <= self.k <= self.n:
@@ -88,18 +92,53 @@ class MomentReport:
         return self.abs_err / scale if scale > 0 else 0.0
 
 
-def _row(n: int, k: int, x: int, trim: bool) -> FinitePmf:
-    removed = hypergeom_pmf(HypergeomParams(n, x, k), trim)
-    # the other urn holds x whites, so the reds drawn from it, Hyp(n, n - x,
-    # k), are k minus a Hyp(n, x, k): ``removed`` reflected about k/2, with
-    # its Hoeffding window and lost mass.  At x = n/2 that reflection is the
-    # law itself, kept as is so that the row is a palindrome bit for bit
-    added = removed if 2 * x == n else FinitePmf(
-        k - removed.hi, removed.weights[::-1], removed.lost_mass)
-    row = difference_law(added, removed).shifted(x)
-    if row.lo < 0 or row.hi > n:
+def _rows(n: int, k: int, states: np.ndarray, trim: bool):
+    """The kernel rows of ``states``, as CSR pieces: the weights and column
+    indices of every row in turn, each row's length and its lost mass.  The
+    rows are built ROW_BLOCK states at a time, and a row's bits do not
+    depend on the other states it is built with."""
+    blocks = [_row_block(n, k, states[at:at + ROW_BLOCK], trim)
+              for at in range(0, len(states), ROW_BLOCK)]
+    return tuple(np.concatenate(piece) for piece in zip(*blocks))
+
+
+def _row_block(n: int, k: int, states: np.ndarray, trim: bool):
+    """``_rows`` for one block of states."""
+    lo, laws, _, lost = _pmf.hypergeom_laws(n, states, k, trim)
+    first, last = _pmf.first_last(laws > 0)
+    convs = []
+    for x, law, a, b in zip(states.tolist(), laws, first, last):
+        removed = law[a:b + 1]  # the reds drawn from the urn of x reds
+        # the other urn holds x whites, so the reds drawn from it, Hyp(n,
+        # n - x, k), are k minus a Hyp(n, x, k): ``removed`` reflected about
+        # k/2.  At x = n/2 that reflection is the law itself, kept as is so
+        # that the row is a palindrome bit for bit
+        added = removed if 2 * x == n else removed[::-1]
+        convs.append(_pmf.convolve(added, removed[::-1]))
+    removed_lo, removed_hi = lo + first, lo + last
+    added_lo = np.where(2 * states == n, removed_lo, k - removed_hi)
+    start = added_lo - removed_hi + states  # each row's first lane's state
+    # the rows' weights, normalised as ``difference_law`` does each one
+    rows = np.zeros((len(convs), max(c.size for c in convs)))
+    for row, c in zip(rows, convs):
+        row[:c.size] = c
+    lost = _pmf.lost_either(lost, lost)
+    rows *= ((1.0 - lost) / np.array([c.sum() for c in convs]))[:, None]
+    first, last = _pmf.first_last(rows > 0)
+    if (start + first).min() < 0 or (start + last).max() > n:
         raise AssertionError("transition row escaped the state space")
-    return row.truncated() if trim else row
+    if trim:
+        first, last, dropped = _pmf.tail_cut(rows, first, last)
+        lost += dropped
+    lane = np.arange(rows.shape[1])
+    keep = (lane >= first[:, None]) & (lane <= last[:, None])
+    data, lengths = rows[keep], last - first + 1
+    heads = np.cumsum(lengths) - lengths
+    if not (data.min() >= 0 and data[heads].min() > 0
+            and data[heads + lengths - 1].min() > 0
+            and np.abs(np.add.reduceat(data, heads) + lost - 1.0).max() <= SUM_TOL):
+        raise AssertionError("transition row is not a trimmed pmf")
+    return data, (start[:, None] + lane)[keep], lengths, lost
 
 
 def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf:
@@ -112,9 +151,11 @@ def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf
     With ``trim`` the hypergeometric law is computed on its Hoeffding
     window and the row's negligible tails are cut; ``lost_mass`` bounds the
     probability dropped."""
+    x = as_index(x, "state")
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
-    return _row(params.n, params.k, int(x), trim)
+    data, cols, _, lost = _rows(params.n, params.k, np.array([x]), trim)
+    return FinitePmf(int(cols[0]), data, float(lost[0]))
 
 
 def stationary(params: ChainParams) -> FinitePmf:
@@ -126,11 +167,14 @@ def stationary(params: ChainParams) -> FinitePmf:
 
 class _SparseKernel:
     """The kernel rows of the states c <= n/2 reached so far, each built
-    once, on first use, and stored as one CSR matrix in state order, so a
-    step is one sparse product that sums the rows in the order of a loop
-    over states.  Swapping the colours maps the chain to itself, so the row
-    of x > n/2 is the row of n - x reversed: a step sends the mass of each
-    such x through the row of n - x and reverses that part of the result.
+    once, on first use (by ``_rows``, a step's new states together), and
+    stored as one CSR matrix in state order.  Swapping the colours maps the
+    chain to itself, so the row of x > n/2 is the row of n - x reversed: a
+    step sends the mass of each such x through the row of n - x and reverses
+    that part of the result.  A step is one sparse product over the stored
+    rows from the first to the last state with mass, in state order; the
+    rows outside that block would add exact zeros, so the result is the
+    same bits as the product over every stored row.
     """
 
     def __init__(self, params: ChainParams, trim: bool):
@@ -140,40 +184,31 @@ class _SparseKernel:
         self._lost = np.zeros(params.n // 2 + 1)  # lost mass of each built row
         self._states = np.empty(0, dtype=np.intp)  # sorted; one per stored row
         self._indptr = np.zeros(1, dtype=np.intp)
-        # int32 column indices are what scipy keeps, so it stores no copy
+        # int32 column indices are what scipy keeps, so a step converts none
         self._cols = np.empty(0, dtype=np.int32)
         self._data = np.empty(0)
-        self._matrix_t = None  # transpose of the CSR matrix
 
     def _add_rows(self, new: np.ndarray) -> None:
         """Build the rows of the (sorted) states ``new`` <= n/2 and splice
         them into the stored rows, in one copy of the stored entries."""
-        n, k = self.params.n, self.params.k
-        rows = [_row(n, k, int(c), self.trim) for c in new]
+        data, cols, lengths, lost = _rows(self.params.n, self.params.k, new,
+                                          self.trim)
         at = np.searchsorted(self._states, new)  # stored rows before each new one
-        data, cols, done = [], [], 0
-        for a, row in zip(at, rows):
-            span = slice(self._indptr[done], self._indptr[a])
-            data += [self._data[span], row.weights]
-            cols += [self._cols[span], row.support.astype(np.int32)]
-            done = a
-        data.append(self._data[self._indptr[done]:])
-        cols.append(self._cols[self._indptr[done]:])
-        self._data = np.concatenate(data)
-        self._cols = np.concatenate(cols)
-        lengths = np.insert(np.diff(self._indptr), at,
-                            [row.weights.size for row in rows])
+        runs, first = np.unique(at, return_index=True)  # new rows go in runs
+        cut_old, cut_new = self._indptr[runs], np.cumsum(lengths)[first[1:] - 1]
+
+        def splice(stored, fresh):
+            old, ins = np.split(stored, cut_old), np.split(fresh, cut_new)
+            return np.concatenate([p for pair in zip(old, ins) for p in pair]
+                                  + [old[-1]])
+
+        self._data = splice(self._data, data)
+        self._cols = splice(self._cols, cols.astype(np.int32))
+        lengths = np.insert(np.diff(self._indptr), at, lengths)
         self._indptr = np.concatenate([[0], np.cumsum(lengths)])
         self._states = np.insert(self._states, at, new)
-        self._lost[new] = [row.lost_mass for row in rows]
+        self._lost[new] = lost
         self._built[new] = True
-        # imported here, not with the module: scipy takes longer to load
-        # than the rest of the package, and only this kernel needs it
-        from scipy import sparse as _sparse
-
-        self._matrix_t = _sparse.csr_matrix(
-            (self._data, self._cols, self._indptr),
-            shape=(self._states.size, n + 1)).T
 
     def step(self, mu: FinitePmf) -> FinitePmf:
         """The law one step after ``mu``, with the rows' lost mass added."""
@@ -185,12 +220,23 @@ class _SparseKernel:
         both = np.zeros((half + 1, 2))
         both[:, 0] = x[:half + 1]
         both[:n - half, 1] = x[:half:-1]
-        new = np.nonzero(both.any(axis=1) & ~self._built)[0]
+        carried = np.nonzero(both.any(axis=1))[0]
+        new = carried[~self._built[carried]]
         if new.size:
             self._add_rows(new)
         # elementwise, not BLAS: a threaded dot would leave spinning threads
         lost = mu.lost_mass + float((both * self._lost[:, None]).sum())
-        out = self._matrix_t @ both[self._states]
+        # the stored rows from the first to the last state with mass
+        i0, i1 = np.searchsorted(self._states, carried[[0, -1]]) + (0, 1)
+        p0, p1 = self._indptr[[i0, i1]]
+        # imported here, not with the module: scipy takes longer to load
+        # than the rest of the package, and only this kernel needs it
+        from scipy import sparse as _sparse
+
+        block = _sparse.csr_matrix(
+            (self._data[p0:p1], self._cols[p0:p1], self._indptr[i0:i1 + 1] - p0),
+            shape=(i1 - i0, n + 1))
+        out = block.T @ both[self._states[i0:i1]]
         return _pmf.from_weights(0, out[:, 0] + out[::-1, 1],
                                  lost_mass=min(lost, 1.0))
 
@@ -209,7 +255,7 @@ def evolve(params: ChainParams, mu: FinitePmf, steps: int,
     truncation losses from the rows used."""
     if mu.lo < 0 or mu.hi > params.n:
         raise ParameterError("distribution leaves the state space")
-    if steps < 0:
+    if as_index(steps, "steps") < 0:
         raise ParameterError("steps must be nonnegative")
     kernel = _kernel(params, trim)
     out = mu
@@ -225,9 +271,9 @@ def _kernel_matrix(params: ChainParams) -> np.ndarray:
             f"full kernel materialization refused for n={n} > {MATRIX_GUARD}; "
             "the state-zero start policy scales further")
     P = np.zeros((n + 1, n + 1))
-    for x in range(n // 2 + 1):
-        row = transition_row(params, x)
-        P[x, row.lo:row.hi + 1] = row.weights
+    states = np.arange(n // 2 + 1)
+    data, cols, lengths, _ = _rows(n, params.k, states, False)
+    P[np.repeat(states, lengths), cols] = data
     # swapping the colours maps the chain to itself (each colour has n balls
     # in all), so row n - x is row x reversed
     P[n // 2 + 1:] = P[n - n // 2 - 1::-1, ::-1]
@@ -327,6 +373,7 @@ def verify_moment_identities(params: ChainParams, x0: int, t: int
     """Compare exact-evolution first and second moments of the linear
     eigenfunction against their closed forms."""
     n, k = params.n, params.k
+    x0, t = as_index(x0, "x0"), as_index(t, "t")
     mu_t = evolve(params, point_mass(x0), t)
     f1_vals = 1.0 - 2.0 * mu_t.support / n
     lhs1 = float(np.dot(mu_t.weights, f1_vals))

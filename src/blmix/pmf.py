@@ -9,6 +9,7 @@ operations are pure functions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +83,11 @@ class FinitePmf:
         """Drop tail weights below ``rel_eps`` times the peak, recording the
         dropped probability in ``lost_mass`` (no renormalization)."""
         w = self.weights
-        thresh = rel_eps * w.max()
-        keep = np.nonzero(w >= thresh)[0]
-        lo, hi = keep[0], keep[-1]
+        (lo,), (hi,), (dropped,) = tail_cut(w[None], [0], [w.size - 1], rel_eps)
         if lo == 0 and hi == w.size - 1:
             return self
-        dropped = float(w[:lo].sum() + w[hi + 1:].sum())
         return FinitePmf(self.offset + int(lo), w[lo:hi + 1].copy(),
-                         self.lost_mass + dropped)
+                         self.lost_mass + float(dropped))
 
     def dense_on(self, lo: int, hi: int) -> np.ndarray:
         """Weights as a dense vector over [lo, hi]; support must fit inside."""
@@ -100,8 +98,35 @@ class FinitePmf:
         return out
 
 
+def first_last(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last True lane of each row of ``mask``."""
+    return mask.argmax(axis=1), mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
+
+
+def tail_cut(w: np.ndarray, first, last, rel_eps: float = TRIM_REL):
+    """For each row of ``w``, whose positive weights lie in lanes
+    ``first .. last``, the first and last lane of weight at least
+    ``rel_eps`` times the row's peak, and the weight outside them."""
+    lo, hi = first_last(w >= rel_eps * w.max(axis=1, keepdims=True))
+    dropped = np.zeros(len(w))
+    for r in np.nonzero((lo != first) | (hi != last))[0]:
+        dropped[r] = w[r, first[r]:lo[r]].sum() + w[r, hi[r] + 1:last[r] + 1].sum()
+    return lo, hi, dropped
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as an int.  Ints and numpy integers pass; a bool, a float or
+    anything else that is not an integer raises ParameterError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, not {value!r}")
+
+
 def point_mass(j: int) -> FinitePmf:
-    return FinitePmf(int(j), np.ones(1))
+    return FinitePmf(as_index(j, "j"), np.ones(1))
 
 
 def from_weights(offset: int, weights, lost_mass: float = 0.0,
@@ -130,6 +155,8 @@ class HypergeomParams:
     draws: int
 
     def __post_init__(self):
+        for name in ("population", "successes", "draws"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.population < 1:
             raise ParameterError("population must be positive")
         if not 0 <= self.successes <= self.population:
@@ -148,41 +175,60 @@ class HypergeomParams:
 
 def hypergeom_pmf(params: HypergeomParams, trim: bool = False) -> FinitePmf:
     """Exact hypergeometric pmf, computed in log space by the weight-ratio
-    recurrence spreading outward from the mode.
+    recurrence spreading outward from the mode (``hypergeom_laws``).
 
     With ``trim`` the recurrence runs only on the window of draws within
     ``dev = sqrt(draws * ln(2/TRIM_REL) / 2)`` of the mean; when the window
     cuts the support, the Hoeffding bound on the dropped two-sided tail
     (at most ``TRIM_REL``) is recorded as ``lost_mass``.
     """
-    pop, succ, m = params.population, params.successes, params.draws
-    lo, hi = params.support_lo, params.support_hi
-    lost = 0.0
-    if trim:
-        mean = m * succ / pop
-        dev = math.sqrt(m * math.log(2.0 / TRIM_REL) / 2.0)
-        # round outward so every dropped point lies strictly beyond mean +- dev
-        win_lo = max(lo, math.floor(mean - dev))
-        win_hi = min(hi, math.ceil(mean + dev))
-        if (win_lo, win_hi) != (lo, hi):
-            lo, hi = win_lo, win_hi
-            lost = hoeffding_tail(params, dev / m)
-    width = hi - lo + 1
-    if width == 1:
-        return point_mass(lo)
-    # ratio p(j+1)/p(j) = (succ-j)(m-j) / ((j+1)(pop-succ-m+j+1))
-    j = np.arange(lo, hi, dtype=np.float64)
-    logratio = (np.log(succ - j) + np.log(m - j)
-                - np.log(j + 1.0) - np.log(pop - succ - m + j + 1.0))
-    mode = min(hi, max(lo, (m + 1) * (succ + 1) // (pop + 2)))
-    i = mode - lo  # index of the mode within the support
-    logw = np.zeros(width)
-    if i < width - 1:
-        logw[i + 1:] = np.cumsum(logratio[i:])
-    if i > 0:
-        logw[:i] = -np.cumsum(logratio[:i][::-1])[::-1]
-    w = np.exp(logw - logw.max())
-    return from_weights(lo, w, lost_mass=lost, normalize=True)
+    lo, w, width, lost = hypergeom_laws(params.population, [params.successes],
+                                        params.draws, trim)
+    return from_weights(int(lo[0]), w[0, :width[0]], lost_mass=float(lost[0]))
+
+
+def hypergeom_laws(pop: int, successes, draws: int, trim: bool = False):
+    """Hyp(pop, s, draws) for each s of ``successes``, all at once; see
+    ``hypergeom_pmf``.  Returns ``(lo, w, width, lost)``: row r of ``w`` holds
+    law r's normalised weights on ``lo[r] .. lo[r] + width[r] - 1`` and zeros
+    after them, and ``lost[r]`` is its lost mass.  A law's bits do not depend
+    on the others: its masked lanes add exact zeros to its partial sums, and
+    it is normalised by the pairwise sum of its own weights."""
+    m = draws
+    dev = math.sqrt(m * math.log(2.0 / TRIM_REL) / 2.0)
+    tail = hoeffding_tail(HypergeomParams(pop, 0, m), dev / m) if trim and m else 0.0
+    laws = []
+    for succ in map(int, successes):
+        lo, hi, lost = max(0, m - (pop - succ)), min(m, succ), 0.0
+        if trim:
+            mean = m * succ / pop
+            # round outward so every dropped point lies strictly beyond mean +- dev
+            window = max(lo, math.floor(mean - dev)), min(hi, math.ceil(mean + dev))
+            if window != (lo, hi):
+                (lo, hi), lost = window, tail
+        mode = min(hi, max(lo, (m + 1) * (succ + 1) // (pop + 2)))
+        laws.append((succ, lo, hi - lo + 1, mode - lo, lost))
+    succ, lo, width, i, lost = (np.array(v)[:, None] for v in zip(*laws))
+    # ratio p(j+1)/p(j) = (succ-j)(m-j) / ((j+1)(pop-succ-m+j+1)), one law
+    # a row; lanes past a law's support take arguments of at least 1, so
+    # that their logs are finite, and are masked out of the sums below
+    lane = np.arange(width.max() - 1)
+    j = (lo + lane).astype(np.float64)
+    logs = np.log(np.maximum([succ - j, m - j, j + 1.0, j + (pop - succ - m + 1)], 1.0))
+    logratio = logs[0] + logs[1] - logs[2] - logs[3]
+    # cumulative sums outward from the mode i, up and down; the masked lanes
+    # are zeros, which leave every partial sum exact
+    below = lane < i
+    up = np.where(~below & (lane < width - 1), logratio, 0.0)
+    logw = np.zeros((len(laws), lane.size + 1))
+    logw[:, 1:] = np.cumsum(up, axis=1)
+    logw[:, :-1] -= np.cumsum(np.where(below, logratio, 0.0)[:, ::-1],
+                              axis=1)[:, ::-1]
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    w[np.arange(lane.size + 1) >= width] = 0.0
+    total = np.array([row[:size].sum() for row, size in zip(w, width.flat)])
+    w *= (1.0 - lost) / total[:, None]
+    return lo.ravel(), w, width.ravel(), lost.ravel()
 
 
 @dataclass(frozen=True)
@@ -239,21 +285,30 @@ def _fast_len(size: int) -> int:
     return best
 
 
+def convolve(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """The convolution of two weight vectors: direct below
+    ``_DIRECT_CONV_LIMIT`` multiplications, else by FFT with its negative
+    rounding clamped to zero."""
+    if wa.size * wb.size <= _DIRECT_CONV_LIMIT:
+        return np.convolve(wa, wb)
+    size = wa.size + wb.size - 1
+    fft_len = _fast_len(size)
+    w = np.fft.irfft(np.fft.rfft(wa, fft_len) * np.fft.rfft(wb, fft_len),
+                     fft_len)[:size]
+    return np.maximum(w, 0.0, out=w)
+
+
 def difference_law(p_a: FinitePmf, p_b: FinitePmf) -> FinitePmf:
     """Exact law of A - B for independent A ~ p_a, B ~ p_b."""
-    wa, wb = p_a.weights, p_b.weights[::-1]
-    if wa.size * wb.size <= _DIRECT_CONV_LIMIT:
-        w = np.convolve(wa, wb)
-    else:
-        size = wa.size + wb.size - 1
-        fft_len = _fast_len(size)
-        w = np.fft.irfft(np.fft.rfft(wa, fft_len) * np.fft.rfft(wb, fft_len),
-                         fft_len)[:size]
-        np.maximum(w, 0.0, out=w)
+    w = convolve(p_a.weights, p_b.weights[::-1])
+    return from_weights(p_a.lo - p_b.hi, w, normalize=True,
+                        lost_mass=lost_either(p_a.lost_mass, p_b.lost_mass))
+
+
+def lost_either(la, lb):
+    """The mass lost by A - B when A and B have lost ``la`` and ``lb``."""
     # written without 1 - (1 - a)(1 - b), which rounds masses below 1e-16 to 0
-    la, lb = p_a.lost_mass, p_b.lost_mass
-    lost = la + lb - la * lb
-    return from_weights(p_a.lo - p_b.hi, w, lost_mass=lost, normalize=True)
+    return la + lb - la * lb
 
 
 def hoeffding_tail(params: HypergeomParams, deviation: float) -> float:

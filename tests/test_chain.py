@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from blmix import (ChainParams, Eigenfunction, HypergeomParams, StartPolicy,
                    difference_law, distance_profile, eigen_eval, evolve,
@@ -36,6 +37,29 @@ def test_transition_row_domain_checks():
         ChainParams(5, 6)
     with pytest.raises(ParameterError):
         ChainParams(0, 0)
+
+
+@pytest.mark.parametrize("args", [(10.5, 3), (10, 3.0), (True, 1), (10, None)])
+def test_chain_params_refuse_non_integers(args):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        ChainParams(*args)
+
+
+def test_chain_params_accept_numpy_integers():
+    params = ChainParams(np.int64(10), np.int32(3))
+    assert params == ChainParams(10, 3)
+    assert (type(params.n), type(params.k)) == (int, int)
+
+
+def test_transition_row_refuses_a_non_integer_state():
+    """State 2.5 is refused, not rounded to the row of state 2."""
+    with pytest.raises(ParameterError, match="must be an integer"):
+        transition_row(ChainParams(10, 3), 2.5)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        transition_row(ChainParams(10, 3), False)
+    row = transition_row(ChainParams(10, 3), np.int64(2))
+    assert row.weights.tobytes() == transition_row(
+        ChainParams(10, 3), 2).weights.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -316,6 +340,50 @@ def test_sparse_kernel_step_commutes_with_colour_swap(n, trim):
     assert swapped.lost_mass == pytest.approx(out.lost_mass, rel=1e-12)
 
 
+@pytest.mark.parametrize("n,k,trim", [(5000, 1250, True), (5001, 1250, True),
+                                      (20000, 5000, True), (40, 10, False),
+                                      (41, 10, False), (300, 75, False),
+                                      (4096, 2048, False)])
+def test_row_bytes_do_not_depend_on_the_batch(n, k, trim):
+    """The rows of the states c <= n/2 are the same bits whether built in
+    one batch, one state at a time or in a random split.  At n = 4096,
+    k = 2048 the widest rows take the FFT branch of the convolution."""
+    states = np.arange(n // 2 + 1)
+    whole = chain._rows(n, k, states, trim)
+    cuts = np.sort(np.random.default_rng(n).choice(
+        np.arange(1, states.size), size=min(9, states.size - 1), replace=False))
+    for batches in (np.split(states, states[1:]), np.split(states, cuts)):
+        pieces = [chain._rows(n, k, batch, trim) for batch in batches]
+        for got, want in zip((np.concatenate(p) for p in zip(*pieces)), whole):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,trim", [(300, False), (301, False),
+                                    (5000, True), (5001, True)])
+def test_sparse_kernel_step_over_rows_with_mass_is_the_full_product(n, trim):
+    """A step multiplies only the stored rows from the first to the last
+    state with mass; the product over every stored row is the same bits."""
+    params = ChainParams(n, n // 4)
+    kernel = chain._SparseKernel(params, trim)
+    kernel.step(from_weights(0, np.ones(n + 1), normalize=True))
+    assert kernel._built.all()  # every row is stored
+    mu = transition_row(params, n // 3, trim=trim)
+    assert 0 < mu.lo and mu.hi < n  # state 0's stored row carries no mass
+    out = kernel.step(mu)
+
+    half = n // 2
+    x = mu.dense_on(0, n)
+    both = np.zeros((half + 1, 2))
+    both[:, 0] = x[:half + 1]
+    both[:n - half, 1] = x[:half:-1]
+    full = sparse.csr_matrix((kernel._data, kernel._cols, kernel._indptr),
+                             shape=(kernel._states.size, n + 1)).T
+    prod = full @ both[kernel._states]
+    ref = from_weights(0, prod[:, 0] + prod[::-1, 1])
+    assert out.dense_on(0, n).tobytes() == ref.dense_on(0, n).tobytes()
+
+
 @pytest.mark.parametrize("n", [300, 5000])
 def test_state_zero_profile_ignores_build_history(n):
     """The cached kernel's rows do not depend on the order states were
@@ -339,13 +407,13 @@ def test_state_zero_profile_ignores_build_history(n):
 def row_builds(monkeypatch):
     """A counter of the kernel rows built, by state, on a fresh kernel."""
     built = collections.Counter()
-    row = chain._row
+    rows = chain._rows
 
-    def counted(n_, k_, x, trim):
-        built[x] += 1
-        return row(n_, k_, x, trim)
+    def counted(n_, k_, states, trim):
+        built.update(states.tolist())
+        return rows(n_, k_, states, trim)
 
-    monkeypatch.setattr(chain, "_row", counted)
+    monkeypatch.setattr(chain, "_rows", counted)
     chain._kernel.cache_clear()
     yield built
     chain._kernel.cache_clear()
@@ -420,6 +488,18 @@ def test_moment_identities_grid(n, k):
                     assert r.abs_err <= 1e-12
                 else:
                     assert r.rel_err <= 1e-9
+
+
+def test_moment_identities_refuse_a_non_integer_start():
+    """x0 = 2.5 is refused: the evolution would start from 2 while the
+    closed form is taken at 2.5."""
+    params = ChainParams(10, 2)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        verify_moment_identities(params, 2.5, 2)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        verify_moment_identities(params, 2, 1.5)
+    r1, r2 = verify_moment_identities(params, np.int64(2), np.int64(2))
+    assert r1.rel_err <= 1e-12 and r2.rel_err <= 1e-12
 
 
 # ----------------------------------------------------- lower-bound certificate

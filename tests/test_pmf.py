@@ -64,6 +64,31 @@ def test_hypergeom_invalid_params():
         HypergeomParams(5, 2, 6)
 
 
+@pytest.mark.parametrize("args", [(10.5, 3, 2), (10, 3.5, 2), (10, 3, 2.0),
+                                  (True, 1, 1), (10, "3", 2)])
+def test_hypergeom_params_refuse_non_integers(args):
+    """A float, a bool or a string is refused, not truncated (10.5) or left
+    to fail inside the recurrence (3.5)."""
+    with pytest.raises(ParameterError, match="must be an integer"):
+        HypergeomParams(*args)
+
+
+def test_hypergeom_params_accept_numpy_integers():
+    params = HypergeomParams(np.int64(10), np.int32(3), np.uint8(2))
+    assert params == HypergeomParams(10, 3, 2)
+    assert type(params.population) is int
+    assert (hypergeom_pmf(params).weights.tobytes()
+            == hypergeom_pmf(HypergeomParams(10, 3, 2)).weights.tobytes())
+
+
+def test_point_mass_refuses_non_integers():
+    with pytest.raises(ParameterError, match="must be an integer"):
+        point_mass(2.7)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        point_mass(np.True_)
+    assert point_mass(np.int64(2)).lo == 2
+
+
 @pytest.mark.parametrize("population", range(1, 13))
 def test_hypergeom_matches_enumeration(population):
     """Every parameter choice with population <= 12 against the subset
