@@ -280,21 +280,72 @@ def _kernel_matrix(params: ChainParams) -> np.ndarray:
     return P
 
 
-def _flush(A: np.ndarray, small: np.ndarray | None = None) -> float:
-    """Zero the entries of ``A`` below UNDERFLOW_FLOOR in place and return
-    the largest row sum zeroed.  ``small``, a boolean array of A's shape,
-    is used for the mask in place of a new one."""
-    small = np.less(A, UNDERFLOW_FLOOR, out=small)
-    lost = float(A.sum(axis=1, where=small).max())
+def _flush(A: np.ndarray, mag: np.ndarray | None = None,
+           small: np.ndarray | None = None) -> np.ndarray:
+    """Zero the entries of ``A`` whose magnitude is below UNDERFLOW_FLOOR in
+    place and return each row's sum of the magnitudes zeroed.  ``mag`` and
+    ``small``, a float and a boolean array of A's shape, are used for |A|
+    and the mask in place of new ones."""
+    mag = np.abs(A, out=mag)
+    small = np.less(mag, UNDERFLOW_FLOOR, out=small)
     np.copyto(A, 0.0, where=small)
-    return lost
+    return mag.sum(axis=1, where=small)
+
+
+def _folded_kernels(params: ChainParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """The kernel folded by the colour swap J into its even and odd halves,
+    ``(K_plus, K_minus, lost)``: with h = n // 2, a = (n + 1) // 2 and y, z
+    < n/2, K_plus[y, z] = P(y, z) + P(n - y, z) for z <= h, plus the middle
+    row P(h, .) at even n, and K_minus[y, z] = P(y, z) - P(n - y, z).  P's
+    and K_minus's entries below UNDERFLOW_FLOOR in magnitude are zeroed;
+    ``lost`` bounds what that adds to the error of a step (see
+    ``distance_profile``)."""
+    n = params.n
+    h, a = n // 2, (n + 1) // 2
+    P = _kernel_matrix(params)
+    zeroed_p = _flush(P)
+    swapped = P[n:h:-1]  # rows n - y of the states y < n/2
+    k_plus = np.empty((h + 1, h + 1))
+    np.add(P[:a, :h + 1], swapped[:, :h + 1], out=k_plus[:a])
+    k_plus[a:] = P[h, :h + 1]  # no row at odd n
+    k_minus = np.subtract(P[:a, :a], swapped[:, :a])
+    zeroed_minus = _flush(k_minus)
+    return k_plus, k_minus, float(zeroed_p.max()
+                                  + (zeroed_p[:a] + zeroed_minus).max())
 
 
 def distance_profile(params: ChainParams, t_max: int,
                      start_policy: StartPolicy = StartPolicy.ALL_STATES) -> MixingProfile:
     """Worst-case (or from-zero) total variation to stationarity for
-    t = 0..t_max.  ``lost_mass`` bounds the mass the kernel rows (trimmed, or
-    zeroed below UNDERFLOW_FLOOR) dropped, and each d(t) includes it."""
+    t = 0..t_max.  ``lost_mass`` bounds the L1 error that the kernel rows'
+    trimming, or the zeroing below UNDERFLOW_FLOOR, put into the law of any
+    start, and each d(t) includes it.
+
+    All states: swapping the colours, J: x -> n - x, maps the chain to
+    itself, so row n - x of D_t = P^t is row x reversed and the rows x <= h
+    = n // 2 hold every distance.  They are evolved as their even and odd
+    parts, S_t = D_t (I + J) on the columns z <= h (the middle column of an
+    even n is 2 D_t(x, h)) and V_t = D_t (I - J) on the a = (n + 1) // 2
+    columns z < n/2.  Both evolve by P, since PJ = JP, so a step is
+    S <- S K_plus and V <- V K_minus (``_folded_kernels``): 2(h+1)^3 +
+    2(h+1)a^2 flops, about half the 2(h+1)(n+1)^2 of D <- D P.  As pi is
+    even, |u+v| + |u-v| = 2 max(|u|, |v|) gives
+    d_x(t) = 1/2 [sum_{z<n/2} max(|S(x,z) - 2 pi(z)|, |V(x,z)|)
+                  + 1/2 |S(x,h) - 2 pi(h)| (even n only)].
+
+    Entries of S and V below UNDERFLOW_FLOOR in magnitude are zeroed after
+    each step, so the products never meet a subnormal.  Measure a row of S
+    by |s|_+ = sum_{z<n/2} |s_z| + 1/2 |s_h| (even n) and a row of V by
+    |v|_- = sum |v_z|: half the L1 norms of the even and odd rows over all
+    n + 1 columns.  The exact K_plus and K_minus do not raise them, |S_t(x)|_+
+    = 1 and |V_t(x)|_- <= 1, and D_t(x) is off in L1 by at most |e_S|_+ +
+    |e_V|_-, with e_S and e_V the errors of S_t(x) and V_t(x).  A step adds
+    to that at most: the largest row sum zeroed from P, for K_plus (the
+    zeroed part of its row y has |.|_+ equal to row y's zeroed sum, or half
+    of it at the middle row, which |.|_+ weighs by 1/2); that sum plus the
+    magnitudes zeroed from row y of K_minus, largest over y, for K_minus;
+    and the magnitudes zeroed from the row of S and of V.
+    """
     if t_max < 0:
         raise ParameterError("t_max must be nonnegative")
     n = params.n
@@ -302,24 +353,28 @@ def distance_profile(params: ChainParams, t_max: int,
     lost = 0.0
     # each branch refuses an oversized n before it builds anything of size n
     if start_policy is StartPolicy.ALL_STATES:
-        P = _kernel_matrix(params)
-        # a row of D's error stays at most ``lost``: P is stochastic and all
-        # terms are nonnegative, so a step keeps the error and adds at most
-        # the largest row sums zeroed from P and from D
-        lost_p = _flush(P)
-        pi_dense = stationary(params).dense_on(0, n)
-        # P and pi are mirror images of themselves, so row n - x of D is
-        # row x reversed and rows 0..n//2 hold every distance; the loop
-        # reuses its buffers, since fresh ones would be page-faulted each step
-        D = np.eye(n // 2 + 1, n + 1)
-        D_next, gap = np.empty_like(D), np.empty_like(D)
-        small = np.empty(D.shape, dtype=bool)
+        h, a = n // 2, (n + 1) // 2
+        k_plus, k_minus, lost_k = _folded_kernels(params)
+        two_pi = 2.0 * stationary(params).dense_on(0, n)[:h + 1]
+        S, V = np.eye(h + 1), np.eye(h + 1, a)
+        if a == h:
+            S[h, h] = 2.0  # the middle column of an even n holds 2 D_t(x, h)
+        # the loop reuses its buffers, since fresh ones would be
+        # page-faulted each step
+        S_next, gap_s = np.empty_like(S), np.empty_like(S)
+        V_next, gap_v = np.empty_like(V), np.empty_like(V)
+        small_s, small_v = np.empty(S.shape, bool), np.empty(V.shape, bool)
         for t in range(t_max + 1):
-            np.abs(np.subtract(D, pi_dense, out=gap), out=gap)
-            d[t] = min(1.0, 0.5 * gap.sum(axis=1).max() + lost)
+            np.abs(np.subtract(S, two_pi, out=gap_s), out=gap_s)
+            np.maximum(gap_s[:, :a], np.abs(V, out=gap_v), out=gap_v)
+            # gap_s[:, a:] is the middle column of an even n (none at odd n)
+            row = gap_v.sum(axis=1) + 0.5 * gap_s[:, a:].sum(axis=1)
+            d[t] = min(1.0, 0.5 * row.max() + lost)
             if t < t_max:
-                D, D_next = np.matmul(D, P, out=D_next), D
-                lost += lost_p + _flush(D, small)
+                S, S_next = np.matmul(S, k_plus, out=S_next), S
+                V, V_next = np.matmul(V, k_minus, out=V_next), V
+                lost += lost_k + float((_flush(S, gap_s, small_s)
+                                        + _flush(V, gap_v, small_v)).max())
     else:
         if n > VECTOR_GUARD:
             raise InfeasibleSizeError(

@@ -214,8 +214,16 @@ def hypergeom_laws(pop: int, successes, draws: int, trim: bool = False):
     # that their logs are finite, and are masked out of the sums below
     lane = np.arange(width.max() - 1)
     j = (lo + lane).astype(np.float64)
-    logs = np.log(np.maximum([succ - j, m - j, j + 1.0, j + (pop - succ - m + 1)], 1.0))
-    logratio = logs[0] + logs[1] - logs[2] - logs[3]
+    logs = np.empty((4,) + j.shape)
+    np.subtract(succ, j, out=logs[0])
+    np.subtract(m, j, out=logs[1])
+    np.add(j, 1.0, out=logs[2])
+    np.add(j, pop - succ - m + 1, out=logs[3])
+    np.log(np.maximum(logs, 1.0, out=logs), out=logs)
+    logratio = logs[0]  # logs[0] + logs[1] - logs[2] - logs[3], in place
+    logratio += logs[1]
+    logratio -= logs[2]
+    logratio -= logs[3]
     # cumulative sums outward from the mode i, up and down; the masked lanes
     # are zeros, which leave every partial sum exact
     below = lane < i

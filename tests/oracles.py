@@ -89,3 +89,28 @@ def marginals(joint: dict) -> tuple[dict, dict]:
         mx[x] = mx.get(x, Fraction(0)) + w
         my[y] = my.get(y, Fraction(0)) + w
     return mx, my
+
+
+def exact_worst_start_profile(n: int, k: int, t_max: int) -> list:
+    """max_x TV(P^t(x, .), pi) for t = 0..t_max, in Fractions.  The kernel
+    is kept as the integers C(n,k)^2 P(x, y): r of the x reds in urn 1 and b
+    of the n - x reds in urn 2 are swapped.  The starts x <= n/2 suffice, as
+    the colour swap x -> n - x maps the chain to itself."""
+    M = [[0] * (n + 1) for _ in range(n + 1)]
+    for x in range(n + 1):
+        for r in range(min(x, k) + 1):
+            leave = comb(x, r) * comb(n - x, k - r)
+            for b in range(min(n - x, k) + 1):
+                M[x][x - r + b] += leave * comb(n - x, b) * comb(x, k - b)
+    scale = comb(n, k) ** 2
+    pi_num, pi_den = [comb(n, z) ** 2 for z in range(n + 1)], comb(2 * n, n)
+    rows = [[int(z == x) for z in range(n + 1)] for x in range(n // 2 + 1)]
+    d = []
+    for t in range(t_max + 1):
+        den = scale ** t  # row r holds den * P^t(x, .)
+        d.append(max(Fraction(sum(abs(r[z] * pi_den - pi_num[z] * den)
+                                  for z in range(n + 1)), 2 * den * pi_den)
+                     for r in rows))
+        rows = [[sum(r[y] * M[y][z] for y in range(n + 1) if r[y])
+                 for z in range(n + 1)] for r in rows]
+    return d

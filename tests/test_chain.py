@@ -2,6 +2,7 @@
 
 import collections
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from blmix.chain import MATRIX_GUARD, UNDERFLOW_FLOOR, _kernel_matrix
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
 from blmix.pmf import FinitePmf, from_weights
-from oracles import enum_transition_row
+from oracles import enum_transition_row, exact_worst_start_profile
 
 
 # ------------------------------------------------------------ transition row
@@ -230,29 +231,37 @@ def _default_horizon(n, k):
 
 
 def test_all_states_underflow_floor():
-    """The all-states profile zeroes kernel and D entries below
-    UNDERFLOW_FLOOR, so its matmul never meets a subnormal. Its d(t) is bit
-    for bit that of the unfloored loop over the same rows 0..n//2, and
-    lost_mass bounds the zeroed mass: each step zeroes entries below the
-    floor from a row of P and of D."""
+    """The all-states profile zeroes the entries of P, of its folded odd
+    half K_minus and of S and V below UNDERFLOW_FLOOR in magnitude, so its
+    matmuls never meet a subnormal. Its d(t) is bit for bit that of the
+    unfloored split loop, S <- S K_plus and V <- V K_minus, and lost_mass
+    bounds the error the floor put in: the floored S lies below the exact
+    one, so the floor dropped at least S's entries below it, weighed as
+    the profile's bound weighs them (1/2 on the middle column)."""
     n, k = 300, 75
+    h, a = n // 2, (n + 1) // 2
     t_max = _default_horizon(n, k)
     params = ChainParams(n, k)
     profile = distance_profile(params, t_max, StartPolicy.ALL_STATES)
     P = _kernel_matrix(params)
-    pi = stationary(params).dense_on(0, n)
-    D = np.eye(n // 2 + 1, n + 1)
+    k_plus = np.vstack([P[:a, :h + 1] + P[n:h:-1, :h + 1], P[a:h + 1, :h + 1]])
+    k_minus = P[:a, :a] - P[n:h:-1, :a]
+    two_pi = 2 * stationary(params).dense_on(0, n)[:h + 1]
+    S, V = np.eye(h + 1), np.eye(h + 1, a)
+    S[h, h] = 2.0  # even n: the middle column holds 2 D_t(x, h)
     d = np.empty(t_max + 1)
     for t in range(t_max + 1):
-        d[t] = 0.5 * np.abs(D - pi).sum(axis=1).max()
+        gap = np.maximum(np.abs(S[:, :a] - two_pi[:a]), np.abs(V))
+        row = gap.sum(axis=1) + 0.5 * np.abs(S[:, a:] - two_pi[a:]).sum(axis=1)
+        d[t] = 0.5 * row.max()
         if t < t_max:
-            D = D @ P
+            S, V = S @ k_plus, V @ k_minus
     np.minimum.accumulate(d, out=d)
     assert profile.d_values.tobytes() == d.tobytes()
     assert 0 < profile.lost_mass <= t_max * (n + 2) * UNDERFLOW_FLOOR
-    # the floored D_t lies below the exact one, so it lost at least the
-    # exact entries below the floor
-    below = D.sum(axis=1, where=D < UNDERFLOW_FLOOR).max()
+    weight = np.ones(h + 1)
+    weight[h] = 0.5
+    below = (S * weight).sum(axis=1, where=S < UNDERFLOW_FLOOR).max()
     assert profile.lost_mass >= below > 0
     small = distance_profile(ChainParams(40, 10), t_max, StartPolicy.ALL_STATES)
     assert small.lost_mass == 0.0
@@ -280,6 +289,22 @@ def test_all_states_half_rows_match_every_row(n):
             D[D < UNDERFLOW_FLOOR] = 0.0
     np.minimum.accumulate(d, out=d)
     assert np.abs(profile.d_values - d).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_all_states_matches_exact_rationals(n):
+    """The all-states d(t) against integer powers of the kernel and the TV
+    in Fractions (k = n/4, t <= 30). Pinned at the observed errors plus a
+    small margin (1.98e-16 and 1.70e-16 absolute; 8.3e-9 and 1.7e-14
+    relative, largest at t = 30, where d(t) is 3.3e-9 and 7.0e-9). The
+    relative pin holds because V carries the slow odd mode itself, not as
+    a difference D_t - pi: the D P product over rows x <= n/2 was off by
+    2.8e-8 at n = 40."""
+    exact = exact_worst_start_profile(n, n // 4, 30)
+    d = distance_profile(ChainParams(n, n // 4), 30, StartPolicy.ALL_STATES)
+    err = [abs(Fraction(float(x)) - e) for x, e in zip(d.d_values, exact)]
+    assert max(err) <= Fraction(2.5e-16)
+    assert max(e / x for e, x in zip(err, exact)) <= Fraction(1e-8)
 
 
 def test_trimmed_evolution_above_matrix_guard():
