@@ -26,6 +26,7 @@ MONOTONE_TOL = 1e-12
 # above it is a normal double, so the dense matmul never meets a subnormal
 UNDERFLOW_FLOOR = 2.0**-510
 ROW_BLOCK = 128  # states whose rows ``_rows`` builds together
+TILE = 32  # consecutive states whose rows ``_SparseKernel`` holds as one array
 
 
 @dataclass(frozen=True)
@@ -166,15 +167,17 @@ def stationary(params: ChainParams) -> FinitePmf:
 
 
 class _SparseKernel:
-    """The kernel rows of the states c <= n/2 reached so far, each built
-    once, on first use (by ``_rows``, a step's new states together), and
-    stored as one CSR matrix in state order.  Swapping the colours maps the
-    chain to itself, so the row of x > n/2 is the row of n - x reversed: a
-    step sends the mass of each such x through the row of n - x and reverses
-    that part of the result.  A step is one sparse product over the stored
-    rows from the first to the last state with mass, in state order; the
-    rows outside that block would add exact zeros, so the result is the
-    same bits as the product over every stored row.
+    """The kernel rows of the states c <= n/2 reached so far, held in dense
+    tiles of TILE consecutive states.  A tile is built whole (by ``_rows``,
+    a step's new tiles together) the first time any of its states carries
+    mass, and spans the union of its rows' columns, so its bits do not
+    depend on the order states were reached in.  Swapping the colours maps
+    the chain to itself, so the row of x > n/2 is the row of n - x reversed:
+    a step sends the mass of each such x through the row of n - x and
+    reverses that part of the result.  A step is one (2 x TILE) by
+    (TILE x width) product per built tile from the first to the last tile
+    with mass, added in tile order; the tiles outside that range would add
+    exact zeros, so the result is the same bits as over every built tile.
     """
 
     def __init__(self, params: ChainParams, trim: bool):
@@ -182,33 +185,25 @@ class _SparseKernel:
         self.trim = trim
         self._built = np.zeros(params.n // 2 + 1, dtype=bool)
         self._lost = np.zeros(params.n // 2 + 1)  # lost mass of each built row
-        self._states = np.empty(0, dtype=np.intp)  # sorted; one per stored row
-        self._indptr = np.zeros(1, dtype=np.intp)
-        # int32 column indices are what scipy keeps, so a step converts none
-        self._cols = np.empty(0, dtype=np.int32)
-        self._data = np.empty(0)
+        # the first column and the (TILE, width) weights of each built tile
+        self._tiles = [None] * (params.n // 2 // TILE + 1)
 
-    def _add_rows(self, new: np.ndarray) -> None:
-        """Build the rows of the (sorted) states ``new`` <= n/2 and splice
-        them into the stored rows, in one copy of the stored entries."""
-        data, cols, lengths, lost = _rows(self.params.n, self.params.k, new,
+    def _add_tiles(self, tiles: np.ndarray) -> None:
+        """Build the rows of every state <= n/2 in the (sorted) ``tiles``."""
+        states = (tiles[:, None] * TILE + np.arange(TILE)).ravel()
+        states = states[states <= self.params.n // 2]
+        data, cols, lengths, lost = _rows(self.params.n, self.params.k, states,
                                           self.trim)
-        at = np.searchsorted(self._states, new)  # stored rows before each new one
-        runs, first = np.unique(at, return_index=True)  # new rows go in runs
-        cut_old, cut_new = self._indptr[runs], np.cumsum(lengths)[first[1:] - 1]
-
-        def splice(stored, fresh):
-            old, ins = np.split(stored, cut_old), np.split(fresh, cut_new)
-            return np.concatenate([p for pair in zip(old, ins) for p in pair]
-                                  + [old[-1]])
-
-        self._data = splice(self._data, data)
-        self._cols = splice(self._cols, cols.astype(np.int32))
-        lengths = np.insert(np.diff(self._indptr), at, lengths)
-        self._indptr = np.concatenate([[0], np.cumsum(lengths)])
-        self._states = np.insert(self._states, at, new)
-        self._lost[new] = lost
-        self._built[new] = True
+        row = np.repeat(np.arange(states.size) % TILE, lengths)
+        cuts = np.cumsum(lengths)[TILE - 1:-1:TILE]  # where each tile's rows end
+        for tile, r, c, w in zip(tiles, *(np.split(a, cuts)
+                                          for a in (row, cols, data))):
+            c0 = int(c.min())
+            block = np.zeros((TILE, c.max() - c0 + 1))
+            block[r, c - c0] = w
+            self._tiles[tile] = (c0, block)
+        self._lost[states] = lost
+        self._built[states] = True
 
     def step(self, mu: FinitePmf) -> FinitePmf:
         """The law one step after ``mu``, with the rows' lost mass added."""
@@ -216,28 +211,26 @@ class _SparseKernel:
         half = n // 2
         x = mu.dense_on(0, n)
         # column 0 holds the mass of each state c <= n/2, column 1 that of
-        # its colour swap n - c (none at the middle state of an even n)
-        both = np.zeros((half + 1, 2))
-        both[:, 0] = x[:half + 1]
+        # its colour swap n - c (none at the middle state of an even n); the
+        # rows past n/2 pad the last tile with zeros
+        both = np.zeros((len(self._tiles) * TILE, 2))
+        both[:half + 1, 0] = x[:half + 1]
         both[:n - half, 1] = x[:half:-1]
         carried = np.nonzero(both.any(axis=1))[0]
         new = carried[~self._built[carried]]
         if new.size:
-            self._add_rows(new)
+            self._add_tiles(np.unique(new // TILE))
         # elementwise, not BLAS: a threaded dot would leave spinning threads
-        lost = mu.lost_mass + float((both * self._lost[:, None]).sum())
-        # the stored rows from the first to the last state with mass
-        i0, i1 = np.searchsorted(self._states, carried[[0, -1]]) + (0, 1)
-        p0, p1 = self._indptr[[i0, i1]]
-        # imported here, not with the module: scipy takes longer to load
-        # than the rest of the package, and only this kernel needs it
-        from scipy import sparse as _sparse
-
-        block = _sparse.csr_matrix(
-            (self._data[p0:p1], self._cols[p0:p1], self._indptr[i0:i1 + 1] - p0),
-            shape=(i1 - i0, n + 1))
-        out = block.T @ both[self._states[i0:i1]]
-        return _pmf.from_weights(0, out[:, 0] + out[::-1, 1],
+        lost = mu.lost_mass + float((both[:half + 1]
+                                     * self._lost[:, None]).sum())
+        # each product is below OpenBLAS's threshold for threading
+        out = np.zeros((2, n + 1))
+        for tile in range(carried[0] // TILE, carried[-1] // TILE + 1):
+            if self._tiles[tile] is not None:
+                c0, block = self._tiles[tile]
+                out[:, c0:c0 + block.shape[1]] += (
+                    both[tile * TILE:(tile + 1) * TILE].T @ block)
+        return _pmf.from_weights(0, out[0] + out[1, ::-1],
                                  lost_mass=min(lost, 1.0))
 
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from blmix import (ChainParams, Eigenfunction, HypergeomParams, StartPolicy,
                    difference_law, distance_profile, eigen_eval, evolve,
@@ -14,7 +13,7 @@ from blmix import (ChainParams, Eigenfunction, HypergeomParams, StartPolicy,
                    point_mass, stationary, t_mix, transition_row, tv_distance,
                    verify_moment_identities)
 from blmix import chain
-from blmix.chain import MATRIX_GUARD, UNDERFLOW_FLOOR, _kernel_matrix
+from blmix.chain import MATRIX_GUARD, TILE, UNDERFLOW_FLOOR, _kernel_matrix
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
 from blmix.pmf import FinitePmf, from_weights
@@ -214,11 +213,20 @@ def test_profile_monotone_and_bounded():
         assert np.all((0 <= d) & (d <= 1))
 
 
-@pytest.mark.parametrize("n", [16, 17, 64, 65, 256, 301, 512])
-def test_state_zero_matches_all_states(n):
+# the sizes whose n // 2 + 1 canonical states fill TILE - 1, TILE, TILE + 1
+# or 2 TILE states, the last tile's edge cases
+_TILE_EDGES = {2 * m - 2 + r for m in (TILE - 1, TILE, TILE + 1, 2 * TILE)
+               for r in (0, 1)}
+
+
+@pytest.mark.parametrize("n,k", [
+    pytest.param(n, k, id=str(n) if k == n // 4 else f"{n}-{k}")
+    for n in sorted({16, 17, 64, 65, 256, 301, 512} | _TILE_EDGES)
+    for k in sorted({n // 4} | ({1, n // 2, n} if n in _TILE_EDGES else set()))])
+def test_state_zero_matches_all_states(n, k):
     """The from-zero shortcut reproduces the worst-case profile exactly on
     the sizes where both are computable."""
-    params = ChainParams(n, n // 4)
+    params = ChainParams(n, k)
     t_max = 20
     d_all = distance_profile(params, t_max, StartPolicy.ALL_STATES).d_values
     d_zero = distance_profile(params, t_max, StartPolicy.STATE_ZERO).d_values
@@ -387,29 +395,31 @@ def test_row_bytes_do_not_depend_on_the_batch(n, k, trim):
 @pytest.mark.parametrize("n,trim", [(300, False), (301, False),
                                     (5000, True), (5001, True)])
 def test_sparse_kernel_step_over_rows_with_mass_is_the_full_product(n, trim):
-    """A step multiplies only the stored rows from the first to the last
-    state with mass; the product over every stored row is the same bits."""
+    """A step multiplies only the tiles from the first to the last with
+    mass; a loop over every built tile is the same bits."""
     params = ChainParams(n, n // 4)
     kernel = chain._SparseKernel(params, trim)
     kernel.step(from_weights(0, np.ones(n + 1), normalize=True))
-    assert kernel._built.all()  # every row is stored
-    mu = transition_row(params, n // 3, trim=trim)
-    assert 0 < mu.lo and mu.hi < n  # state 0's stored row carries no mass
+    assert kernel._built.all()  # every tile is built
+    mu = transition_row(params, 2 * n // 5, trim=trim)
+    assert TILE <= mu.lo and mu.hi <= n - TILE  # state 0's tile has no mass
     out = kernel.step(mu)
 
     half = n // 2
     x = mu.dense_on(0, n)
-    both = np.zeros((half + 1, 2))
-    both[:, 0] = x[:half + 1]
+    both = np.zeros((len(kernel._tiles) * TILE, 2))
+    both[:half + 1, 0] = x[:half + 1]
     both[:n - half, 1] = x[:half:-1]
-    full = sparse.csr_matrix((kernel._data, kernel._cols, kernel._indptr),
-                             shape=(kernel._states.size, n + 1)).T
-    prod = full @ both[kernel._states]
-    ref = from_weights(0, prod[:, 0] + prod[::-1, 1])
+    prod = np.zeros((2, n + 1))
+    for tile, (c0, block) in enumerate(kernel._tiles):
+        assert block.shape[0] == TILE and block.flags.c_contiguous
+        prod[:, c0:c0 + block.shape[1]] += (
+            both[tile * TILE:(tile + 1) * TILE].T @ block)
+    ref = from_weights(0, prod[0] + prod[1, ::-1])
     assert out.dense_on(0, n).tobytes() == ref.dense_on(0, n).tobytes()
 
 
-@pytest.mark.parametrize("n", [300, 5000])
+@pytest.mark.parametrize("n", [126, 300, 5000])
 def test_state_zero_profile_ignores_build_history(n):
     """The cached kernel's rows do not depend on the order states were
     reached in: a state-zero profile on a fresh kernel is byte-equal to one
@@ -446,17 +456,24 @@ def row_builds(monkeypatch):
 
 def test_state_zero_profile_builds_each_colour_swap_pair_once(row_builds):
     """At n = 10^4 the state-zero profile builds the row of each state
-    x <= n/2 at most once, and steps its colour swap n - x through it."""
+    x <= n/2 at most once and steps its colour swap n - x through it.  The
+    rows it builds are the whole tiles of the states it steps from."""
     n, k = 10_000, 2500
+    params = ChainParams(n, k)
     built = row_builds
     t_max = _default_horizon(n, k)
-    profile = distance_profile(ChainParams(n, k), t_max, StartPolicy.STATE_ZERO)
-    kernel = chain._kernel(ChainParams(n, k), True)
+    profile = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
     assert max(built.values()) == 1
     assert max(built) <= n // 2
+    # the states with mass at t < t_max, stepped through the cached kernel
+    reached, mu = set(), point_mass(0)
+    for _ in range(t_max):
+        reached.update(mu.support[mu.weights > 0].tolist())
+        mu = evolve(params, mu, 1, trim=True)
     # the upper half was reached too, and no row was stored for it
-    assert evolve(ChainParams(n, k), point_mass(0), t_max, trim=True).hi > n // 2
-    assert kernel._states.tolist() == sorted(built)
+    assert max(reached) > n // 2
+    tiles = {min(x, n - x) // TILE for x in reached}
+    assert sorted(built) == [c for c in range(n // 2 + 1) if c // TILE in tiles]
     assert profile.d_values[-1] < 0.25
 
 

@@ -288,17 +288,44 @@ def test_cli_undecodable_config_exits_2(tmp_path, text):
     assert os.listdir(tmp_path) == ["config.json"]
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy takes longer to import than the rest of the package, and only
-    the state-zero sparse kernel uses it, so the CLI starts without it."""
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this blmix."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(blmix.__file__)))
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, blmix.cli; print(sorted(m for m "
-         "in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy takes longer to import than the rest of the package, so the
+    CLI starts without it."""
+    out = run_python("import sys, blmix.cli; print(sorted(m for m in "
+                     "sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n,policy", [(5000, "state_zero"), (40, "all_states")])
+def test_cli_profile_needs_no_scipy(tmp_path, n, policy):
+    """With every scipy import made to fail, a trimmed state-zero profile
+    and an all-states one exit 0 and write the bytes they write with scipy
+    importable."""
+    code = ("import sys\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['scipy'] = None  # any scipy import raises\n"
+            "from blmix.cli import main\n"
+            "sys.exit(main(['profile', '--config', sys.argv[2]]))\n")
+    csv = {}
+    for mode in ("blocked", "free"):
+        out_dir = tmp_path / mode
+        out_dir.mkdir()
+        cfg = write_config(out_dir, minimal(
+            "profile", n=n, start_policy=policy, output_dir=str(out_dir)))
+        done = run_python(code, mode, cfg)
+        assert done.returncode == 0, done.stderr
+        csv[mode] = read_output(out_dir)
+    assert csv["blocked"] == csv["free"]
 
 
 def test_cli_zero_horizon_emits_only_t0(tmp_path):
