@@ -19,7 +19,7 @@ from .errors import HorizonExceededError, InfeasibleSizeError, ParameterError
 from .pmf import (SUM_TOL, FinitePmf, HypergeomParams, as_index,
                   hypergeom_pmf, point_mass, tv_distance)
 
-MATRIX_GUARD = 4096      # refuse full (n+1)^2 kernel materialization above this
+MATRIX_GUARD = 4096      # refuse the all-states profile above this
 VECTOR_GUARD = 100_000   # refuse single-start evolution above this
 MONOTONE_TOL = 1e-12
 # all-states entries below this are zeroed: a product of two entries at or
@@ -257,22 +257,6 @@ def evolve(params: ChainParams, mu: FinitePmf, steps: int,
     return out
 
 
-def _kernel_matrix(params: ChainParams) -> np.ndarray:
-    n = params.n
-    if n > MATRIX_GUARD:
-        raise InfeasibleSizeError(
-            f"full kernel materialization refused for n={n} > {MATRIX_GUARD}; "
-            "the state-zero start policy scales further")
-    P = np.zeros((n + 1, n + 1))
-    states = np.arange(n // 2 + 1)
-    data, cols, lengths, _ = _rows(n, params.k, states, False)
-    P[np.repeat(states, lengths), cols] = data
-    # swapping the colours maps the chain to itself (each colour has n balls
-    # in all), so row n - x is row x reversed
-    P[n // 2 + 1:] = P[n - n // 2 - 1::-1, ::-1]
-    return P
-
-
 def _flush(A: np.ndarray, mag: np.ndarray | None = None,
            small: np.ndarray | None = None) -> np.ndarray:
     """Zero the entries of ``A`` whose magnitude is below UNDERFLOW_FLOOR in
@@ -289,22 +273,29 @@ def _folded_kernels(params: ChainParams) -> tuple[np.ndarray, np.ndarray, float]
     """The kernel folded by the colour swap J into its even and odd halves,
     ``(K_plus, K_minus, lost)``: with h = n // 2, a = (n + 1) // 2 and y, z
     < n/2, K_plus[y, z] = P(y, z) + P(n - y, z) for z <= h, plus the middle
-    row P(h, .) at even n, and K_minus[y, z] = P(y, z) - P(n - y, z).  P's
-    and K_minus's entries below UNDERFLOW_FLOOR in magnitude are zeroed;
-    ``lost`` bounds what that adds to the error of a step (see
-    ``distance_profile``)."""
+    row P(h, .) at even n, and K_minus[y, z] = P(y, z) - P(n - y, z).  The
+    rows y <= h of P are those of the untrimmed ``_SparseKernel`` tiles,
+    and row n - y is row y reversed.  P's and K_minus's entries below
+    UNDERFLOW_FLOOR in magnitude are zeroed; ``lost`` bounds what that adds
+    to the error of a step (see ``distance_profile``)."""
     n = params.n
     h, a = n // 2, (n + 1) // 2
-    P = _kernel_matrix(params)
-    zeroed_p = _flush(P)
-    swapped = P[n:h:-1]  # rows n - y of the states y < n/2
+    # a kernel of its own, so that its tiles are freed with it
+    kernel = _SparseKernel(params, False)
+    kernel._add_tiles(np.arange(len(kernel._tiles)))
+    rows = np.zeros((h + 1, n + 1))
+    for tile, (c0, block) in enumerate(kernel._tiles):
+        part = rows[tile * TILE:(tile + 1) * TILE]
+        part[:, c0:c0 + block.shape[1]] = block[:len(part)]
+    zeroed = _flush(rows)
+    mirrored = rows[:a, ::-1]  # rows n - y of the states y < n/2
     k_plus = np.empty((h + 1, h + 1))
-    np.add(P[:a, :h + 1], swapped[:, :h + 1], out=k_plus[:a])
-    k_plus[a:] = P[h, :h + 1]  # no row at odd n
-    k_minus = np.subtract(P[:a, :a], swapped[:, :a])
+    np.add(rows[:a, :h + 1], mirrored[:, :h + 1], out=k_plus[:a])
+    k_plus[a:] = rows[h, :h + 1]  # no row at odd n
+    k_minus = np.subtract(rows[:a, :a], mirrored[:, :a])
     zeroed_minus = _flush(k_minus)
-    return k_plus, k_minus, float(zeroed_p.max()
-                                  + (zeroed_p[:a] + zeroed_minus).max())
+    return k_plus, k_minus, float(zeroed.max()
+                                  + (zeroed[:a] + zeroed_minus).max())
 
 
 def distance_profile(params: ChainParams, t_max: int,
@@ -339,13 +330,17 @@ def distance_profile(params: ChainParams, t_max: int,
     magnitudes zeroed from row y of K_minus, largest over y, for K_minus;
     and the magnitudes zeroed from the row of S and of V.
     """
-    if t_max < 0:
+    if as_index(t_max, "t_max") < 0:
         raise ParameterError("t_max must be nonnegative")
     n = params.n
     d = np.empty(t_max + 1)
     lost = 0.0
     # each branch refuses an oversized n before it builds anything of size n
     if start_policy is StartPolicy.ALL_STATES:
+        if n > MATRIX_GUARD:
+            raise InfeasibleSizeError(
+                f"all-states profile refused for n={n} > {MATRIX_GUARD}; "
+                "the state-zero start policy scales further")
         h, a = n // 2, (n + 1) // 2
         k_plus, k_minus, lost_k = _folded_kernels(params)
         two_pi = 2.0 * stationary(params).dense_on(0, n)[:h + 1]
@@ -444,7 +439,7 @@ def lower_bound_certificate(params: ChainParams, t: int) -> float:
     both sides certifies 1 - var_pi/alpha^2 - 1/r^2 whenever the two
     concentration sets are disjoint (|mean| - r*sd > alpha).
     """
-    if t < 0:
+    if as_index(t, "t") < 0:
         raise ParameterError("t must be nonnegative")
     n, k = params.n, params.k
     if n < 2:

@@ -1,12 +1,19 @@
 """Exhaustive enumeration oracles for small instances.
 
-Everything here is exact rational arithmetic over explicit label sets, kept
-deliberately independent of the library's log-space / block-count code paths.
+Everything here but ``dense_kernel`` is exact rational arithmetic over
+explicit label sets, kept deliberately independent of the library's
+log-space / block-count code paths.  ``dense_kernel`` is no rational oracle:
+it assembles the full kernel matrix from the library's own rows, for the
+tests that need P as one array.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+
+import numpy as np
+
+from blmix import transition_row
 
 
 def enum_hypergeom(population: int, successes: int, draws: int) -> dict:
@@ -114,3 +121,15 @@ def exact_worst_start_profile(n: int, k: int, t_max: int) -> list:
         rows = [[sum(r[y] * M[y][z] for y in range(n + 1) if r[y])
                  for z in range(n + 1)] for r in rows]
     return d
+
+
+def dense_kernel(params) -> np.ndarray:
+    """The (n+1) x (n+1) kernel of ``params``: the untrimmed rows x <= n/2
+    from ``transition_row``, and the rest mirrored, as swapping the colours
+    maps the chain to itself (row n - x is row x reversed)."""
+    n = params.n
+    P = np.zeros((n + 1, n + 1))
+    for x in range(n // 2 + 1):
+        P[x] = transition_row(params, x).dense_on(0, n)
+    P[n // 2 + 1:] = P[n - n // 2 - 1::-1, ::-1]
+    return P

@@ -17,10 +17,10 @@ from blmix import (ApproxParams, ChainParams, RngStream, StartPolicy,
                    normalization_constant, one_step_tv, point_mass, stationary,
                    stopping_tail, t_mix, transition_row, tv_distance,
                    verify_moment_identities)
-from blmix.chain import _kernel_matrix
 from blmix.cli import main as cli_main
 from blmix.config import lower_bound_offset
-from oracles import enum_coupled_joint, enum_transition_row, marginals
+from oracles import (dense_kernel, enum_coupled_joint, enum_transition_row,
+                     marginals)
 
 
 def report(num: int, description: str, ok: bool):
@@ -50,7 +50,7 @@ def test_criterion_02_stationarity_and_reversibility():
     worst_tv, worst_rel = 0.0, 0.0
     for n in (10, 100, 1000, 2000):
         params = ChainParams(n, n // 4)
-        P = _kernel_matrix(params)
+        P = dense_kernel(params)
         pi = stationary(params).dense_on(0, n)
         worst_tv = max(worst_tv, 0.5 * np.abs(pi @ P - pi).sum())
         flux = pi[:, None] * P

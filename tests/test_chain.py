@@ -13,11 +13,12 @@ from blmix import (ChainParams, Eigenfunction, HypergeomParams, StartPolicy,
                    point_mass, stationary, t_mix, transition_row, tv_distance,
                    verify_moment_identities)
 from blmix import chain
-from blmix.chain import MATRIX_GUARD, TILE, UNDERFLOW_FLOOR, _kernel_matrix
+from blmix.chain import MATRIX_GUARD, TILE, UNDERFLOW_FLOOR
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
 from blmix.pmf import FinitePmf, from_weights
-from oracles import enum_transition_row, exact_worst_start_profile
+from oracles import (dense_kernel, enum_transition_row,
+                     exact_worst_start_profile)
 
 
 # ------------------------------------------------------------ transition row
@@ -97,7 +98,7 @@ def test_stationary_examples():
 @pytest.mark.parametrize("n", [10, 100, 1000])
 def test_stationarity_and_reversibility(n):
     params = ChainParams(n, n // 4)
-    P = _kernel_matrix(params)
+    P = dense_kernel(params)
     pi = stationary(params).dense_on(0, n)
     assert 0.5 * np.abs(pi @ P - pi).sum() <= 1e-10
     flux = pi[:, None] * P
@@ -109,7 +110,7 @@ def test_stationarity_and_reversibility(n):
 def test_color_swap_symmetry(n, k):
     """p_t(x, y) = p_t(n-x, n-y): relabeling the colors flips the chain."""
     params = ChainParams(n, k)
-    P = _kernel_matrix(params)
+    P = dense_kernel(params)
     for t in range(1, 4):
         Pt = np.linalg.matrix_power(P, t)
         assert np.abs(Pt - Pt[::-1, ::-1]).max() <= 1e-12
@@ -117,12 +118,13 @@ def test_color_swap_symmetry(n, k):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 41, 301])
 def test_kernel_matrix_is_mirrored(n):
-    """The dense kernel builds rows 0..n//2 and mirrors the rest: it equals
-    its colour-swapped image bit for bit, and every row still matches its
-    transition row."""
+    """The dense kernel takes rows 0..n//2 from ``transition_row`` and
+    mirrors the rest: it equals its colour-swapped image bit for bit (the
+    middle row of an even n is a palindrome), and every row still matches
+    its transition row."""
     for k in sorted({1, n // 4, n // 2, n}):
         params = ChainParams(n, k)
-        P = _kernel_matrix(params)
+        P = dense_kernel(params)
         assert np.array_equal(P, P[::-1, ::-1])
         for x in range(n + 1):
             row = transition_row(params, x).dense_on(0, n)
@@ -161,7 +163,7 @@ def test_one_law_rows_match_two_law_rows(n, trim):
 @pytest.mark.parametrize("n,k", [(10, 3), (64, 16), (200, 50)])
 def test_eigenvalue_property(n, k):
     params = ChainParams(n, k)
-    P = _kernel_matrix(params)
+    P = dense_kernel(params)
     states = np.arange(n + 1, dtype=np.float64)
     for kind in (Eigenfunction.F1, Eigenfunction.F2):
         f = np.array([eigen_eval(params, kind, x) for x in states])
@@ -251,7 +253,7 @@ def test_all_states_underflow_floor():
     t_max = _default_horizon(n, k)
     params = ChainParams(n, k)
     profile = distance_profile(params, t_max, StartPolicy.ALL_STATES)
-    P = _kernel_matrix(params)
+    P = dense_kernel(params)
     k_plus = np.vstack([P[:a, :h + 1] + P[n:h:-1, :h + 1], P[a:h + 1, :h + 1]])
     k_minus = P[:a, :a] - P[n:h:-1, :a]
     two_pi = 2 * stationary(params).dense_on(0, n)[:h + 1]
@@ -275,6 +277,32 @@ def test_all_states_underflow_floor():
     assert small.lost_mass == 0.0
 
 
+@pytest.mark.parametrize("n,k", [
+    (n, k) for n in (1, 2, 3, 40, 41, 62, 63, 64, 65, 126, 127, 300, 301)
+    for k in sorted({1, n // 4, n // 2, n})])
+def test_folded_kernels_match_the_dense_fold(n, k):
+    """K_plus, K_minus and their lost mass, folded from the kernel's tiles,
+    are bit for bit the fold of the dense kernel floored below
+    UNDERFLOW_FLOOR, at the sizes where the n // 2 + 1 rows end at or next
+    to a tile's edge."""
+    h, a = n // 2, (n + 1) // 2
+    params = ChainParams(n, k)
+    P = dense_kernel(params)
+    small = P < UNDERFLOW_FLOOR
+    zeroed_p = P.sum(axis=1, where=small)
+    P[small] = 0.0
+    k_plus = np.vstack([P[:a, :h + 1] + P[n:h:-1, :h + 1], P[a:h + 1, :h + 1]])
+    k_minus = P[:a, :a] - P[n:h:-1, :a]
+    small = np.abs(k_minus) < UNDERFLOW_FLOOR
+    zeroed_minus = np.abs(k_minus).sum(axis=1, where=small)
+    k_minus[small] = 0.0
+    lost = zeroed_p.max() + (zeroed_p[:a] + zeroed_minus).max()
+    got_plus, got_minus, got_lost = chain._folded_kernels(params)
+    assert got_plus.tobytes() == k_plus.tobytes()
+    assert got_minus.tobytes() == k_minus.tobytes()
+    assert got_lost == lost
+
+
 @pytest.mark.parametrize("n", [40, 41, 300, 301, 1024])
 def test_all_states_half_rows_match_every_row(n):
     """The all-states profile evolves only the starts x <= n/2, whose colour
@@ -285,7 +313,7 @@ def test_all_states_half_rows_match_every_row(n):
     t_max = _default_horizon(n, k)
     params = ChainParams(n, k)
     profile = distance_profile(params, t_max, StartPolicy.ALL_STATES)
-    P = _kernel_matrix(params)
+    P = dense_kernel(params)
     P[P < UNDERFLOW_FLOOR] = 0.0
     pi = stationary(params).dense_on(0, n)
     D = np.eye(n + 1)
@@ -348,7 +376,7 @@ def test_sparse_kernel_step_matches_kernel_matrix(n):
     params = ChainParams(n, n // 4)
     mu = from_weights(0, np.random.default_rng(n).random(n + 1), normalize=True)
     out = chain._SparseKernel(params, False).step(mu)
-    ref = mu.dense_on(0, n) @ _kernel_matrix(params)
+    ref = mu.dense_on(0, n) @ dense_kernel(params)
     assert np.abs(out.dense_on(0, n) - ref).max() <= 1e-15
     assert out.lost_mass == 0.0
 
@@ -490,9 +518,13 @@ def test_evolve_from_the_top_builds_each_canonical_row_once(row_builds):
     assert sum(row_builds.values()) == len(canonical)
 
 
-def test_matrix_guard():
-    with pytest.raises(InfeasibleSizeError):
-        _kernel_matrix(ChainParams(5000, 1250))
+def test_matrix_guard(monkeypatch):
+    """Above MATRIX_GUARD the all-states profile is refused before any
+    kernel row is built."""
+    def refused(*args):
+        raise AssertionError("a kernel row was built")
+
+    monkeypatch.setattr(chain, "_rows", refused)
     with pytest.raises(InfeasibleSizeError):
         distance_profile(ChainParams(5000, 1250), 2, StartPolicy.ALL_STATES)
 
@@ -542,6 +574,17 @@ def test_moment_identities_refuse_a_non_integer_start():
         verify_moment_identities(params, 2, 1.5)
     r1, r2 = verify_moment_identities(params, np.int64(2), np.int64(2))
     assert r1.rel_err <= 1e-12 and r2.rel_err <= 1e-12
+
+
+@pytest.mark.parametrize("t", [2.5, True, np.float64(3.0)])
+@pytest.mark.parametrize("call", [
+    lower_bound_certificate, distance_profile,
+    lambda params, t: distance_profile(params, t, StartPolicy.STATE_ZERO)],
+    ids=["certificate", "all_states", "state_zero"])
+def test_times_refuse_non_integers(call, t):
+    """A time of 2.5 or True is refused, not truncated to 0 or read as 1."""
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call(ChainParams(100, 25), t)
 
 
 # ----------------------------------------------------- lower-bound certificate

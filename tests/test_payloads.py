@@ -42,7 +42,8 @@ PINS = {
     # all-states profile and is unchanged) and lost_mass at n=5000 by at
     # most 2.4e-30.  tests/test_chain.py::
     # test_sparse_kernel_step_matches_kernel_matrix checks a step against
-    # the full kernel matrix within 1e-15.
+    # the kernel that tests/oracles.py::dense_kernel assembles from
+    # transition rows within 1e-15.
     # Retaken again when the all-states profile began to evolve the
     # colour-even and colour-odd halves of its rows by two half-size folded
     # kernels: 27 of the 30 d(t) at n=40 moved in their last digits, by at
@@ -57,7 +58,8 @@ PINS = {
     # at n=5000 by 2.0e-31; n=40 runs the all-states profile and is
     # unchanged.  tests/test_chain.py::
     # test_sparse_kernel_step_matches_kernel_matrix checks a step against
-    # the full kernel matrix within 1e-15.
+    # the kernel that tests/oracles.py::dense_kernel assembles from
+    # transition rows within 1e-15.
     "profile": (
         {"experiment": "profile", "n_grid": [40, 700, 5000], "lambda": 0.25},
         "478aec535b402ef39f436c9f137d2bea21533b8a14df062cc164cb964d5cdc7e"),
