@@ -25,8 +25,7 @@ MONOTONE_TOL = 1e-12
 # all-states entries below this are zeroed: a product of two entries at or
 # above it is a normal double, so the dense matmul never meets a subnormal
 UNDERFLOW_FLOOR = 2.0**-510
-ROW_BLOCK = 128  # states whose rows ``_rows`` builds together
-TILE = 32  # consecutive states whose rows ``_SparseKernel`` holds as one array
+TILE = 32  # consecutive states whose rows are built and stored as one block
 
 
 @dataclass(frozen=True)
@@ -94,17 +93,11 @@ class MomentReport:
 
 
 def _rows(n: int, k: int, states: np.ndarray, trim: bool):
-    """The kernel rows of ``states``, as CSR pieces: the weights and column
-    indices of every row in turn, each row's length and its lost mass.  The
-    rows are built ROW_BLOCK states at a time, and a row's bits do not
-    depend on the other states it is built with."""
-    blocks = [_row_block(n, k, states[at:at + ROW_BLOCK], trim)
-              for at in range(0, len(states), ROW_BLOCK)]
-    return tuple(np.concatenate(piece) for piece in zip(*blocks))
-
-
-def _row_block(n: int, k: int, states: np.ndarray, trim: bool):
-    """``_rows`` for one block of states."""
+    """The kernel rows of ``states`` as one dense block, ``(c0, block,
+    lost)``: row r of ``block`` holds the row of ``states[r]`` on columns
+    c0, c0 + 1, ..., with zeros off its support, and ``lost[r]`` is its
+    lost mass.  A row's bits do not depend on the other states it is built
+    with."""
     lo, laws, _, lost = _pmf.hypergeom_laws(n, states, k, trim)
     first, last = _pmf.first_last(laws > 0)
     convs = []
@@ -131,15 +124,17 @@ def _row_block(n: int, k: int, states: np.ndarray, trim: bool):
     if trim:
         first, last, dropped = _pmf.tail_cut(rows, first, last)
         lost += dropped
-    lane = np.arange(rows.shape[1])
-    keep = (lane >= first[:, None]) & (lane <= last[:, None])
-    data, lengths = rows[keep], last - first + 1
-    heads = np.cumsum(lengths) - lengths
-    if not (data.min() >= 0 and data[heads].min() > 0
-            and data[heads + lengths - 1].min() > 0
-            and np.abs(np.add.reduceat(data, heads) + lost - 1.0).max() <= SUM_TOL):
+    c0 = int((start + first).min())
+    left, right = start + first - c0, start + last - c0  # each row's span
+    block = np.zeros((len(states), int(right.max()) + 1))
+    for row, w, a, b, col in zip(block, rows, first, last, left):
+        row[col:col + b - a + 1] = w[a:b + 1]
+    at = np.arange(len(states))
+    if not (block.min() >= 0 and block[at, left].min() > 0
+            and block[at, right].min() > 0
+            and np.abs(block.sum(axis=1) + lost - 1.0).max() <= SUM_TOL):
         raise AssertionError("transition row is not a trimmed pmf")
-    return data, (start[:, None] + lane)[keep], lengths, lost
+    return c0, block, lost
 
 
 def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf:
@@ -155,8 +150,8 @@ def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf
     x = as_index(x, "state")
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
-    data, cols, _, lost = _rows(params.n, params.k, np.array([x]), trim)
-    return FinitePmf(int(cols[0]), data, float(lost[0]))
+    c0, block, lost = _rows(params.n, params.k, np.array([x]), trim)
+    return FinitePmf(c0, block[0], float(lost[0]))
 
 
 def stationary(params: ChainParams) -> FinitePmf:
@@ -168,42 +163,25 @@ def stationary(params: ChainParams) -> FinitePmf:
 
 class _SparseKernel:
     """The kernel rows of the states c <= n/2 reached so far, held in dense
-    tiles of TILE consecutive states.  A tile is built whole (by ``_rows``,
-    a step's new tiles together) the first time any of its states carries
-    mass, and spans the union of its rows' columns, so its bits do not
-    depend on the order states were reached in.  Swapping the colours maps
-    the chain to itself, so the row of x > n/2 is the row of n - x reversed:
-    a step sends the mass of each such x through the row of n - x and
-    reverses that part of the result.  A step is one (2 x TILE) by
-    (TILE x width) product per built tile from the first to the last tile
-    with mass, added in tile order; the tiles outside that range would add
-    exact zeros, so the result is the same bits as over every built tile.
+    blocks of TILE consecutive states.  A tile is built whole, by one
+    ``_rows`` call, the first time any of its states carries mass, and
+    spans the union of its rows' columns, so its bits do not depend on the
+    order states were reached in.  Swapping the colours maps the chain to
+    itself, so the row of x > n/2 is the row of n - x reversed: a step sends
+    the mass of each such x through the row of n - x and reverses that part
+    of the result.  A step is one (2 x TILE) by (TILE x width) product per
+    built tile from the first to the last tile with mass (the last tile
+    holds fewer states when TILE does not divide n // 2 + 1), added in tile
+    order; the tiles outside that range would add exact zeros, so the result
+    is the same bits as over every built tile.
     """
 
     def __init__(self, params: ChainParams, trim: bool):
         self.params = params
         self.trim = trim
-        self._built = np.zeros(params.n // 2 + 1, dtype=bool)
         self._lost = np.zeros(params.n // 2 + 1)  # lost mass of each built row
-        # the first column and the (TILE, width) weights of each built tile
+        # the first column and the (TILE, width) block of each built tile
         self._tiles = [None] * (params.n // 2 // TILE + 1)
-
-    def _add_tiles(self, tiles: np.ndarray) -> None:
-        """Build the rows of every state <= n/2 in the (sorted) ``tiles``."""
-        states = (tiles[:, None] * TILE + np.arange(TILE)).ravel()
-        states = states[states <= self.params.n // 2]
-        data, cols, lengths, lost = _rows(self.params.n, self.params.k, states,
-                                          self.trim)
-        row = np.repeat(np.arange(states.size) % TILE, lengths)
-        cuts = np.cumsum(lengths)[TILE - 1:-1:TILE]  # where each tile's rows end
-        for tile, r, c, w in zip(tiles, *(np.split(a, cuts)
-                                          for a in (row, cols, data))):
-            c0 = int(c.min())
-            block = np.zeros((TILE, c.max() - c0 + 1))
-            block[r, c - c0] = w
-            self._tiles[tile] = (c0, block)
-        self._lost[states] = lost
-        self._built[states] = True
 
     def step(self, mu: FinitePmf) -> FinitePmf:
         """The law one step after ``mu``, with the rows' lost mass added."""
@@ -211,25 +189,26 @@ class _SparseKernel:
         half = n // 2
         x = mu.dense_on(0, n)
         # column 0 holds the mass of each state c <= n/2, column 1 that of
-        # its colour swap n - c (none at the middle state of an even n); the
-        # rows past n/2 pad the last tile with zeros
-        both = np.zeros((len(self._tiles) * TILE, 2))
-        both[:half + 1, 0] = x[:half + 1]
+        # its colour swap n - c (none at the middle state of an even n)
+        both = np.zeros((half + 1, 2))
+        both[:, 0] = x[:half + 1]
         both[:n - half, 1] = x[:half:-1]
         carried = np.nonzero(both.any(axis=1))[0]
-        new = carried[~self._built[carried]]
-        if new.size:
-            self._add_tiles(np.unique(new // TILE))
-        # elementwise, not BLAS: a threaded dot would leave spinning threads
-        lost = mu.lost_mass + float((both[:half + 1]
-                                     * self._lost[:, None]).sum())
         # each product is below OpenBLAS's threshold for threading
         out = np.zeros((2, n + 1))
         for tile in range(carried[0] // TILE, carried[-1] // TILE + 1):
-            if self._tiles[tile] is not None:
-                c0, block = self._tiles[tile]
-                out[:, c0:c0 + block.shape[1]] += (
-                    both[tile * TILE:(tile + 1) * TILE].T @ block)
+            part = both[tile * TILE:(tile + 1) * TILE]
+            if self._tiles[tile] is None:
+                if not part.any():
+                    continue
+                states = np.arange(tile * TILE, tile * TILE + len(part))
+                c0, block, self._lost[states] = _rows(
+                    n, self.params.k, states, self.trim)
+                self._tiles[tile] = c0, block
+            c0, block = self._tiles[tile]
+            out[:, c0:c0 + block.shape[1]] += part.T @ block
+        # elementwise, not BLAS: a threaded dot would leave spinning threads
+        lost = mu.lost_mass + float((both * self._lost[:, None]).sum())
         return _pmf.from_weights(0, out[0] + out[1, ::-1],
                                  lost_mass=min(lost, 1.0))
 
@@ -274,25 +253,27 @@ def _folded_kernels(params: ChainParams) -> tuple[np.ndarray, np.ndarray, float]
     ``(K_plus, K_minus, lost)``: with h = n // 2, a = (n + 1) // 2 and y, z
     < n/2, K_plus[y, z] = P(y, z) + P(n - y, z) for z <= h, plus the middle
     row P(h, .) at even n, and K_minus[y, z] = P(y, z) - P(n - y, z).  The
-    rows y <= h of P are those of the untrimmed ``_SparseKernel`` tiles,
-    and row n - y is row y reversed.  P's and K_minus's entries below
+    rows y <= h of P are built untrimmed by ``_rows``, TILE states at a
+    time, and row n - y is row y reversed.  P's and K_minus's entries below
     UNDERFLOW_FLOOR in magnitude are zeroed; ``lost`` bounds what that adds
     to the error of a step (see ``distance_profile``)."""
     n = params.n
     h, a = n // 2, (n + 1) // 2
-    # a kernel of its own, so that its tiles are freed with it
-    kernel = _SparseKernel(params, False)
-    kernel._add_tiles(np.arange(len(kernel._tiles)))
     rows = np.zeros((h + 1, n + 1))
-    for tile, (c0, block) in enumerate(kernel._tiles):
-        part = rows[tile * TILE:(tile + 1) * TILE]
-        part[:, c0:c0 + block.shape[1]] = block[:len(part)]
-    zeroed = _flush(rows)
+    for at in range(0, h + 1, TILE):
+        c0, block, _ = _rows(n, params.k, np.arange(at, min(at + TILE, h + 1)),
+                             False)
+        rows[at:at + len(block), c0:c0 + block.shape[1]] = block
+    # no entry is negative, so the entries zeroed are their own magnitudes
+    small = rows < UNDERFLOW_FLOOR
+    zeroed = rows.sum(axis=1, where=small)
+    rows[small] = 0.0
     mirrored = rows[:a, ::-1]  # rows n - y of the states y < n/2
     k_plus = np.empty((h + 1, h + 1))
     np.add(rows[:a, :h + 1], mirrored[:, :h + 1], out=k_plus[:a])
     k_plus[a:] = rows[h, :h + 1]  # no row at odd n
     k_minus = np.subtract(rows[:a, :a], mirrored[:, :a])
+    del rows, mirrored, small  # not held through K_minus's flush
     zeroed_minus = _flush(k_minus)
     return k_plus, k_minus, float(zeroed.max()
                                   + (zeroed[:a] + zeroed_minus).max())

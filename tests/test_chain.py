@@ -16,7 +16,7 @@ from blmix import chain
 from blmix.chain import MATRIX_GUARD, TILE, UNDERFLOW_FLOOR
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
-from blmix.pmf import FinitePmf, from_weights
+from blmix.pmf import FinitePmf, first_last, from_weights
 from oracles import (dense_kernel, enum_transition_row,
                      exact_worst_start_profile)
 
@@ -401,23 +401,65 @@ def test_sparse_kernel_step_commutes_with_colour_swap(n, trim):
     assert swapped.lost_mass == pytest.approx(out.lost_mass, rel=1e-12)
 
 
+def _row_spans(n, k, batches, trim):
+    """Each state's first column, weights on its support and lost mass, as
+    bytes, read from the blocks ``_rows`` builds over ``batches``."""
+    spans = []
+    for batch in batches:
+        c0, block, lost = chain._rows(n, k, batch, trim)
+        assert block.dtype == lost.dtype == np.float64
+        first, last = first_last(block > 0)
+        for r, (row, a, b) in enumerate(zip(block, first, last)):
+            spans.append((c0 + int(a), row[a:b + 1].tobytes(),
+                          lost[r:r + 1].tobytes()))
+    return spans
+
+
 @pytest.mark.parametrize("n,k,trim", [(5000, 1250, True), (5001, 1250, True),
                                       (20000, 5000, True), (40, 10, False),
                                       (41, 10, False), (300, 75, False),
                                       (4096, 2048, False)])
 def test_row_bytes_do_not_depend_on_the_batch(n, k, trim):
-    """The rows of the states c <= n/2 are the same bits whether built in
-    one batch, one state at a time or in a random split.  At n = 4096,
-    k = 2048 the widest rows take the FFT branch of the convolution."""
+    """The rows of the states c <= n/2 are the same bits whether built a
+    tile at a time, one state at a time or in a random split into batches
+    of at most 256 states.  At n = 4096, k = 2048 the widest rows take the
+    FFT branch of the convolution."""
     states = np.arange(n // 2 + 1)
-    whole = chain._rows(n, k, states, trim)
-    cuts = np.sort(np.random.default_rng(n).choice(
-        np.arange(1, states.size), size=min(9, states.size - 1), replace=False))
-    for batches in (np.split(states, states[1:]), np.split(states, cuts)):
-        pieces = [chain._rows(n, k, batch, trim) for batch in batches]
-        for got, want in zip((np.concatenate(p) for p in zip(*pieces)), whole):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+    sizes = np.random.default_rng(n).integers(1, min(256, states.size) + 1,
+                                              size=states.size)
+    cuts = np.cumsum(sizes)
+    tiles = np.split(states, np.arange(TILE, states.size, TILE))
+    want = _row_spans(n, k, tiles, trim)
+    for batches in (np.split(states, states[1:]),
+                    np.split(states, cuts[cuts < states.size])):
+        assert _row_spans(n, k, batches, trim) == want
+
+
+@pytest.mark.parametrize("n,k,trim", [
+    (n, k, False) for n in sorted(_TILE_EDGES) for k in (1, n // 4, n)
+] + [(5000, 1250, True), (5001, 1250, True)])
+def test_rows_block_holds_each_transition_row(n, k, trim):
+    """``_rows`` over a tile returns one dense block, the last tile's short
+    when TILE does not divide n // 2 + 1.  Row r is the transition row of
+    the tile's state r on its support and zero elsewhere, c0 is the least
+    first column of the rows, and the block's last column holds a positive
+    weight."""
+    params = ChainParams(n, k)
+    for at in range(0, n // 2 + 1, TILE):
+        states = np.arange(at, min(at + TILE, n // 2 + 1))
+        c0, block, lost = chain._rows(n, k, states, trim)
+        assert block.shape[0] == states.size
+        firsts = []
+        for r, (x, row) in enumerate(zip(states.tolist(), block)):
+            ref = transition_row(params, x, trim=trim)
+            assert ref.lo >= c0 and ref.hi < c0 + block.shape[1]
+            want = np.zeros(block.shape[1])
+            want[ref.lo - c0:ref.hi - c0 + 1] = ref.weights
+            assert row.tobytes() == want.tobytes()
+            assert lost[r] == ref.lost_mass
+            firsts.append(ref.lo)
+        assert c0 == min(firsts)
+        assert block[:, -1].max() > 0
 
 
 @pytest.mark.parametrize("n,trim", [(300, False), (301, False),
@@ -428,21 +470,22 @@ def test_sparse_kernel_step_over_rows_with_mass_is_the_full_product(n, trim):
     params = ChainParams(n, n // 4)
     kernel = chain._SparseKernel(params, trim)
     kernel.step(from_weights(0, np.ones(n + 1), normalize=True))
-    assert kernel._built.all()  # every tile is built
+    assert None not in kernel._tiles  # every tile is built
     mu = transition_row(params, 2 * n // 5, trim=trim)
     assert TILE <= mu.lo and mu.hi <= n - TILE  # state 0's tile has no mass
     out = kernel.step(mu)
 
     half = n // 2
     x = mu.dense_on(0, n)
-    both = np.zeros((len(kernel._tiles) * TILE, 2))
-    both[:half + 1, 0] = x[:half + 1]
+    both = np.zeros((half + 1, 2))
+    both[:, 0] = x[:half + 1]
     both[:n - half, 1] = x[:half:-1]
     prod = np.zeros((2, n + 1))
     for tile, (c0, block) in enumerate(kernel._tiles):
-        assert block.shape[0] == TILE and block.flags.c_contiguous
-        prod[:, c0:c0 + block.shape[1]] += (
-            both[tile * TILE:(tile + 1) * TILE].T @ block)
+        part = both[tile * TILE:(tile + 1) * TILE]
+        # the last tile holds the n // 2 + 1 - tile * TILE states left
+        assert block.shape[0] == len(part) and block.flags.c_contiguous
+        prod[:, c0:c0 + block.shape[1]] += part.T @ block
     ref = from_weights(0, prod[0] + prod[1, ::-1])
     assert out.dense_on(0, n).tobytes() == ref.dense_on(0, n).tobytes()
 
@@ -460,7 +503,7 @@ def test_state_zero_profile_ignores_build_history(n):
     chain._kernel.cache_clear()
     evolve(params, point_mass(n), t_max, trim=n > MATRIX_GUARD)
     # state n is stepped through the row of its colour swap 0
-    assert chain._kernel(params, n > MATRIX_GUARD)._built[0]
+    assert chain._kernel(params, n > MATRIX_GUARD)._tiles[0] is not None
     after = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
     assert after.d_values.tobytes() == fresh.d_values.tobytes()
     assert after.lost_mass == fresh.lost_mass
@@ -512,7 +555,9 @@ def test_evolve_from_the_top_builds_each_canonical_row_once(row_builds):
     n, k = 5000, 1250
     params = ChainParams(n, k)
     evolve(params, point_mass(n), 40, trim=True)
-    reached = np.nonzero(chain._kernel(params, True)._built)[0]
+    tiles = chain._kernel(params, True)._tiles
+    built = np.repeat([block is not None for block in tiles], TILE)
+    reached = np.nonzero(built[:n // 2 + 1])[0]
     canonical = set(np.minimum(reached, n - reached).tolist())
     assert sorted(row_builds) == sorted(canonical)
     assert sum(row_builds.values()) == len(canonical)
