@@ -236,16 +236,16 @@ def evolve(params: ChainParams, mu: FinitePmf, steps: int,
     return out
 
 
-def _flush(A: np.ndarray, mag: np.ndarray | None = None,
-           small: np.ndarray | None = None) -> np.ndarray:
-    """Zero the entries of ``A`` whose magnitude is below UNDERFLOW_FLOOR in
-    place and return each row's sum of the magnitudes zeroed.  ``mag`` and
-    ``small``, a float and a boolean array of A's shape, are used for |A|
-    and the mask in place of new ones."""
-    mag = np.abs(A, out=mag)
-    small = np.less(mag, UNDERFLOW_FLOOR, out=small)
+def _flush(A: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """Zero the entries of ``A`` whose magnitude ``mag`` is below
+    UNDERFLOW_FLOOR, in A and in ``mag``, and return each row's sum of the
+    magnitudes zeroed.  For A >= 0, ``mag`` is A itself."""
+    small = mag < UNDERFLOW_FLOOR
+    zeroed = mag.sum(axis=1, where=small)
     np.copyto(A, 0.0, where=small)
-    return mag.sum(axis=1, where=small)
+    if mag is not A:
+        np.copyto(mag, 0.0, where=small)
+    return zeroed
 
 
 def _folded_kernels(params: ChainParams) -> tuple[np.ndarray, np.ndarray, float]:
@@ -264,17 +264,14 @@ def _folded_kernels(params: ChainParams) -> tuple[np.ndarray, np.ndarray, float]
         c0, block, _ = _rows(n, params.k, np.arange(at, min(at + TILE, h + 1)),
                              False)
         rows[at:at + len(block), c0:c0 + block.shape[1]] = block
-    # no entry is negative, so the entries zeroed are their own magnitudes
-    small = rows < UNDERFLOW_FLOOR
-    zeroed = rows.sum(axis=1, where=small)
-    rows[small] = 0.0
+    zeroed = _flush(rows, rows)  # no entry of P is negative
     mirrored = rows[:a, ::-1]  # rows n - y of the states y < n/2
     k_plus = np.empty((h + 1, h + 1))
     np.add(rows[:a, :h + 1], mirrored[:, :h + 1], out=k_plus[:a])
     k_plus[a:] = rows[h, :h + 1]  # no row at odd n
     k_minus = np.subtract(rows[:a, :a], mirrored[:, :a])
-    del rows, mirrored, small  # not held through K_minus's flush
-    zeroed_minus = _flush(k_minus)
+    del rows, mirrored  # not held through K_minus's flush
+    zeroed_minus = _flush(k_minus, np.abs(k_minus))
     return k_plus, k_minus, float(zeroed.max()
                                   + (zeroed[:a] + zeroed_minus).max())
 
@@ -328,22 +325,21 @@ def distance_profile(params: ChainParams, t_max: int,
         S, V = np.eye(h + 1), np.eye(h + 1, a)
         if a == h:
             S[h, h] = 2.0  # the middle column of an even n holds 2 D_t(x, h)
-        # the loop reuses its buffers, since fresh ones would be
-        # page-faulted each step
-        S_next, gap_s = np.empty_like(S), np.empty_like(S)
-        V_next, gap_v = np.empty_like(V), np.empty_like(V)
-        small_s, small_v = np.empty(S.shape, bool), np.empty(V.shape, bool)
+        # between steps S_next and V_next are free, so the loop uses them as
+        # its scratch: V_next holds |V| with the floored entries at 0, left
+        # there by the flush (S >= 0, as S_0 = I and K_plus >= 0)
+        S_next, V_next = np.empty_like(S), np.abs(V)
         for t in range(t_max + 1):
-            np.abs(np.subtract(S, two_pi, out=gap_s), out=gap_s)
-            np.maximum(gap_s[:, :a], np.abs(V, out=gap_v), out=gap_v)
-            # gap_s[:, a:] is the middle column of an even n (none at odd n)
-            row = gap_v.sum(axis=1) + 0.5 * gap_s[:, a:].sum(axis=1)
+            gap = np.abs(np.subtract(S, two_pi, out=S_next), out=S_next)
+            np.maximum(gap[:, :a], V_next, out=V_next)
+            # gap[:, a:] is the middle column of an even n (none at odd n)
+            row = V_next.sum(axis=1) + 0.5 * gap[:, a:].sum(axis=1)
             d[t] = min(1.0, 0.5 * row.max() + lost)
             if t < t_max:
                 S, S_next = np.matmul(S, k_plus, out=S_next), S
                 V, V_next = np.matmul(V, k_minus, out=V_next), V
-                lost += lost_k + float((_flush(S, gap_s, small_s)
-                                        + _flush(V, gap_v, small_v)).max())
+                zeroed = _flush(S, S) + _flush(V, np.abs(V, out=V_next))
+                lost += lost_k + float(zeroed.max())
     else:
         if n > VECTOR_GUARD:
             raise InfeasibleSizeError(

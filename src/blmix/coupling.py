@@ -32,6 +32,7 @@ import numpy as np
 
 from .chain import ChainParams
 from .errors import InfeasibleSizeError, ParameterError
+from .pmf import as_index
 from .rng import RngStream
 from .schedule import Schedule
 
@@ -116,10 +117,11 @@ def _check_sampler(n: int) -> None:
 def coupled_step(params: ChainParams, s: CoupledState,
                  rng: RngStream) -> CoupledState:
     _check_sampler(params.n)
-    if not (0 <= s.x <= params.n and 0 <= s.y <= params.n):
+    x, y = as_index(s.x, "x"), as_index(s.y, "y")
+    if not (0 <= x <= params.n and 0 <= y <= params.n):
         raise ParameterError("coupled state outside the state space")
-    x, y = _step_arrays(params.n, params.k,
-                        np.array([s.x]), np.array([s.y]), rng.gen)
+    x, y = _step_arrays(params.n, params.k, np.array([x]), np.array([y]),
+                        rng.gen)
     return CoupledState(int(x[0]), int(y[0]))
 
 
@@ -149,6 +151,8 @@ def _worker_count(threads: int | None, chunks: int) -> int:
             threads = len(os.sched_getaffinity(0))
         except AttributeError:  # no affinity masks on this platform
             threads = os.cpu_count() or 1
+    else:
+        threads = as_index(threads, "threads")
     if threads < 1:
         raise ParameterError(f"threads must be at least 1, got {threads}")
     return min(threads, chunks)
@@ -187,6 +191,9 @@ def _survival_of_hits(params: ChainParams, x0: int, y0: int, horizon: int,
     """P(tau > t) for t = 0..horizon where tau is the first time ``hit``
     holds for the coupled pair: the survivors of every chunk over
     ``replicas``, whatever the number of ``threads``."""
+    x0, y0 = as_index(x0, "x0"), as_index(y0, "y0")
+    replicas = as_index(replicas, "replicas")
+    horizon = as_index(horizon, "horizon")
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
     if horizon < 0:
@@ -278,6 +285,8 @@ def band_excursion(schedule: Schedule, x0: int, r: float, s: int,
     """Empirical probability that a single chain leaves the band of
     half-width ``r`` about n/2 at some time in [s, s + window] where the
     window is the schedule's mixing-window length."""
+    x0, s = as_index(x0, "x0"), as_index(s, "s")
+    replicas = as_index(replicas, "replicas")
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
     if s < 0 or r <= 0:

@@ -12,7 +12,7 @@ from blmix import (ChainParams, Eigenfunction, HypergeomParams, StartPolicy,
                    hypergeom_pmf, lower_bound_certificate, make_schedule,
                    point_mass, stationary, t_mix, transition_row, tv_distance,
                    verify_moment_identities)
-from blmix import chain
+from blmix import chain, pmf
 from blmix.chain import MATRIX_GUARD, TILE, UNDERFLOW_FLOOR
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
@@ -415,24 +415,46 @@ def _row_spans(n, k, batches, trim):
     return spans
 
 
-@pytest.mark.parametrize("n,k,trim", [(5000, 1250, True), (5001, 1250, True),
-                                      (20000, 5000, True), (40, 10, False),
-                                      (41, 10, False), (300, 75, False),
-                                      (4096, 2048, False)])
-def test_row_bytes_do_not_depend_on_the_batch(n, k, trim):
-    """The rows of the states c <= n/2 are the same bits whether built a
-    tile at a time, one state at a time or in a random split into batches
-    of at most 256 states.  At n = 4096, k = 2048 the widest rows take the
-    FFT branch of the convolution."""
-    states = np.arange(n // 2 + 1)
+def _assert_rows_do_not_depend_on_the_batch(n, k, trim, states):
+    """``states``' rows are the same bits built a tile at a time, one state
+    at a time, or in a random split into batches of at most 256 states."""
     sizes = np.random.default_rng(n).integers(1, min(256, states.size) + 1,
                                               size=states.size)
     cuts = np.cumsum(sizes)
     tiles = np.split(states, np.arange(TILE, states.size, TILE))
     want = _row_spans(n, k, tiles, trim)
-    for batches in (np.split(states, states[1:]),
+    for batches in (np.split(states, np.arange(1, states.size)),
                     np.split(states, cuts[cuts < states.size])):
         assert _row_spans(n, k, batches, trim) == want
+
+
+@pytest.mark.parametrize("n,k,trim", [(5000, 1250, True), (5001, 1250, True),
+                                      (20000, 5000, True), (40, 10, False),
+                                      (41, 10, False), (300, 75, False),
+                                      (4096, 2048, False)])
+def test_row_bytes_do_not_depend_on_the_batch(n, k, trim):
+    """The rows of the states c <= n/2 do not depend on the batch they are
+    built in.  Their underflowed tails are cut before the convolution, so
+    even at n = 4096, k = 2048 every row is convolved directly."""
+    _assert_rows_do_not_depend_on_the_batch(n, k, trim, np.arange(n // 2 + 1))
+
+
+def test_fft_row_bytes_do_not_depend_on_the_batch(monkeypatch):
+    """At n = 10^5, k = 6 * 10^4 (trimmed) each of the top 256 states'
+    rows convolves two laws of about 2,190 lanes, past the direct limit, so
+    the rows built by FFT do not depend on the batch either."""
+    n, k = 100_000, 60_000
+    products = []
+    convolve = pmf.convolve
+
+    def counted(wa, wb):
+        products.append(wa.size * wb.size)
+        return convolve(wa, wb)
+
+    monkeypatch.setattr(pmf, "convolve", counted)
+    _assert_rows_do_not_depend_on_the_batch(
+        n, k, True, np.arange(n // 2 - 255, n // 2 + 1))
+    assert min(products) > pmf._DIRECT_CONV_LIMIT
 
 
 @pytest.mark.parametrize("n,k,trim", [

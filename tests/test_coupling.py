@@ -1,5 +1,6 @@
 """Shared-selection coupling: exactness oracles and Monte Carlo estimators."""
 
+import dataclasses
 import threading
 from fractions import Fraction
 
@@ -346,3 +347,51 @@ def test_band_excursion_validation():
         band_excursion(sched, 200, -1.0, 0, 100, RngStream(0, 0))
     with pytest.raises(ParameterError):
         band_excursion(sched, 200, 10.0, -1, 100, RngStream(0, 0))
+
+
+# ------------------------------------------------------------ integer inputs
+
+_P = ChainParams(100, 25)
+_SPEC = StoppingSpec(StoppingKind.TAU_COUPLE, make_schedule(100, 25, 0.25),
+                     r=1.0)
+# each integer input of the coupling entry points, in a call where 3 is valid
+_INTEGER_INPUTS = {
+    "tail-x0": lambda v: stopping_tail(_P, _SPEC, v, 99, 20,
+                                       RngStream(1, 0), 5),
+    "tail-y0": lambda v: stopping_tail(_P, _SPEC, 2, v, 20,
+                                       RngStream(1, 0), 5),
+    "tail-replicas": lambda v: stopping_tail(_P, _SPEC, 2, 99, v,
+                                             RngStream(1, 0), 5),
+    "tail-horizon": lambda v: stopping_tail(_P, _SPEC, 2, 99, 20,
+                                            RngStream(1, 0), v),
+    "tail-threads": lambda v: stopping_tail(_P, _SPEC, 2, 99, 20,
+                                            RngStream(1, 0), 5, v),
+    "step-x": lambda v: coupled_step(_P, CoupledState(v, 50), RngStream(1, 0)),
+    "step-y": lambda v: coupled_step(_P, CoupledState(50, v), RngStream(1, 0)),
+    "band-x0": lambda v: band_excursion(_SPEC.schedule, v, 10.0, 0, 20,
+                                        RngStream(1, 0)),
+    "band-s": lambda v: band_excursion(_SPEC.schedule, 50, 10.0, v, 20,
+                                       RngStream(1, 0)),
+    "band-replicas": lambda v: band_excursion(_SPEC.schedule, 50, 10.0, 0, v,
+                                              RngStream(1, 0)),
+}
+
+
+def _result_bytes(result):
+    if isinstance(result, float):
+        return np.float64(result).tobytes()
+    return [np.asarray(getattr(result, f.name)).tobytes()
+            for f in dataclasses.fields(result)]
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_INPUTS))
+def test_coupling_refuses_non_integers(name):
+    """A start of 2.5 is refused, not truncated to 2; True is not read as
+    one replica, one step or one thread; and a float that holds an integer
+    is refused as the chain's own inputs are.  A numpy integer runs as the
+    int it holds."""
+    call = _INTEGER_INPUTS[name]
+    for bad in (2.5, True, np.float64(3.0)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call(bad)
+    assert _result_bytes(call(np.int64(3))) == _result_bytes(call(3))
