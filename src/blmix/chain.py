@@ -69,7 +69,7 @@ class MixingProfile:
     def __post_init__(self):
         d = np.asarray(self.d_values, dtype=np.float64)
         object.__setattr__(self, "d_values", d)
-        if np.any(d < -MONOTONE_TOL) or np.any(d > 1 + MONOTONE_TOL):
+        if not np.all((d >= -MONOTONE_TOL) & (d <= 1 + MONOTONE_TOL)):
             raise ParameterError("distance values must lie in [0, 1]")
         if np.any(np.diff(d) > MONOTONE_TOL):
             raise ParameterError("distance profile must be non-increasing")

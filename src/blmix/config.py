@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
@@ -224,13 +225,13 @@ def lower_bound_offset(epsilon: float, lam: float) -> float:
 
 
 def _horizon(config: ExperimentConfig, sched: _schedule.Schedule,
-             length=lambda s: s.t_n + 3 * s.s_n) -> int:
+             length=lambda s: s.window_end) -> int:
     """The configured horizon, or else ``length`` of the schedule (by
-    default the end of the cutoff window, t_n + 3 s_n) rounded up.  An
-    explicit k with 0 < k/n < 1/2 is timed by its own swap fraction k/n, not
-    by lambda; only the horizon is, so bands and thresholds keep lambda's
-    schedule.  A default above MAX_HORIZON is refused: a tiny swap fraction
-    stretches t_n and s_n without bound."""
+    default the end of the cutoff window) rounded up.  An explicit k with
+    0 < k/n < 1/2 is timed by its own swap fraction k/n, not by lambda; only
+    the horizon is, so bands and thresholds keep lambda's schedule.  A
+    default above MAX_HORIZON is refused: a tiny swap fraction stretches t_n
+    and s_n without bound."""
     if config.horizon is not None:
         return config.horizon
     if config.k_rule == "explicit" and 0 < 2 * sched.k < sched.n:
@@ -244,132 +245,103 @@ def _horizon(config: ExperimentConfig, sched: _schedule.Schedule,
     return horizon
 
 
-def _resolve_policy(config: ExperimentConfig, n: int) -> StartPolicy:
+def _profile(config, n, k, sched) -> _chain.MixingProfile:
+    """d(t) to 10 steps past the cutoff window, from every state under the
+    ``auto`` policy at n <= 512 and from state 0 above it."""
     policy = config.start_policy
     if policy == "auto":
         policy = "all_states" if n <= 512 else "state_zero"
-    return StartPolicy(policy)
+    horizon = _horizon(config, sched, lambda s: s.window_end + 10)
+    return _chain.distance_profile(ChainParams(n, k), horizon,
+                                   StartPolicy(policy))
 
 
-def _profile_for(config: ExperimentConfig, n: int) -> tuple[int, _chain.MixingProfile]:
-    k = config.k_for(n)
-    sched = _schedule.make_schedule(n, k, config.lam)
-    policy = _resolve_policy(config, n)
-    horizon = _horizon(config, sched, lambda s: s.t_n + 3 * s.s_n + 10)
-    return k, _chain.distance_profile(ChainParams(n, k), horizon, policy)
+def _mix_times(config, n, k, sched):
+    """(epsilon, t_mix(epsilon), t_mix(1 - epsilon)) for each epsilon."""
+    prof = _profile(config, n, k, sched)
+    for eps in config.epsilons:
+        yield eps, _chain.t_mix(prof, eps), _chain.t_mix(prof, 1.0 - eps)
 
 
-def _run_schedule(config, threads):
-    rows = []
-    for n in config.n_grid:
-        s = _schedule.make_schedule(n, config.k_for(n), config.lam)
-        rows.append((s.n, s.k, s.lam, s.delta_n, s.t_n, s.s_n, s.p_lambda, s.r_n))
-    return ("n", "k", "lambda", "delta_n", "t_n", "s_n", "p_lambda", "r_n"), rows
+def _schedule_rows(config, n, k, s, threads):
+    yield s.n, s.k, s.lam, s.delta_n, s.t_n, s.s_n, s.p_lambda, s.r_n
 
 
-def _run_profile(config, threads):
-    rows = []
-    for n in config.n_grid:
-        k, prof = _profile_for(config, n)
-        for t, d in enumerate(prof.d_values):
-            rows.append((n, k, config.lam, t, float(d),
-                         prof.start_policy.value, prof.lost_mass))
-    return ("n", "k", "lambda", "t", "d_of_t", "start_policy", "lost_mass"), rows
+def _profile_rows(config, n, k, sched, threads):
+    prof = _profile(config, n, k, sched)
+    for t, d in enumerate(prof.d_values):
+        yield (n, k, config.lam, t, float(d), prof.start_policy.value,
+               prof.lost_mass)
 
 
-def _run_mixtime(config, threads):
-    rows = []
-    for n in config.n_grid:
-        k, prof = _profile_for(config, n)
-        sched = _schedule.make_schedule(n, k, config.lam)
-        for eps in config.epsilons:
-            tm = _chain.t_mix(prof, eps)
-            tm_c = _chain.t_mix(prof, 1.0 - eps)
-            c_eps = lower_bound_offset(eps, config.lam)
-            rows.append((n, k, config.lam, eps, tm, tm_c, sched.t_n, sched.s_n,
-                         c_eps, tm >= sched.t_n - c_eps,
-                         tm <= sched.t_n + 3 * sched.s_n + 1))
-    return ("n", "k", "lambda", "epsilon", "t_mix", "t_mix_complement",
-            "t_n", "s_n", "c_eps", "lower_ok", "upper_ok"), rows
+def _mixtime_rows(config, n, k, sched, threads):
+    for eps, tm, tm_c in _mix_times(config, n, k, sched):
+        c_eps = lower_bound_offset(eps, config.lam)
+        yield (n, k, config.lam, eps, tm, tm_c, sched.t_n, sched.s_n, c_eps,
+               tm >= sched.t_n - c_eps, tm <= sched.window_end + 1)
 
 
-def _run_sweep(config, threads):
-    rows = []
-    for n in config.n_grid:
-        k, prof = _profile_for(config, n)
-        for eps in config.epsilons:
-            tm = _chain.t_mix(prof, eps)
-            tm_c = _chain.t_mix(prof, 1.0 - eps)
-            ratio = tm / tm_c if tm_c > 0 else None
-            rows.append((n, k, config.lam, eps, tm, tm_c, ratio))
-    return ("n", "k", "lambda", "epsilon", "t_mix_eps", "t_mix_complement",
-            "cutoff_ratio"), rows
+def _sweep_rows(config, n, k, sched, threads):
+    for eps, tm, tm_c in _mix_times(config, n, k, sched):
+        yield (n, k, config.lam, eps, tm, tm_c,
+               tm / tm_c if tm_c > 0 else None)
 
 
-def _run_coupling(config, threads):
-    rows = []
-    for n in config.n_grid:
-        k = config.k_for(n)
-        params = ChainParams(n, k)
-        sched = _schedule.make_schedule(n, k, config.lam)
-        x0 = config.x0 if config.x0 is not None else 0
-        y0 = config.y0 if config.y0 is not None else n
-        # tau_couple has no band, so any positive kappa serves it
-        kappa = {"tau1": config.kappa1, "tau3": config.kappa3,
-                 "tau4": config.kappa4}.get(config.kind, 10.0)
-        spec = StoppingSpec(StoppingKind(config.kind), sched, kappa, config.r)
-        horizon = _horizon(config, sched, lambda s: _coupling.default_horizon(
-            dataclasses.replace(spec, schedule=s)))
-        est = _coupling.stopping_tail(params, spec, x0, y0, config.replicas,
-                                      RngStream(config.master_seed, 1),
-                                      horizon, threads)
-        for i, t in enumerate(est.t_grid):
-            rows.append((n, k, config.kind, int(t),
-                         float(est.empirical_survival[i]),
-                         float(est.ci_halfwidth[i]),
-                         float(est.theoretical_bound[i])))
-    return ("n", "k", "kind", "t", "empirical_survival", "ci_halfwidth",
-            "theoretical_bound"), rows
+def _coupling_rows(config, n, k, sched, threads):
+    # tau_couple has no band, so any positive kappa serves it
+    kappa = {"tau1": config.kappa1, "tau3": config.kappa3,
+             "tau4": config.kappa4}.get(config.kind, 10.0)
+    spec = StoppingSpec(StoppingKind(config.kind), sched, kappa, config.r)
+    horizon = _horizon(config, sched, lambda s: _coupling.default_horizon(
+        dataclasses.replace(spec, schedule=s)))
+    x0 = config.x0 if config.x0 is not None else 0
+    y0 = config.y0 if config.y0 is not None else n
+    est = _coupling.stopping_tail(ChainParams(n, k), spec, x0, y0,
+                                  config.replicas,
+                                  RngStream(config.master_seed, 1), horizon,
+                                  threads)
+    for t, surv, halfwidth, bound in zip(
+            est.t_grid, est.empirical_survival, est.ci_halfwidth,
+            est.theoretical_bound):
+        yield (n, k, config.kind, int(t), float(surv), float(halfwidth),
+               float(bound))
 
 
-def _run_approx(config, threads):
-    rows = []
-    for n in config.n_grid:
-        k = config.k_for(n)
-        ell = config.ell if config.ell is not None else n // 2
-        x0 = config.x0 if config.x0 is not None else n // 2
-        y0 = config.y0 if config.y0 is not None else n // 2 + int(n ** 0.25)
-        ap = _approx.ApproxParams(n, k, ell)
-        dec = _approx.one_step_tv(ChainParams(n, k), x0, y0)
-        rows.append((n, k, ell, x0, y0,
-                     _approx.hyper_vs_dnormal_tv(n, k, ell),
-                     _approx.normalization_constant(ap),
-                     dec.shift_term, dec.center_term, dec.total_bound,
-                     dec.exact_tv))
-    return ("n", "k", "ell", "x0", "y0", "tv_hyper_dn", "norm_const",
-            "shift_term", "center_term", "total_bound", "exact_tv"), rows
+def _approx_rows(config, n, k, sched, threads):
+    ell = config.ell if config.ell is not None else n // 2
+    x0 = config.x0 if config.x0 is not None else n // 2
+    y0 = config.y0 if config.y0 is not None else n // 2 + int(n ** 0.25)
+    dec = _approx.one_step_tv(ChainParams(n, k), x0, y0)
+    yield (n, k, ell, x0, y0, _approx.hyper_vs_dnormal_tv(n, k, ell),
+           _approx.normalization_constant(_approx.ApproxParams(n, k, ell)),
+           dec.shift_term, dec.center_term, dec.total_bound, dec.exact_tv)
 
 
-def _run_lowerbound(config, threads):
-    rows = []
-    for n in config.n_grid:
-        k = config.k_for(n)
-        sched = _schedule.make_schedule(n, k, config.lam)
-        params = ChainParams(n, k)
-        for t in range(_horizon(config, sched) + 1):
-            rows.append((n, k, config.lam, t,
-                         _chain.lower_bound_certificate(params, t)))
-    return ("n", "k", "lambda", "t", "certified_bound"), rows
+def _lowerbound_rows(config, n, k, sched, threads):
+    params = ChainParams(n, k)
+    for t in range(_horizon(config, sched) + 1):
+        yield n, k, config.lam, t, _chain.lower_bound_certificate(params, t)
 
 
-_RUNNERS = {
-    "schedule": _run_schedule,
-    "profile": _run_profile,
-    "mixtime": _run_mixtime,
-    "sweep": _run_sweep,
-    "coupling": _run_coupling,
-    "approx": _run_approx,
-    "lowerbound": _run_lowerbound,
+# each experiment's columns, and the function yielding its rows at one n
+# from (config, n, k, schedule, threads)
+_TABLE = {
+    "schedule": (("n", "k", "lambda", "delta_n", "t_n", "s_n", "p_lambda",
+                  "r_n"), _schedule_rows),
+    "profile": (("n", "k", "lambda", "t", "d_of_t", "start_policy",
+                 "lost_mass"), _profile_rows),
+    "mixtime": (("n", "k", "lambda", "epsilon", "t_mix", "t_mix_complement",
+                 "t_n", "s_n", "c_eps", "lower_ok", "upper_ok"),
+                _mixtime_rows),
+    "sweep": (("n", "k", "lambda", "epsilon", "t_mix_eps", "t_mix_complement",
+               "cutoff_ratio"), _sweep_rows),
+    "coupling": (("n", "k", "kind", "t", "empirical_survival", "ci_halfwidth",
+                  "theoretical_bound"), _coupling_rows),
+    "approx": (("n", "k", "ell", "x0", "y0", "tv_hyper_dn", "norm_const",
+                "shift_term", "center_term", "total_bound", "exact_tv"),
+               _approx_rows),
+    "lowerbound": (("n", "k", "lambda", "t", "certified_bound"),
+                   _lowerbound_rows),
 }
 
 
@@ -377,11 +349,20 @@ def run(config: ExperimentConfig, threads: int | None = None) -> ResultRecord:
     """Execute the configured experiment.  ``threads`` sets the worker
     threads of the coupling Monte Carlo (default: the CPUs available); it is
     not part of the config, since the results do not depend on it."""
-    columns, rows = _RUNNERS[config.experiment](config, threads)
+    columns, rows_at = _TABLE[config.experiment]
     digest = config.digest
-    columns = columns + ("config_digest",)
-    rows = tuple(tuple(r) + (digest,) for r in rows)
-    return ResultRecord(config.experiment, digest, columns, rows)
+    rows = []
+    for n in config.n_grid:
+        k = config.k_for(n)
+        # approx is not timed by lambda, which only sets its k, so it takes
+        # no schedule: make_schedule refuses a lambda so small that
+        # 1 - 2 lambda rounds to 1
+        sched = (None if config.experiment == "approx"
+                 else _schedule.make_schedule(n, k, config.lam))
+        rows.extend(row + (digest,)
+                    for row in rows_at(config, n, k, sched, threads))
+    return ResultRecord(config.experiment, digest,
+                        columns + ("config_digest",), tuple(rows))
 
 
 def format_value(v) -> str:
@@ -447,16 +428,14 @@ def parse_json(text: str) -> ResultRecord:
                         columns=header, rows=rows)
 
 
-def emit(record: ResultRecord, output_dir, formats=("csv", "json")) -> list[str]:
-    """Write one file per requested format, named by experiment and digest."""
-    import os
-
+def emit(record: ResultRecord, output_dir) -> list[str]:
+    """Write the record as CSV and as JSON, each file named by experiment
+    and digest."""
     paths = []
-    renderers = {"csv": render_csv, "json": render_json}
-    for fmt in formats:
-        name = f"{record.experiment}-{record.config_digest}.{fmt}"
-        path = os.path.join(output_dir, name)
+    for fmt, render in (("csv", render_csv), ("json", render_json)):
+        path = os.path.join(output_dir,
+                            f"{record.experiment}-{record.config_digest}.{fmt}")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(renderers[fmt](record))
+            fh.write(render(record))
         paths.append(path)
     return paths

@@ -68,9 +68,10 @@ class StoppingSpec:
     r: float | None = None  # distance threshold, tau_couple only
 
     def __post_init__(self):
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ParameterError("kappa must be positive")
-        if self.kind is StoppingKind.TAU_COUPLE and (self.r is None or self.r <= 0):
+        if (self.kind is StoppingKind.TAU_COUPLE
+                and (self.r is None or not self.r > 0)):
             raise ParameterError("tau_couple requires a positive r")
 
 
@@ -251,7 +252,7 @@ def _hit_predicate(spec: StoppingSpec) -> Callable[[np.ndarray, np.ndarray], np.
 def default_horizon(spec: StoppingSpec) -> int:
     """The default horizon of a stopping time's tail, rounded up."""
     sched = spec.schedule
-    return math.ceil({StoppingKind.TAU_COUPLE: sched.t_n + 3 * sched.s_n,
+    return math.ceil({StoppingKind.TAU_COUPLE: sched.window_end,
                       StoppingKind.TAU1: sched.t_n,
                       StoppingKind.TAU3: sched.s_n,
                       StoppingKind.TAU4: 2.0 * sched.s_n}[spec.kind])
@@ -289,9 +290,11 @@ def band_excursion(schedule: Schedule, x0: int, r: float, s: int,
     replicas = as_index(replicas, "replicas")
     if replicas < 1:
         raise ParameterError("replicas must be at least 1")
-    if s < 0 or r <= 0:
+    if s < 0 or not r > 0:
         raise ParameterError("s must be nonnegative and r positive")
     n, k = schedule.n, schedule.k
+    if not 0 <= x0 <= n:
+        raise ParameterError(f"starting state {x0} outside [0, {n}]")
     _check_sampler(n)
     horizon = s + math.ceil(schedule.s_n)
     gen = rng.gen

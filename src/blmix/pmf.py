@@ -40,14 +40,14 @@ class FinitePmf:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size == 0:
             raise ParameterError("weights must be a non-empty 1-d array")
-        if np.any(w < 0):
+        if not np.all(w >= 0):
             raise ParameterError("weights must be nonnegative")
         if w[0] == 0 or w[-1] == 0:
             raise ParameterError("weights must be trimmed (positive endpoints)")
-        if self.lost_mass < 0:
+        if not self.lost_mass >= 0:
             raise ParameterError("lost_mass must be nonnegative")
         total = float(w.sum()) + self.lost_mass
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise ParameterError(f"weights + lost_mass sum to {total}, not 1")
         w.setflags(write=False)
 
@@ -138,7 +138,7 @@ def from_weights(offset: int, weights, lost_mass: float = 0.0,
     w = np.asarray(weights, dtype=np.float64)
     if normalize:
         s = w.sum()
-        if s <= 0:
+        if not s > 0:
             raise ParameterError("cannot normalize nonpositive weights")
         w = w * ((1.0 - lost_mass) / s)
     nz = np.nonzero(w > 0)[0]
@@ -322,7 +322,7 @@ def lost_either(la, lb):
 def hoeffding_tail(params: HypergeomParams, deviation: float) -> float:
     """Two-sided exponential tail bound 2*exp(-2*draws*deviation^2) for the
     draw fraction deviating by more than ``deviation``.  May exceed 1."""
-    if deviation < 0:
+    if not deviation >= 0:
         raise ParameterError("deviation must be nonnegative")
     return 2.0 * math.exp(-2.0 * params.draws * deviation * deviation)
 

@@ -31,6 +31,12 @@ class Schedule:
     def params(self) -> ChainParams:
         return ChainParams(self.n, self.k)
 
+    @property
+    def window_end(self) -> float:
+        """The end of the cutoff window, t_n + 3 s_n, from which the
+        experiments take their default horizons."""
+        return self.t_n + 3 * self.s_n
+
 
 def make_schedule(n: int, k: int, lam: float) -> Schedule:
     if n < 3:

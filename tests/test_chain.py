@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blmix import (ChainParams, Eigenfunction, HypergeomParams, StartPolicy,
-                   difference_law, distance_profile, eigen_eval, evolve,
-                   hypergeom_pmf, lower_bound_certificate, make_schedule,
-                   point_mass, stationary, t_mix, transition_row, tv_distance,
-                   verify_moment_identities)
+from blmix import (ChainParams, Eigenfunction, HypergeomParams, MixingProfile,
+                   StartPolicy, difference_law, distance_profile, eigen_eval,
+                   evolve, hypergeom_pmf, lower_bound_certificate,
+                   make_schedule, point_mass, stationary, t_mix,
+                   transition_row, tv_distance, verify_moment_identities)
 from blmix import chain, pmf
 from blmix.chain import MATRIX_GUARD, TILE, UNDERFLOW_FLOOR
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
@@ -206,6 +206,15 @@ def test_t_mix_horizon_exceeded():
         t_mix(profile, 0.01)
     assert err.value.t_max == 1
     assert 0 < err.value.d_last <= 1
+
+
+def test_mixing_profile_validation():
+    """A distance outside [0, 1], NaN included, or a rising profile is
+    refused."""
+    for d in ([1.5], [0.5, -0.1], [1.0, np.nan], [np.nan], [0.5, 0.9]):
+        with pytest.raises(ParameterError):
+            MixingProfile(ChainParams(4, 1), StartPolicy.ALL_STATES,
+                          np.array(d))
 
 
 def test_profile_monotone_and_bounded():

@@ -365,6 +365,36 @@ def test_cli_explicit_k_coupling_horizon_follows_k_over_n(tmp_path, kind,
     assert [row[3] for row in rows] == list(range(steps))  # the t column
 
 
+def test_cli_auto_start_policy_switches_above_512(tmp_path):
+    """The auto start policy runs the profile from every state up to
+    n = 512 and from state 0 above it, and the start_policy column says
+    which."""
+    cfg = write_config(tmp_path, json.dumps({
+        "experiment": "profile", "n_grid": [512, 513], "lambda": 0.25,
+        "horizon": 2, "output_dir": str(tmp_path)}))
+    assert main(["profile", "--config", cfg]) == 0
+    rows = parse_csv(read_output(tmp_path).decode()).rows
+    assert sorted({(row[0], row[5]) for row in rows}) == [
+        (512, "all_states"), (513, "state_zero")]
+
+
+def test_cli_approx_takes_no_schedule(tmp_path):
+    """approx is not timed by lambda, which only sets its k: under an
+    explicit k, a lambda so small that 1 - 2 lambda rounds to 1 (which the
+    schedule refuses) writes the rows that lambda = 1/4 writes."""
+    bodies = set()
+    for lam in (1e-300, 0.25):
+        out = tmp_path / str(lam)
+        out.mkdir()
+        cfg = write_config(out, json.dumps({
+            "experiment": "approx", "n": 1000, "lambda": lam,
+            "k_rule": "explicit", "k": 250, "output_dir": str(out)}))
+        assert main(["approx", "--config", cfg]) == 0
+        lines = read_output(out).decode().split("\r\n")
+        bodies.add(tuple(line.rsplit(",", 1)[0] for line in lines))
+    assert len(bodies) == 1
+
+
 def test_cli_largest_n(tmp_path):
     """n = 2**53 is the largest n a config may give: the closed forms run at
     it, and the exact profile refuses it as an infeasible size."""

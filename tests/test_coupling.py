@@ -289,10 +289,12 @@ def test_survival_reproducible():
 
 def test_stopping_spec_validation():
     sched = make_schedule(400, 100, 0.25)
-    with pytest.raises(ParameterError):
-        StoppingSpec(StoppingKind.TAU1, sched, kappa=0.0)
-    with pytest.raises(ParameterError):
-        StoppingSpec(StoppingKind.TAU_COUPLE, sched)
+    for kappa in (0.0, np.nan):
+        with pytest.raises(ParameterError):
+            StoppingSpec(StoppingKind.TAU1, sched, kappa=kappa)
+    for r in (None, 0.0, np.nan):
+        with pytest.raises(ParameterError):
+            StoppingSpec(StoppingKind.TAU_COUPLE, sched, r=r)
 
 
 def test_default_horizons():
@@ -342,11 +344,13 @@ def test_band_excursion_trivial_and_monotone():
 
 
 def test_band_excursion_validation():
+    """A threshold r that is not positive (NaN included), a negative s and
+    a start outside [0, n] are refused."""
     sched = make_schedule(400, 100, 0.25)
-    with pytest.raises(ParameterError):
-        band_excursion(sched, 200, -1.0, 0, 100, RngStream(0, 0))
-    with pytest.raises(ParameterError):
-        band_excursion(sched, 200, 10.0, -1, 100, RngStream(0, 0))
+    for x0, r, s in ((200, -1.0, 0), (200, np.nan, 0), (200, 10.0, -1),
+                     (-5, 10.0, 0), (401, 10.0, 0), (1000, 10.0, 0)):
+        with pytest.raises(ParameterError):
+            band_excursion(sched, x0, r, s, 100, RngStream(0, 0))
 
 
 # ------------------------------------------------------------ integer inputs

@@ -32,6 +32,11 @@ def test_finite_pmf_validation():
         FinitePmf(0, np.array([0.0, 1.0]))  # untrimmed leading zero
     with pytest.raises(ParameterError):
         FinitePmf(0, np.array([0.3, 0.3]))  # does not sum to 1
+    for bad in (lambda: FinitePmf(0, np.array([np.nan])),
+                lambda: FinitePmf(0, np.array([1.0]), np.nan),
+                lambda: from_weights(0, [0.5, np.nan, 0.5])):
+        with pytest.raises(ParameterError):
+            bad()
     p = FinitePmf(2, np.array([0.25, 0.5, 0.25]))
     assert (p.lo, p.hi) == (2, 4)
     assert p.prob(3) == 0.5 and p.prob(99) == 0.0
@@ -279,6 +284,9 @@ def test_hoeffding_examples():
     grid = np.linspace(0.01, 0.5, 20)
     values = [hoeffding_tail(params, d) for d in grid]
     assert np.all(np.diff(values) < 0)
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ParameterError):
+            hoeffding_tail(HypergeomParams(10, 5, 4), bad)
 
 
 # ----------------------------------------------------------------- sampling
