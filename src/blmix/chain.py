@@ -26,6 +26,9 @@ MONOTONE_TOL = 1e-12
 # above it is a normal double, so the dense matmul never meets a subnormal
 UNDERFLOW_FLOOR = 2.0**-510
 TILE = 32  # consecutive states whose rows are built and stored as one block
+_MODES = 64  # Hahn modes the all-states row bound sums one by one
+_U = 2.0**-53  # unit roundoff of a double
+_TINY = 2.0**-1022  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -276,6 +279,163 @@ def _folded_kernels(params: ChainParams) -> tuple[np.ndarray, np.ndarray, float]
                                   + (zeroed[:a] + zeroed_minus).max())
 
 
+def _folded_distances(k_plus: np.ndarray, k_minus: np.ndarray,
+                      two_pi: np.ndarray, lost_k: float, rows: np.ndarray):
+    """Evolve the starts x < rows[t] through ``_folded_kernels``' halves at
+    t = 0, 1, ..., len(rows) - 1, where ``rows`` never grows: ``(dist,
+    lost)``, with dist[t] the largest distance of those starts at step t and
+    lost[t] the bound so far on what the floor put into it (see
+    ``distance_profile``), not included in dist[t]."""
+    h, a = len(k_plus) - 1, len(k_minus)
+    S, V = np.eye(rows[0], h + 1), np.eye(rows[0], a)
+    if a == h and rows[0] > h:
+        S[h, h] = 2.0  # the middle column of an even n holds 2 D_t(x, h)
+    # between steps S_next and V_next are free, so the loop uses them as
+    # its scratch: V_next holds |V| with the floored entries at 0, left
+    # there by the flush (S >= 0, as S_0 = I and K_plus >= 0).  A step
+    # writes the products of the rows it keeps into leading-row views
+    S_next, V_next = np.empty_like(S), np.abs(V)
+    dist, lost = np.empty(len(rows)), np.zeros(len(rows))
+    for t, r in enumerate(rows):
+        gap = np.abs(np.subtract(S[:r], two_pi, out=S_next[:r]), out=S_next[:r])
+        mag = np.maximum(gap[:, :a], V_next[:r], out=V_next[:r])
+        # gap[:, a:] is the middle column of an even n (none at odd n)
+        dist[t] = 0.5 * (mag.sum(axis=1) + 0.5 * gap[:, a:].sum(axis=1)).max()
+        if t + 1 < len(rows):
+            r = rows[t + 1]
+            S, S_next = np.matmul(S[:r], k_plus, out=S_next[:r]), S
+            V, V_next = np.matmul(V[:r], k_minus, out=V_next[:r]), V
+            zeroed = _flush(S, S) + _flush(V, np.abs(V, out=V_next[:r]))
+            lost[t + 1] = lost[t] + (lost_k + float(zeroed.max()))
+    return dist, lost
+
+
+def _gamma(m: int) -> float:
+    """m u / (1 - m u): the relative rounding error of a sum of m products
+    of doubles, in any order."""
+    return m * _U / (1.0 - m * _U)
+
+
+def _hahn(n: int, x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q_i(x) for i = 0..top (top <= n), each with a bound on its rounding
+    error: ``(q, err)``, of shape (top + 1,) + x.shape.
+
+    Q_i(x) = 3F2(-i, i-2n-1, -x; -n, -n; 1) is the Hahn polynomial of the
+    Johnson scheme J(2n, n), which this chain lumps: the chain's eigenvalues
+    are beta_i = Q_i(k), with eigenvector Q_i(.), and d_i = C(2n, i) -
+    C(2n, i-1) is the multiplicity of beta_i in the scheme.  From Q_0 = 1
+    the three-term recurrence
+        A_i Q_{i+1} = (n/2 - x) Q_i - C_i Q_{i-1},
+    A_i = (2n+1-i)(n-i) / (2(2n+1-2i)), C_i = i(n+1-i) / (2(2n+1-2i)),
+    runs vectorised over x.  n/2 - x is exact; a step rounds A_i, C_i, the
+    products a = (n/2 - x) Q_i and b = C_i Q_{i-1}, their difference and
+    the quotient, so it adds at most 5u (|a| + |b|) / A_i to the errors it
+    carries, to first order (6u here, which covers the higher orders).
+    Q_i is a spherical function, |Q_i(x)| <= 1 at every state, so the error
+    is also at most |q| + 1: that cap keeps the bound finite where the
+    recurrence is unstable (k near 0 or n and large i)."""
+    q = np.zeros((top + 1,) + x.shape)  # q[-1] = 0 stands for Q_{-1}
+    err = np.zeros_like(q)
+    q[0] = 1.0
+    shift = n / 2 - x
+    for i in range(top):
+        den = 2.0 * (2 * n + 1 - 2 * i)
+        c, big_a = i * (n + 1 - i) / den, (2 * n + 1 - i) * (n - i) / den
+        a, b = shift * q[i], c * q[i - 1]
+        q[i + 1] = (a - b) / big_a
+        err[i + 1] = np.minimum(
+            (abs(shift) * err[i] + c * err[i - 1] + 6 * _U * (abs(a) + abs(b)))
+            / big_a, abs(q[i + 1]) + 1.0)
+    return q, err
+
+
+def _log_binomials(m: int, top: int) -> np.ndarray:
+    """log C(m, j) for j = 0..top, as cumulative sums of log((m-j+1)/j)."""
+    j = np.arange(1.0, top + 1)
+    return np.concatenate(([0.0], np.cumsum(np.log((m - j + 1) / j))))
+
+
+def _row_bounds(params: ChainParams, t_max: int) -> np.ndarray:
+    """log B_x(t) for t = 0..t_max (rows) and the starts x <= n/2
+    (columns), where B_x(t) bounds the distance d_x(t) from start x.
+
+    The chi-square distance of P^t(x, .) from pi is sum_{i>=1} d_i
+    beta_i^(2t) Q_i(x)^2 (see ``_hahn``), and d_x(t) is at most half its
+    square root.  The modes i <= I = min(_MODES, n) are summed one by one,
+    with |Q_i(x)| and |beta_i| each raised by its rounding bound (but not
+    above 1).  By completeness, sum_{i>=0} d_i Q_i(x)^2 = 1/pi(x), so the
+    modes i > I add at most beta*^(2t) (1/pi(x) - 1), with beta* the
+    largest raised |beta_i| over i > I.  That holds however inaccurate the
+    Q_i(x) of high degree are, as none of them is used.  log d_i and
+    log 1/pi(x) = log C(2n, n) - 2 log C(n, x) are cumulative sums of log
+    ratios, and the modes are summed in log scale, each row's exponents
+    shifted by their largest."""
+    n, k, h = params.n, params.k, params.n // 2
+    top = min(_MODES, n)
+    beta, err = _hahn(n, np.float64(k), n)
+    beta = np.clip(np.abs(beta) + err, _TINY, 1.0)
+    # the raised |Q_i(x)| squared, in place: these tables are the largest
+    # arrays here, and copies of them raise the profile's peak RSS
+    q, err = _hahn(n, np.arange(h + 1.0), top)
+    q = np.abs(q[1:], out=q[1:])
+    q += err[1:]
+    del err
+    np.minimum(q, 1.0, out=q)
+    q *= q
+    log_c = _log_binomials(2 * n, n)
+    i = np.arange(1.0, top + 1)
+    log_d = log_c[1:top + 1] + np.log1p(-i / (2 * n - i + 1))
+    log_tail = log_c[n] - 2.0 * _log_binomials(n, h)  # log 1/pi(x)
+    log_tail += np.log1p(-np.exp(-log_tail))  # log (1/pi(x) - 1)
+    t = np.arange(t_max + 1.0)[:, None]
+    w = log_d + 2.0 * t * np.log(beta[1:top + 1])
+    w_top = w.max(axis=1, keepdims=True)
+    log_b = np.log(np.maximum(np.exp(w - w_top) @ q, _TINY))  # the head
+    log_b += w_top
+    np.logaddexp(log_b, log_tail + 2.0 * t * np.log(
+        beta[top + 1:].max(initial=_TINY)), out=log_b)
+    log_b *= 0.5
+    log_b += math.log(0.5)
+    return log_b
+
+
+def _rows_kept(params: ChainParams, d0: np.ndarray,
+               lost0: np.ndarray) -> np.ndarray:
+    """The number of leading starts the all-states loop keeps at each step
+    t = 0..len(d0) - 1, given ``_folded_distances`` of start 0 alone.
+
+    Start x leaves from step t on once B_x(t')(1 + rho) < d0(t') - sigma(t')
+    for every t' >= t (``_row_bounds``).  sigma(t) bounds how far d0(t)
+    lies above the exact distance from 0, so the exact d_x(t') then lies
+    below the exact d_0(t') <= d(t') at every later step: dropping x leaves
+    the maximum as it is.  With gamma = _gamma(h + 2), sigma(t) is
+    - lost0(t), for the floor;
+    - gamma sum_{t'<t} (1/2 + d0(t')), for the products: entrywise a
+      product errs by at most gamma |S| |K|, K_plus and |K_minus| do not
+      raise the row norms of ``distance_profile``, and |s|_+ = 1 and
+      |v|_- <= 2 d_0, so a step adds at most gamma (1/2 + d_0) to the
+      distance;
+    - gamma d0(t), for the distance pass, a sum of at most h + 1 terms;
+    - gamma, for the rounding of pi itself (whose L1 error a test checks).
+    rho bounds the relative rounding error of B: each exponent summed in
+    ``_row_bounds`` gathers at most 6n + 12 rounded terms and partial sums,
+    all at most M = 2n log 2 + 2(t_max + 2) 745.2 in magnitude (log C(2n, n)
+    <= 2n log 2, and no positive double has a log beyond 745.2), and the
+    modes are summed by a product of _MODES + 1 terms at most."""
+    n, h, t_max = params.n, params.n // 2, len(d0) - 1
+    gamma = _gamma(h + 2)
+    spent = np.concatenate(([0.0], np.cumsum(0.5 + d0[:-1])))
+    floor = d0 - lost0 - gamma * (1.0 + d0 + spent)
+    log_floor = np.log(floor, out=np.full_like(floor, -np.inf),
+                       where=floor > 0)
+    big = 2 * n * math.log(2) + 2 * (t_max + 2) * 745.2
+    rho = (6 * n + 12) * _U * (big + 1) + _gamma(_MODES + 4)
+    stay = _row_bounds(params, t_max) + math.log1p(rho) >= log_floor[:, None]
+    stay[:, 0] = True  # row 0 is never dropped, so rows never reaches 0
+    stay = np.logical_or.accumulate(stay[::-1])[::-1]
+    return h + 1 - stay[:, ::-1].argmax(axis=1)
+
+
 def distance_profile(params: ChainParams, t_max: int,
                      start_policy: StartPolicy = StartPolicy.ALL_STATES) -> MixingProfile:
     """Worst-case (or from-zero) total variation to stationarity for
@@ -307,39 +467,31 @@ def distance_profile(params: ChainParams, t_max: int,
     of it at the middle row, which |.|_+ weighs by 1/2); that sum plus the
     magnitudes zeroed from row y of K_minus, largest over y, for K_minus;
     and the magnitudes zeroed from the row of S and of V.
+
+    Only the starts near 0 can attain the maximum once the chain has moved,
+    so a first pass evolves row 0 alone, and ``_rows_kept`` then certifies,
+    from the chain's spectrum, which starts stay below it from each step
+    on.  Step t multiplies only the leading r_t rows of S and V, r_t never
+    growing, and ``lost_mass`` is taken over those rows.
     """
     if as_index(t_max, "t_max") < 0:
         raise ParameterError("t_max must be nonnegative")
     n = params.n
     d = np.empty(t_max + 1)
-    lost = 0.0
     # each branch refuses an oversized n before it builds anything of size n
     if start_policy is StartPolicy.ALL_STATES:
         if n > MATRIX_GUARD:
             raise InfeasibleSizeError(
                 f"all-states profile refused for n={n} > {MATRIX_GUARD}; "
                 "the state-zero start policy scales further")
-        h, a = n // 2, (n + 1) // 2
         k_plus, k_minus, lost_k = _folded_kernels(params)
-        two_pi = 2.0 * stationary(params).dense_on(0, n)[:h + 1]
-        S, V = np.eye(h + 1), np.eye(h + 1, a)
-        if a == h:
-            S[h, h] = 2.0  # the middle column of an even n holds 2 D_t(x, h)
-        # between steps S_next and V_next are free, so the loop uses them as
-        # its scratch: V_next holds |V| with the floored entries at 0, left
-        # there by the flush (S >= 0, as S_0 = I and K_plus >= 0)
-        S_next, V_next = np.empty_like(S), np.abs(V)
-        for t in range(t_max + 1):
-            gap = np.abs(np.subtract(S, two_pi, out=S_next), out=S_next)
-            np.maximum(gap[:, :a], V_next, out=V_next)
-            # gap[:, a:] is the middle column of an even n (none at odd n)
-            row = V_next.sum(axis=1) + 0.5 * gap[:, a:].sum(axis=1)
-            d[t] = min(1.0, 0.5 * row.max() + lost)
-            if t < t_max:
-                S, S_next = np.matmul(S, k_plus, out=S_next), S
-                V, V_next = np.matmul(V, k_minus, out=V_next), V
-                zeroed = _flush(S, S) + _flush(V, np.abs(V, out=V_next))
-                lost += lost_k + float(zeroed.max())
+        two_pi = 2.0 * stationary(params).dense_on(0, n)[:n // 2 + 1]
+        walk = functools.partial(_folded_distances, k_plus, k_minus, two_pi,
+                                 lost_k)
+        # start 0 alone first: its distances decide which starts can leave
+        dist, lost_t = walk(_rows_kept(params, *walk(np.ones(t_max + 1, int))))
+        np.minimum(1.0, dist + lost_t, out=d)
+        lost = float(lost_t[-1])
     else:
         if n > VECTOR_GUARD:
             raise InfeasibleSizeError(

@@ -247,6 +247,10 @@ class DiscreteNormalParams:
     hi: int
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
+        if not (math.isfinite(self.center) and math.isfinite(self.scale)):
+            raise ParameterError("center and scale must be finite numbers")
         if not self.scale > 0:
             raise ParameterError("scale must be positive")
         if self.lo > self.hi:
@@ -335,6 +339,8 @@ def _inverse_transform(pmf: FinitePmf, u: np.ndarray) -> np.ndarray:
 
 def sample(pmf: FinitePmf, rng: RngStream, size: int | None = None):
     """Inverse-transform draw(s) from ``pmf``; scalar when size is None."""
+    if size is not None and as_index(size, "size") < 0:
+        raise ParameterError("size must be nonnegative")
     u = rng.gen.random(1 if size is None else size)
     out = _inverse_transform(pmf, u)
     return int(out[0]) if size is None else out

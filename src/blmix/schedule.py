@@ -12,6 +12,7 @@ from typing import Callable, Mapping, Sequence
 
 from .chain import ChainParams, Eigenfunction, eigen_eval
 from .errors import ParameterError
+from .pmf import as_index
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def lemma2_expansion(schedule: Schedule, which: Eigenfunction,
                      t: int) -> ExpansionReport:
     """Compare the exact eigenvalue power against its limit-rate expansion
     with first-order deviation correction."""
-    if t < 0:
+    if as_index(t, "t") < 0:
         raise ParameterError("t must be nonnegative")
     lam = schedule.lam
     delta = {Eigenfunction.F1: schedule.delta_n,

@@ -1,8 +1,8 @@
 """Exhaustive enumeration oracles for small instances.
 
-Everything here but ``dense_kernel`` is exact rational arithmetic over
-explicit label sets, kept deliberately independent of the library's
-log-space / block-count code paths.  ``dense_kernel`` is no rational oracle:
+Everything here but ``dense_kernel`` is exact rational arithmetic, over
+explicit label sets or closed forms, kept deliberately independent of the
+library's log-space / block-count / float-recurrence code paths.  ``dense_kernel`` is no rational oracle:
 it assembles the full kernel matrix from the library's own rows, for the
 tests that need P as one array.
 """
@@ -98,17 +98,23 @@ def marginals(joint: dict) -> tuple[dict, dict]:
     return mx, my
 
 
-def exact_worst_start_profile(n: int, k: int, t_max: int) -> list:
-    """max_x TV(P^t(x, .), pi) for t = 0..t_max, in Fractions.  The kernel
-    is kept as the integers C(n,k)^2 P(x, y): r of the x reds in urn 1 and b
-    of the n - x reds in urn 2 are swapped.  The starts x <= n/2 suffice, as
-    the colour swap x -> n - x maps the chain to itself."""
+def kernel_counts(n: int, k: int) -> list:
+    """The kernel as the integers C(n,k)^2 P(x, y): r of the x reds in urn 1
+    and b of the n - x reds in urn 2 are swapped."""
     M = [[0] * (n + 1) for _ in range(n + 1)]
     for x in range(n + 1):
         for r in range(min(x, k) + 1):
             leave = comb(x, r) * comb(n - x, k - r)
             for b in range(min(n - x, k) + 1):
                 M[x][x - r + b] += leave * comb(n - x, b) * comb(x, k - b)
+    return M
+
+
+def exact_worst_start_profile(n: int, k: int, t_max: int) -> list:
+    """max_x TV(P^t(x, .), pi) for t = 0..t_max, in Fractions, from the
+    integer kernel of ``kernel_counts``.  The starts x <= n/2 suffice, as
+    the colour swap x -> n - x maps the chain to itself."""
+    M = kernel_counts(n, k)
     scale = comb(n, k) ** 2
     pi_num, pi_den = [comb(n, z) ** 2 for z in range(n + 1)], comb(2 * n, n)
     rows = [[int(z == x) for z in range(n + 1)] for x in range(n // 2 + 1)]
@@ -121,6 +127,32 @@ def exact_worst_start_profile(n: int, k: int, t_max: int) -> list:
         rows = [[sum(r[y] * M[y][z] for y in range(n + 1) if r[y])
                  for z in range(n + 1)] for r in rows]
     return d
+
+
+def hahn_exact(n: int, i: int, x: int) -> Fraction:
+    """The Hahn polynomial Q_i(x) = 3F2(-i, i-2n-1, -x; -n, -n; 1), summed
+    term by term in Fractions (the sum stops at j = min(i, x))."""
+    total = term = Fraction(1)
+    for j in range(min(i, x)):
+        term *= Fraction((j - i) * (j + i - 2 * n - 1) * (j - x),
+                         (j - n) ** 2 * (j + 1))
+        total += term
+    return total
+
+
+def hahn_recurrence_exact(n: int, x: int, top: int) -> list:
+    """Q_0(x) .. Q_top(x) from the three-term recurrence in integers: with
+    a_i = (2n+1-i)(n-i), c_i = i(n+1-i) and e_i = 2(2n+1-2i), Q_i is N_i /
+    (a_0 ... a_{i-1}), where N_{i+1} = (a_i + c_i - e_i x) N_i -
+    c_i a_{i-1} N_{i-1}."""
+    a = [(2 * n + 1 - i) * (n - i) for i in range(top + 1)]
+    num, den = [1, a[0] - 2 * (2 * n + 1) * x], [1, a[0]]
+    for i in range(1, top):
+        c = i * (n + 1 - i)
+        num.append((a[i] + c - 2 * (2 * n + 1 - 2 * i) * x) * num[i]
+                   - c * a[i - 1] * num[i - 1])
+        den.append(den[i] * a[i])
+    return [Fraction(p, q) for p, q in zip(num[:top + 1], den[:top + 1])]
 
 
 def dense_kernel(params) -> np.ndarray:

@@ -18,7 +18,8 @@ from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
 from blmix.pmf import FinitePmf, first_last, from_weights
 from oracles import (dense_kernel, enum_transition_row,
-                     exact_worst_start_profile)
+                     exact_worst_start_profile, hahn_exact,
+                     hahn_recurrence_exact, kernel_counts)
 
 
 # ------------------------------------------------------------ transition row
@@ -249,19 +250,39 @@ def _default_horizon(n, k):
     return math.ceil(sched.t_n + 3 * sched.s_n + 10)  # the CLI's default
 
 
-def test_all_states_underflow_floor():
+def _kept_rows(monkeypatch) -> list:
+    """The row counts ``chain._rows_kept`` returns to the next all-states
+    profiles, in order."""
+    seen = []
+    rows_kept = chain._rows_kept
+    monkeypatch.setattr(chain, "_rows_kept",
+                        lambda *args: seen.append(rows_kept(*args)) or seen[-1])
+    return seen
+
+
+def _unpruned(monkeypatch):
+    """Make the row bound certify nothing, so that every row is kept."""
+    monkeypatch.setattr(chain, "_row_bounds", lambda params, t_max: np.full(
+        (t_max + 1, params.n // 2 + 1), np.inf))
+
+
+def test_all_states_underflow_floor(monkeypatch):
     """The all-states profile zeroes the entries of P, of its folded odd
     half K_minus and of S and V below UNDERFLOW_FLOOR in magnitude, so its
     matmuls never meet a subnormal. Its d(t) is bit for bit that of the
-    unfloored split loop, S <- S K_plus and V <- V K_minus, and lost_mass
-    bounds the error the floor put in: the floored S lies below the exact
-    one, so the floor dropped at least S's entries below it, weighed as
-    the profile's bound weighs them (1/2 on the middle column)."""
+    unfloored split loop, S <- S K_plus and V <- V K_minus, over the same
+    leading rows (OpenBLAS's bits for a row can depend on how many rows
+    the product has), and lost_mass bounds the error the floor put in: the
+    floored S lies below the exact one, so the floor dropped at least S's
+    entries below it, weighed as the profile's bound weighs them (1/2 on
+    the middle column)."""
     n, k = 300, 75
     h, a = n // 2, (n + 1) // 2
     t_max = _default_horizon(n, k)
     params = ChainParams(n, k)
+    kept = _kept_rows(monkeypatch)
     profile = distance_profile(params, t_max, StartPolicy.ALL_STATES)
+    rows = kept[0]
     P = dense_kernel(params)
     k_plus = np.vstack([P[:a, :h + 1] + P[n:h:-1, :h + 1], P[a:h + 1, :h + 1]])
     k_minus = P[:a, :a] - P[n:h:-1, :a]
@@ -270,12 +291,14 @@ def test_all_states_underflow_floor():
     S[h, h] = 2.0  # even n: the middle column holds 2 D_t(x, h)
     d = np.empty(t_max + 1)
     for t in range(t_max + 1):
+        S, V = S[:rows[t]], V[:rows[t]]
         gap = np.maximum(np.abs(S[:, :a] - two_pi[:a]), np.abs(V))
         row = gap.sum(axis=1) + 0.5 * np.abs(S[:, a:] - two_pi[a:]).sum(axis=1)
         d[t] = 0.5 * row.max()
         if t < t_max:
-            S, V = S @ k_plus, V @ k_minus
+            S, V = S[:rows[t + 1]] @ k_plus, V[:rows[t + 1]] @ k_minus
     np.minimum.accumulate(d, out=d)
+    assert rows[-1] < h + 1  # the profile dropped rows
     assert profile.d_values.tobytes() == d.tobytes()
     assert 0 < profile.lost_mass <= t_max * (n + 2) * UNDERFLOW_FLOOR
     weight = np.ones(h + 1)
@@ -350,6 +373,163 @@ def test_all_states_matches_exact_rationals(n):
     err = [abs(Fraction(float(x)) - e) for x, e in zip(d.d_values, exact)]
     assert max(err) <= Fraction(2.5e-16)
     assert max(e / x for e, x in zip(err, exact)) <= Fraction(1e-8)
+
+
+# ------------------------------------ Hahn spectrum and the all-states pruning
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 21, 60])
+def test_hahn_matches_the_exact_hypergeometric_sum(n):
+    """Every float Q_i(x), x and i up to n, lies within its stated rounding
+    bound of the exact 3F2 sum, and every exact |Q_i(x)| is at most 1 (the
+    cap the bound relies on)."""
+    q, err = chain._hahn(n, np.arange(n + 1.0), n)
+    for i in range(n + 1):
+        for x in range(n + 1):
+            exact = hahn_exact(n, i, x)
+            assert abs(exact) <= 1
+            assert abs(Fraction(float(q[i, x])) - exact) <= Fraction(err[i, x])
+    for k in sorted({0, 1, n // 4, n // 3, n // 2, n}):
+        beta, beta_err = chain._hahn(n, np.float64(k), n)
+        assert np.array_equal(beta, q[:, k]) and np.array_equal(beta_err,
+                                                                 err[:, k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
+def test_hahn_completeness_in_rationals(n):
+    """sum_i d_i Q_i(x) Q_i(y) = delta_xy / pi(x), d_i = C(2n, i) -
+    C(2n, i-1), exactly: the identity the row bound's tail rests on."""
+    Q = [[hahn_exact(n, i, x) for x in range(n + 1)] for i in range(n + 1)]
+    d = [math.comb(2 * n, i) - (math.comb(2 * n, i - 1) if i else 0)
+         for i in range(n + 1)]
+    for x in range(n + 1):
+        for y in range(n + 1):
+            total = sum(di * Qi[x] * Qi[y] for di, Qi in zip(d, Q))
+            assert total == (Fraction(math.comb(2 * n, n), math.comb(n, x) ** 2)
+                             if x == y else 0)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (8, 2), (8, 4), (9, 3), (12, 5)])
+def test_hahn_eigenpairs_of_the_kernel(n, k):
+    """P Q_i = beta_i Q_i with beta_i = Q_i(k), in rationals over the
+    integer kernel."""
+    M = kernel_counts(n, k)
+    for i in range(n + 1):
+        Q = [hahn_exact(n, i, y) for y in range(n + 1)]
+        for x in range(n + 1):
+            assert (sum(m * qy for m, qy in zip(M[x], Q))
+                    == math.comb(n, k) ** 2 * hahn_exact(n, i, k) * Q[x])
+
+
+def test_hahn_rounding_bounds_at_1024():
+    """At n = 1024 the float Q_i(x) of the row bound's head (i <= 64, x <=
+    n/2) and every float beta_i at k = n/4 and n/3 lie within their stated
+    rounding bounds of the recurrence run in integers; the head's bounds
+    are at most 1e-12 (1.8e-13 observed, 1.3e-15 the largest error)."""
+    n = 1024
+    q, err = chain._hahn(n, np.arange(n // 2 + 1.0), chain._MODES)
+    assert err.max() <= 1e-12
+    for x in range(n // 2 + 1):
+        exact = hahn_recurrence_exact(n, x, chain._MODES)
+        assert all(abs(Fraction(float(v)) - e) <= Fraction(b)
+                   for v, b, e in zip(q[:, x], err[:, x], exact))
+    for k in (n // 4, n // 3):
+        beta, beta_err = chain._hahn(n, np.float64(k), n)
+        exact = hahn_recurrence_exact(n, k, n)
+        assert all(abs(Fraction(float(v)) - e) <= Fraction(b)
+                   for v, b, e in zip(beta, beta_err, exact))
+
+
+@pytest.mark.parametrize("k", [1, MATRIX_GUARD - 1])
+def test_hahn_bound_stays_finite_where_the_recurrence_is_unstable(k):
+    """At k near 0 or n the error bound of beta_i grows over large i; its
+    cap, |q| + 1, keeps it finite (uncapped it overflows at n = 4096)."""
+    beta, err = chain._hahn(MATRIX_GUARD, np.float64(k), MATRIX_GUARD)
+    assert np.all(np.isfinite(beta)) and np.all(err <= np.abs(beta) + 1.0)
+    assert np.any(err == np.abs(beta) + 1.0)  # the cap is reached
+
+
+@pytest.mark.parametrize("n", [40, 41, 300, 1024, MATRIX_GUARD])
+def test_stationary_rounding_within_the_row_rule_allowance(n):
+    """The row rule allows gamma_(n//2 + 2) for the rounding of pi: half
+    its L1 distance from the exact law is within that."""
+    pi = stationary(ChainParams(n, 1)).dense_on(0, n)
+    total, scale = math.comb(2 * n, n), 1 << 1074  # 2^-1074 divides a double
+    l1 = 0  # in units of 1 / (scale total)
+    for z, p in enumerate(pi.tolist()):
+        num, den = p.as_integer_ratio()
+        l1 += abs(num * (scale // den) * total - math.comb(n, z) ** 2 * scale)
+    assert Fraction(l1, 2 * scale * total) <= chain._gamma(n // 2 + 2)
+
+
+@pytest.mark.parametrize("n", [40, 41, 64, 65, 126, 127, 300, 301, 512, 1024])
+@pytest.mark.parametrize("frac", [4, 3])
+def test_row_bound_holds_for_every_start(n, frac):
+    """B_x(t) is at least the distance d_x(t) of every start x <= n/2 at
+    every t of the default horizon, from a loop over the rows of the dense
+    kernel, up to that loop's own rounding, (t + 2) gamma_(n+2); and at
+    t = 0 it is at least half the root of the exact chi-square distance."""
+    k = n // frac
+    t_max = _default_horizon(n, k)
+    params = ChainParams(n, k)
+    log_bound = chain._row_bounds(params, t_max)
+    # at t = 0 the chi-square distance is 1/pi(x) - 1 exactly, most of it in
+    # the modes past the first 64 when n > 64: the completeness tail's share
+    total = math.comb(2 * n, n)
+    log_chi2 = [math.log(total - math.comb(n, x) ** 2)
+                - 2 * math.log(math.comb(n, x)) for x in range(n // 2 + 1)]
+    assert np.all(log_bound[0] >= np.array(log_chi2) / 2 + math.log(0.5)
+                  - 1e-9)  # the log sums' rounding, far inside rho
+    bound = np.exp(np.minimum(log_bound, 1.0))
+    P = dense_kernel(params)
+    pi = stationary(params).dense_on(0, n)
+    D = np.eye(n // 2 + 1, n + 1)
+    for t in range(t_max + 1):
+        d = 0.5 * np.abs(D - pi).sum(axis=1)
+        assert np.all(d <= bound[t] + (t + 2) * chain._gamma(n + 2))
+        D = D @ P
+
+
+@pytest.mark.parametrize("n", [40, 41, 62, 63, 64, 65, 126, 127, 300, 301,
+                               512, 513, 1024, 1025])
+@pytest.mark.parametrize("frac", [4, 3])
+def test_pruned_profile_matches_every_row(n, frac, monkeypatch):
+    """The profile over the rows ``_rows_kept`` keeps is within 1e-14 of the
+    loop over every row x <= n/2, and its lost_mass is no larger."""
+    params = ChainParams(n, n // frac)
+    t_max = _default_horizon(n, n // frac)
+    kept = _kept_rows(monkeypatch)
+    pruned = distance_profile(params, t_max)
+    _unpruned(monkeypatch)
+    full = distance_profile(params, t_max)
+    assert np.all(kept[1] == n // 2 + 1)
+    assert np.all(np.diff(kept[0]) <= 0) and kept[0][-1] >= 1
+    assert np.abs(pruned.d_values - full.d_values).max() <= 1e-14
+    assert pruned.lost_mass <= full.lost_mass
+
+
+def test_rows_kept_at_1024(monkeypatch):
+    """At n = 1024, k = n/4 and the default horizon the profile multiplies
+    at most 35% of the rows the unpruned loop does (31.9% observed)."""
+    n, k = 1024, 256
+    t_max = _default_horizon(n, k)
+    kept = _kept_rows(monkeypatch)
+    distance_profile(ChainParams(n, k), t_max)
+    rows = kept[0]
+    assert rows[0] == n // 2 + 1 and rows[-1] < 0.13 * n
+    assert rows.sum() <= 0.35 * (n // 2 + 1) * (t_max + 1)
+
+
+@pytest.mark.parametrize("n,k,t_max", [
+    (300, 75, 0), (1024, 256, 0), (1024, 341, None), (1024, 511, 10),
+    (1024, 512, 10), (1025, 512, 10)])
+def test_every_row_kept_where_nothing_is_certified(n, k, t_max, monkeypatch):
+    """Where the bound certifies no start at every later step (t_max = 0,
+    k = n/3 at the default horizon, where d(t_max) is about 1e-14, k near
+    n/2, where d(t) collapses within a few steps), every row is kept."""
+    t_max = _default_horizon(n, k) if t_max is None else t_max
+    kept = _kept_rows(monkeypatch)
+    distance_profile(ChainParams(n, k), t_max)
+    assert np.all(kept[0] == n // 2 + 1)
 
 
 def test_trimmed_evolution_above_matrix_guard():

@@ -171,10 +171,17 @@ def test_discrete_normal_examples():
 
 
 def test_discrete_normal_invalid():
-    with pytest.raises(ParameterError):
-        DiscreteNormalParams(0, 0.0, 0, 5)
-    with pytest.raises(ParameterError):
-        DiscreteNormalParams(0, 1.0, 3, 2)
+    """A bound that is not an integer (0.5 would shift the support by a
+    half, True would read as 1) and a center or scale that is not a finite
+    number (an infinite scale would give a uniform law) are refused."""
+    for args in ((0, 0.0, 0, 5), (0, 1.0, 3, 2), (0, 1, 0.5, 3.5),
+                 (0, 1, 0, 3.5), (0, 1, True, 3), (0, 1, 0, True),
+                 (0, math.inf, 0, 5), (0, math.nan, 0, 5),
+                 (math.nan, 1, 0, 5), (-math.inf, 1, 0, 5)):
+        with pytest.raises(ParameterError):
+            DiscreteNormalParams(*args)
+    params = DiscreteNormalParams(0.5, 1.0, np.int64(0), np.int64(3))
+    assert type(params.lo) is int and type(params.hi) is int
 
 
 @pytest.mark.parametrize("center,scale,lo,hi", [
@@ -309,6 +316,19 @@ def test_chunk_streams_start_at_the_stream_and_differ():
     assert np.array_equal(draws[5], RngStream(7, 1).chunk(5)
                           .integers(0, 2**63, size=16))
     assert len({d.tobytes() for d in draws}) == len(draws)
+
+
+def test_sampling_refuses_a_bad_size():
+    """A size that is not a nonnegative integer raises ParameterError, where
+    numpy raised TypeError (2.5, True) or ValueError (-1)."""
+    params = HypergeomParams(100, 50, 25)
+    for size in (2.5, True, -1, np.float64(3.0)):
+        with pytest.raises(ParameterError):
+            sample_hypergeom(params, RngStream(7, 3), size=size)
+        with pytest.raises(ParameterError):
+            sample(point_mass(2), RngStream(7, 3), size=size)
+    assert sample_hypergeom(params, RngStream(7, 3), size=0).size == 0
+    assert sample_hypergeom(params, RngStream(7, 3), size=np.int64(4)).size == 4
 
 
 def test_sampling_forced_draw():

@@ -78,8 +78,9 @@ def test_expansion_hypothesis_flag():
     s = make_schedule(1000, 251, 0.25)
     assert not lemma2_expansion(s, Eigenfunction.F1, 4).outside_hypothesis
     assert lemma2_expansion(s, Eigenfunction.F1, 40).outside_hypothesis
-    with pytest.raises(ParameterError):
-        lemma2_expansion(s, Eigenfunction.F1, -1)
+    for t in (-1, math.nan, 2.5, True):
+        with pytest.raises(ParameterError):
+            lemma2_expansion(s, Eigenfunction.F1, t)
 
 
 def test_expansion_exact_matches_eigenvalue_power():
