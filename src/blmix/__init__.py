@@ -4,10 +4,10 @@ two-urn ball-swap chain."""
 from .chain import (ChainParams, Eigenfunction, MixingProfile, StartPolicy,
                     distance_profile, eigen_eval, evolve,
                     lower_bound_certificate, stationary, t_mix,
-                    transition_row, verify_moment_identities)
+                    transition_row)
 from .coupling import (CoupledState, StoppingKind, StoppingSpec,
-                       SurvivalEstimate, band_excursion, coupled_step,
-                       default_horizon, stopping_tail)
+                       SurvivalEstimate, coupled_step, default_horizon,
+                       stopping_tail)
 from .errors import (BlmixError, ConfigError, HorizonExceededError,
                      InfeasibleSizeError, ParameterError)
 from .pmf import (DiscreteNormalParams, FinitePmf, HypergeomParams,
@@ -15,12 +15,8 @@ from .pmf import (DiscreteNormalParams, FinitePmf, HypergeomParams,
                   hypergeom_pmf, point_mass, sample, sample_hypergeom,
                   tv_distance)
 from .rng import RngStream
-from .schedule import (ExpansionReport, Schedule, assumption_report,
-                       f2_asymptotic_check, floor_k, lemma2_expansion,
-                       make_schedule)
+from .schedule import Schedule, floor_k, make_schedule
 from .approx import (ApproxParams, FourChainSetup, TvDecomposition,
-                     WindowConstants, central_region_check,
-                     hyper_vs_dnormal_tv, normalization_constant, one_step_tv,
-                     shift_split_terms, window_constants)
+                     hyper_vs_dnormal_tv, normalization_constant, one_step_tv)
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Exact transition kernel of the two-urn ball-swap chain.
 
 Single-step rows, the stationary law, distance-to-stationarity profiles and
-mixing-time extraction, the polynomial eigenfunctions with their closed-form
-moment identities, and the moment-based lower-bound certificate.
+mixing-time extraction, the polynomial eigenfunctions, and the moment-based
+lower-bound certificate.
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ class ChainParams:
         if not 0 <= self.k <= self.n:
             raise ParameterError("k must lie in [0, n]")
 
-    def assumption_ok(self, delta: float) -> bool:
-        """Whether k/n lies in the open band (0, delta), delta in (0, 1/2)."""
-        if not 0 < delta < 0.5:
-            raise ParameterError("delta must lie in (0, 1/2)")
-        return 0 < self.k / self.n < delta
-
 
 class StartPolicy(enum.Enum):
     ALL_STATES = "all_states"
@@ -77,22 +71,6 @@ class MixingProfile:
         if np.any(np.diff(d) > MONOTONE_TOL):
             raise ParameterError("distance profile must be non-increasing")
         d.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    t: int
-    lhs: float
-    rhs: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def rel_err(self) -> float:
-        scale = max(abs(self.lhs), abs(self.rhs))
-        return self.abs_err / scale if scale > 0 else 0.0
 
 
 def _rows(n: int, k: int, states: np.ndarray, trim: bool):
@@ -140,6 +118,11 @@ def _rows(n: int, k: int, states: np.ndarray, trim: bool):
     return c0, block, lost
 
 
+def _check_trim(trim) -> None:
+    if not isinstance(trim, bool):
+        raise ParameterError(f"trim must be a bool, not {trim!r}")
+
+
 def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf:
     """Law of the next state from ``x``: x plus incoming-red minus
     outgoing-red counts, both hypergeometric over the k swapped balls.
@@ -153,6 +136,7 @@ def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf
     x = as_index(x, "state")
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
+    _check_trim(trim)
     c0, block, lost = _rows(params.n, params.k, np.array([x]), trim)
     return FinitePmf(c0, block[0], float(lost[0]))
 
@@ -232,6 +216,7 @@ def evolve(params: ChainParams, mu: FinitePmf, steps: int,
         raise ParameterError("distribution leaves the state space")
     if as_index(steps, "steps") < 0:
         raise ParameterError("steps must be nonnegative")
+    _check_trim(trim)
     kernel = _kernel(params, trim)
     out = mu
     for _ in range(steps):
@@ -476,6 +461,9 @@ def distance_profile(params: ChainParams, t_max: int,
     """
     if as_index(t_max, "t_max") < 0:
         raise ParameterError("t_max must be nonnegative")
+    if not isinstance(start_policy, StartPolicy):
+        raise ParameterError(
+            f"start_policy must be a StartPolicy, not {start_policy!r}")
     n = params.n
     d = np.empty(t_max + 1)
     # each branch refuses an oversized n before it builds anything of size n
@@ -538,25 +526,6 @@ def eigen_eval(params: ChainParams, kind: Eigenfunction, x: float) -> float:
     if kind is Eigenfunction.F3:
         return 1.0 - 2.0 * x * (n - x) / n**2
     raise ParameterError(f"unknown eigenfunction kind {kind!r}")
-
-
-def verify_moment_identities(params: ChainParams, x0: int, t: int
-                             ) -> tuple[MomentReport, MomentReport]:
-    """Compare exact-evolution first and second moments of the linear
-    eigenfunction against their closed forms."""
-    n, k = params.n, params.k
-    x0, t = as_index(x0, "x0"), as_index(t, "t")
-    mu_t = evolve(params, point_mass(x0), t)
-    f1_vals = 1.0 - 2.0 * mu_t.support / n
-    lhs1 = float(np.dot(mu_t.weights, f1_vals))
-    lhs2 = float(np.dot(mu_t.weights, f1_vals**2))
-    f1k = eigen_eval(params, Eigenfunction.F1, k)
-    rhs1 = f1k**t * eigen_eval(params, Eigenfunction.F1, x0)
-    f2k = eigen_eval(params, Eigenfunction.F2, k)
-    rhs2 = (1.0 / (2 * n - 1)
-            + (2 * n - 2) / (2 * n - 1) * f2k**t
-            * eigen_eval(params, Eigenfunction.F2, x0))
-    return MomentReport(t, lhs1, rhs1), MomentReport(t, lhs2, rhs2)
 
 
 def lower_bound_certificate(params: ChainParams, t: int) -> float:

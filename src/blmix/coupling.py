@@ -126,16 +126,6 @@ def coupled_step(params: ChainParams, s: CoupledState,
     return CoupledState(int(x[0]), int(y[0]))
 
 
-def _chain_step_arrays(n: int, k: int, x: np.ndarray,
-                       gen: np.random.Generator) -> np.ndarray:
-    """One marginal step for an array of independent single chains."""
-    if k == 0:
-        return x
-    removed = gen.hypergeometric(x, n - x, k)
-    added = gen.hypergeometric(n - x, x, k)
-    return x - removed + added
-
-
 def _chunk_sizes(replicas: int) -> list[int]:
     """Replicas of each chunk: one chunk per MIN_CHUNK replicas, at least one
     and at most CHUNKS, near-equal with the first ones one larger."""
@@ -280,31 +270,3 @@ def stopping_tail(params: ChainParams, spec: StoppingSpec, x0: int, y0: int,
         bound = np.minimum(1.0, rate**t_grid * abs(x0 - y0) / spec.r)
     return SurvivalEstimate(t_grid, surv, _ci_halfwidth(surv, replicas), bound)
 
-
-def band_excursion(schedule: Schedule, x0: int, r: float, s: int,
-                   replicas: int, rng: RngStream) -> float:
-    """Empirical probability that a single chain leaves the band of
-    half-width ``r`` about n/2 at some time in [s, s + window] where the
-    window is the schedule's mixing-window length."""
-    x0, s = as_index(x0, "x0"), as_index(s, "s")
-    replicas = as_index(replicas, "replicas")
-    if replicas < 1:
-        raise ParameterError("replicas must be at least 1")
-    if s < 0 or not r > 0:
-        raise ParameterError("s must be nonnegative and r positive")
-    n, k = schedule.n, schedule.k
-    if not 0 <= x0 <= n:
-        raise ParameterError(f"starting state {x0} outside [0, {n}]")
-    _check_sampler(n)
-    horizon = s + math.ceil(schedule.s_n)
-    gen = rng.gen
-    x = np.full(replicas, x0, dtype=np.int64)
-    out = np.zeros(replicas, dtype=bool)
-    half = n / 2.0
-    if s == 0:
-        out |= np.abs(x - half) > r
-    for t in range(1, horizon + 1):
-        x = _chain_step_arrays(n, k, x, gen)
-        if t >= s:
-            out |= np.abs(x - half) > r
-    return float(out.mean())

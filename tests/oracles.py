@@ -1,10 +1,12 @@
 """Exhaustive enumeration oracles for small instances.
 
-Everything here but ``dense_kernel`` is exact rational arithmetic, over
-explicit label sets or closed forms, kept deliberately independent of the
-library's log-space / block-count / float-recurrence code paths.  ``dense_kernel`` is no rational oracle:
-it assembles the full kernel matrix from the library's own rows, for the
-tests that need P as one array.
+Everything here but ``dense_kernel`` and ``verify_moment_identities`` is
+exact rational arithmetic, over explicit label sets or closed forms, kept
+deliberately independent of the library's log-space / block-count /
+float-recurrence code paths.  ``dense_kernel`` is no rational oracle: it
+assembles the full kernel matrix from the library's own rows, for the tests
+that need P as one array.  ``verify_moment_identities`` sets the library's
+exact evolution against the closed-form moments.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from blmix import transition_row
+from blmix import Eigenfunction, eigen_eval, evolve, point_mass, transition_row
 
 
 def enum_hypergeom(population: int, successes: int, draws: int) -> dict:
@@ -165,3 +167,18 @@ def dense_kernel(params) -> np.ndarray:
         P[x] = transition_row(params, x).dense_on(0, n)
     P[n // 2 + 1:] = P[n - n // 2 - 1::-1, ::-1]
     return P
+
+
+def verify_moment_identities(params, x0: int, t: int) -> tuple:
+    """The first and second moments of the linear eigenfunction f1 under
+    P^t(x0, .), each as ``(evolved, closed_form)``: E f1 = f1(k)^t f1(x0)
+    and E f1^2 = 1/(2n-1) + (2n-2)/(2n-1) f2(k)^t f2(x0)."""
+    n, k = params.n, params.k
+    F1, F2 = Eigenfunction.F1, Eigenfunction.F2
+    mu = evolve(params, point_mass(x0), t)
+    f1 = 1.0 - 2.0 * mu.support / n
+    first = eigen_eval(params, F1, k)**t * eigen_eval(params, F1, x0)
+    second = (1.0 / (2 * n - 1) + (2 * n - 2) / (2 * n - 1)
+              * eigen_eval(params, F2, k)**t * eigen_eval(params, F2, x0))
+    return ((float(np.dot(mu.weights, f1)), first),
+            (float(np.dot(mu.weights, f1**2)), second))

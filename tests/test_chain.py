@@ -11,7 +11,7 @@ from blmix import (ChainParams, Eigenfunction, HypergeomParams, MixingProfile,
                    StartPolicy, difference_law, distance_profile, eigen_eval,
                    evolve, hypergeom_pmf, lower_bound_certificate,
                    make_schedule, point_mass, stationary, t_mix,
-                   transition_row, tv_distance, verify_moment_identities)
+                   transition_row, tv_distance)
 from blmix import chain, pmf
 from blmix.chain import MATRIX_GUARD, TILE, UNDERFLOW_FLOOR
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
@@ -19,7 +19,8 @@ from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
 from blmix.pmf import FinitePmf, first_last, from_weights
 from oracles import (dense_kernel, enum_transition_row,
                      exact_worst_start_profile, hahn_exact,
-                     hahn_recurrence_exact, kernel_counts)
+                     hahn_recurrence_exact, kernel_counts,
+                     verify_moment_identities)
 
 
 # ------------------------------------------------------------ transition row
@@ -75,14 +76,6 @@ def test_transition_row_matches_enumeration(n):
             assert set(oracle) == set(int(j) for j in row.support)
             for y, w in oracle.items():
                 assert row.prob(y) == pytest.approx(float(w), abs=1e-12)
-
-
-def test_assumption_band_flag():
-    assert ChainParams(100, 25).assumption_ok(0.3)
-    assert not ChainParams(100, 40).assumption_ok(0.3)
-    assert not ChainParams(100, 0).assumption_ok(0.3)
-    with pytest.raises(ParameterError):
-        ChainParams(100, 25).assumption_ok(0.7)
 
 
 # -------------------------------------------------------------- stationarity
@@ -188,6 +181,12 @@ def test_evolve_domain_checks():
         evolve(ChainParams(3, 1), point_mass(5), 1)
     with pytest.raises(ParameterError):
         evolve(ChainParams(3, 1), point_mass(1), -1)
+    # a trim that is not a bool is refused, not read as true or false
+    for trim in ("yes", 1, 0, None, np.True_):
+        with pytest.raises(ParameterError, match="trim must be a bool"):
+            evolve(ChainParams(30, 7), point_mass(3), 1, trim=trim)
+        with pytest.raises(ParameterError, match="trim must be a bool"):
+            transition_row(ChainParams(30, 7), 3, trim=trim)
 
 
 # --------------------------------------------------------- profiles and t_mix
@@ -799,37 +798,24 @@ def test_eigen_eval_examples():
 # ---------------------------------------------------------- moment identities
 
 def test_moment_identities_frozen_examples():
-    r1, _ = verify_moment_identities(ChainParams(2, 1), 0, 1)
-    assert r1.lhs == pytest.approx(0.0, abs=1e-15)
-    assert r1.rhs == pytest.approx(0.0, abs=1e-15)
-    r1, r2 = verify_moment_identities(ChainParams(6, 2), 4, 0)
-    assert r1.abs_err <= 1e-15 and r2.abs_err <= 1e-15
-    r1, _ = verify_moment_identities(ChainParams(4, 1), 0, 2)
-    assert r1.lhs == pytest.approx(0.25, abs=1e-12)
+    (lhs, rhs), _ = verify_moment_identities(ChainParams(2, 1), 0, 1)
+    assert lhs == pytest.approx(0.0, abs=1e-15)
+    assert rhs == pytest.approx(0.0, abs=1e-15)
+    for lhs, rhs in verify_moment_identities(ChainParams(6, 2), 4, 0):
+        assert abs(lhs - rhs) <= 1e-15
+    (lhs, _), _ = verify_moment_identities(ChainParams(4, 1), 0, 2)
+    assert lhs == pytest.approx(0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,k", [(10, 2), (60, 15), (151, 37)])
 def test_moment_identities_grid(n, k):
     for x0 in (0, n // 3, n // 2):
         for t in (1, 3, 7):
-            r1, r2 = verify_moment_identities(ChainParams(n, k), x0, t)
-            for r in (r1, r2):
-                if abs(r.rhs) < 1e-6:
-                    assert r.abs_err <= 1e-12
+            for lhs, rhs in verify_moment_identities(ChainParams(n, k), x0, t):
+                if abs(rhs) < 1e-6:
+                    assert abs(lhs - rhs) <= 1e-12
                 else:
-                    assert r.rel_err <= 1e-9
-
-
-def test_moment_identities_refuse_a_non_integer_start():
-    """x0 = 2.5 is refused: the evolution would start from 2 while the
-    closed form is taken at 2.5."""
-    params = ChainParams(10, 2)
-    with pytest.raises(ParameterError, match="must be an integer"):
-        verify_moment_identities(params, 2.5, 2)
-    with pytest.raises(ParameterError, match="must be an integer"):
-        verify_moment_identities(params, 2, 1.5)
-    r1, r2 = verify_moment_identities(params, np.int64(2), np.int64(2))
-    assert r1.rel_err <= 1e-12 and r2.rel_err <= 1e-12
+                    assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) <= 1e-9
 
 
 @pytest.mark.parametrize("t", [2.5, True, np.float64(3.0)])
@@ -841,6 +827,16 @@ def test_times_refuse_non_integers(call, t):
     """A time of 2.5 or True is refused, not truncated to 0 or read as 1."""
     with pytest.raises(ParameterError, match="must be an integer"):
         call(ChainParams(100, 25), t)
+
+
+@pytest.mark.parametrize("policy", ["all_states", "state_zero", None])
+def test_profile_refuses_a_start_policy_that_is_not_a_member(policy):
+    """A string or None is refused, not run as the state-zero profile under
+    the label it came with; at n = 5000 that would also skip the all-states
+    profile's MATRIX_GUARD refusal."""
+    for n in (300, 5000):
+        with pytest.raises(ParameterError, match="must be a StartPolicy"):
+            distance_profile(ChainParams(n, n // 4), 5, policy)
 
 
 # ----------------------------------------------------- lower-bound certificate

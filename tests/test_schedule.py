@@ -1,14 +1,39 @@
-"""Schedule quantities and eigenvalue-power expansion checks."""
+"""Schedule quantities, with the eigenvalue-power expansion, the swap-count
+assumption and the quadratic eigenfunction's decay checked numerically."""
 
 import math
 
 import numpy as np
 import pytest
 
-from blmix import (ChainParams, Eigenfunction, ExpansionReport, assumption_report,
-                   eigen_eval, f2_asymptotic_check, floor_k, lemma2_expansion,
-                   make_schedule)
+from blmix import ChainParams, Eigenfunction, eigen_eval, floor_k, make_schedule
 from blmix.errors import ParameterError
+
+
+def lemma2_expansion(s, which, t):
+    """``(exact, leading, corrected)``: the eigenvalue power beta^t, its
+    limit-rate value beta(lam)^t, and that value with the first-order
+    deviation correction."""
+    lam = s.lam
+    base, delta = {
+        Eigenfunction.F1: (1.0 - 2.0 * lam, s.delta_n),
+        Eigenfunction.F2: ((1.0 - 2.0 * lam) ** 2, s.delta_prime),
+        Eigenfunction.F3: (1.0 - 2.0 * lam + 2.0 * lam * lam, s.delta_dprime),
+    }[which]
+    leading = base ** t
+    return (eigen_eval(ChainParams(s.n, s.k), which, s.k) ** t, leading,
+            leading * (1.0 - 2.0 * t * delta / (1.0 - 2.0 * lam)))
+
+
+def assumption(n, k, lam, delta):
+    """Whether k/n lies in the band (0, delta), and delta_n log n, which
+    should trend to 0 for a valid family k(n)."""
+    return 0 < k / n < delta, (k / n - lam) * math.log(n)
+
+
+def f2_near_half(n, zeta):
+    """The quadratic eigenfunction at n/2 + zeta."""
+    return eigen_eval(ChainParams(n, 0), Eigenfunction.F2, n / 2 + zeta)
 
 
 def test_make_schedule_frozen_values():
@@ -37,6 +62,18 @@ def test_floor_k():
     assert floor_k(1000, 0.25) == 250
     assert floor_k(1001, 0.25) == 250
     assert make_schedule(1000, floor_k(1000, 0.25), 0.25).delta_n == 0.0
+    assert floor_k(np.int64(1000), 0.25) == 250
+    assert (floor_k(7, 0.0), floor_k(7, 1.0)) == (0, 7)
+
+
+@pytest.mark.parametrize("n,lam", [
+    (100, math.nan), (100, math.inf), (100, -math.inf), (100, -0.1),
+    (100, 1.5), (2.5, 0.25), (True, 0.25), (100.0, 0.25), (0, 0.25)])
+def test_floor_k_refuses_bad_inputs(n, lam):
+    """A non-finite or out-of-range lam and an n that is not a positive
+    integer are refused, not rounded or left to escape as another error."""
+    with pytest.raises(ParameterError):
+        floor_k(n, lam)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.25, 0.4])
@@ -65,31 +102,26 @@ def test_schedule_growth_and_r_n_identity():
 
 def test_expansion_frozen_examples():
     s = make_schedule(1000, 250, 0.25)  # lam*n integer: zero deviation
-    rep = lemma2_expansion(s, Eigenfunction.F1, 6)
-    assert rep.exact == rep.corrected
-    rep0 = lemma2_expansion(s, Eigenfunction.F3, 0)
-    assert rep0.exact == rep0.leading == rep0.corrected == 1.0
+    exact, _, corrected = lemma2_expansion(s, Eigenfunction.F1, 6)
+    assert exact == corrected
+    assert lemma2_expansion(s, Eigenfunction.F3, 0) == (1.0, 1.0, 1.0)
     s = make_schedule(1000, 251, 0.25)
-    rep = lemma2_expansion(s, Eigenfunction.F1, 5)
-    assert abs(rep.residual) <= 10 * (5 * s.delta_n) ** 2 * 0.5**5
+    exact, _, corrected = lemma2_expansion(s, Eigenfunction.F1, 5)
+    assert abs(exact - corrected) <= 10 * (5 * s.delta_n) ** 2 * 0.5**5
 
 
 def test_expansion_hypothesis_flag():
+    """The expansion holds for t <= t_n: t = 4 lies inside, t = 40 not."""
     s = make_schedule(1000, 251, 0.25)
-    assert not lemma2_expansion(s, Eigenfunction.F1, 4).outside_hypothesis
-    assert lemma2_expansion(s, Eigenfunction.F1, 40).outside_hypothesis
-    for t in (-1, math.nan, 2.5, True):
-        with pytest.raises(ParameterError):
-            lemma2_expansion(s, Eigenfunction.F1, t)
+    assert 4 <= s.t_n < 40
 
 
 def test_expansion_exact_matches_eigenvalue_power():
     s = make_schedule(640, 176, 0.3)
     for which in Eigenfunction:
-        rep = lemma2_expansion(s, which, 7)
-        assert rep.exact == pytest.approx(
+        exact, _, _ = lemma2_expansion(s, which, 7)
+        assert exact == pytest.approx(
             eigen_eval(ChainParams(640, 176), which, 176) ** 7, rel=1e-12)
-        assert rep.residual == rep.exact - rep.corrected
 
 
 def test_expansion_residual_second_order_rate():
@@ -102,9 +134,9 @@ def test_expansion_residual_second_order_rate():
         if s.delta_n == 0.0:
             continue
         for t in (2, 3, 5):
-            rep = lemma2_expansion(s, Eigenfunction.F1, t)
+            exact, _, corrected = lemma2_expansion(s, Eigenfunction.F1, t)
             xs.append(math.log((t * s.delta_n) ** 2))
-            ys.append(math.log(abs(rep.residual) / (1 - 2 * lam) ** t))
+            ys.append(math.log(abs(exact - corrected) / (1 - 2 * lam) ** t))
     slope = np.polyfit(xs, ys, 1)[0]
     assert 0.8 <= slope <= 1.2
 
@@ -113,27 +145,22 @@ def test_expansion_residual_second_order_rate():
 
 def test_assumption_report_floor_rule_vanishes():
     ns = [101, 1001, 10_001, 100_001]  # floor rule leaves a nonzero remainder
-    rows = assumption_report(ns, lambda n: floor_k(n, 0.25), 0.25, 0.3)
-    diag = [abs(r.delta_n_log_n) for r in rows]
-    assert all(r.ratio_in_band for r in rows)
-    assert all(d <= math.log(r.n) / r.n for d, r in zip(diag, rows))
+    rows = [assumption(n, floor_k(n, 0.25), 0.25, 0.3) for n in ns]
+    diag = [abs(d) for _, d in rows]
+    assert all(in_band for in_band, _ in rows)
+    assert all(d <= math.log(n) / n for d, n in zip(diag, ns))
     assert diag[-1] < diag[0]
 
 
 def test_assumption_report_slow_family_flagged():
-    ns = [100, 1000, 10_000, 100_000]
-    rows = assumption_report(
-        ns, lambda n: math.floor(0.25 * n + n / math.log(n)), 0.25, 0.45)
-    for r in rows:
-        assert 0.8 <= r.delta_n_log_n <= 1.05
+    for n in [100, 1000, 10_000, 100_000]:
+        k = math.floor(0.25 * n + n / math.log(n))
+        assert 0.8 <= assumption(n, k, 0.25, 0.45)[1] <= 1.05
 
 
 def test_assumption_report_band_violation_and_mapping():
-    rows = assumption_report([10, 20], {10: 5, 20: 4}, 0.25, 0.3)
-    assert not rows[0].ratio_in_band  # k/n = 1/2 >= delta
-    assert rows[1].ratio_in_band
-    with pytest.raises(ParameterError):
-        assumption_report([20, 10], {10: 2, 20: 4}, 0.25, 0.3)
+    assert not assumption(10, 5, 0.25, 0.3)[0]  # k/n = 1/2 >= delta
+    assert assumption(20, 4, 0.25, 0.3)[0]
 
 
 # --------------------------------------------------------- quadratic decay
@@ -141,14 +168,11 @@ def test_assumption_report_band_violation_and_mapping():
 def test_f2_asymptotic_examples():
     # dead center (even n): the exact floor value -1/(2n-2)
     for n in (10, 100, 1000):
-        rows = f2_asymptotic_check([n], 0.0, lambda m: 0)
-        assert rows[0]["value"] == pytest.approx(-1 / (2 * n - 2), rel=1e-9)
-        assert abs(rows[0]["value"]) * n <= 1.0
+        assert f2_near_half(n, 0) == pytest.approx(-1 / (2 * n - 2), rel=1e-9)
+        assert abs(f2_near_half(n, 0)) * n <= 1.0
     # sqrt(n) offsets: n * f2 stays bounded
-    rows = f2_asymptotic_check([100, 10_000, 1_000_000], 0.0,
-                               lambda n: math.sqrt(n))
-    scaled = [abs(r["value"]) * r["n"] for r in rows]
+    scaled = [abs(f2_near_half(n, math.sqrt(n))) * n
+              for n in (100, 10_000, 1_000_000)]
     assert max(scaled) / min(scaled) < 10
     # starting exactly at 0 the eigenfunction equals 1
-    rows = f2_asymptotic_check([50], 0.0, lambda n: -n / 2)
-    assert rows[0]["value"] == 1.0
+    assert f2_near_half(50, -25.0) == 1.0
