@@ -264,13 +264,41 @@ def _folded_kernels(params: ChainParams) -> tuple[np.ndarray, np.ndarray, float]
                                   + (zeroed[:a] + zeroed_minus).max())
 
 
+def _reach(K: np.ndarray) -> np.ndarray:
+    """reach[c], c = 0..len(K): the first column where a row y >= c of K
+    holds a nonzero (K.shape[1] past the last row; an all-zero row counts
+    as column 0, which only widens a window).  Scanned TILE rows at a time,
+    so no mask the size of K is made."""
+    first = np.empty(len(K) + 1, int)
+    first[-1] = K.shape[1]
+    for at in range(0, len(K), TILE):
+        tile = K[at:at + TILE]
+        first[at:at + len(tile)] = (tile != 0).argmax(axis=1)
+    return np.minimum.accumulate(first[::-1])[::-1]
+
+
+def _window_matmul(A: np.ndarray, K: np.ndarray, reach: np.ndarray, c: int,
+                   out: np.ndarray) -> np.ndarray:
+    """A @ K into ``out``, given that A is zero before column c: the rows
+    y >= c of K are zero before column reach[c], so only A[:, c:] times
+    K[c:, reach[c]:] is multiplied, and out is zero before reach[c].  The
+    terms left out are exact zeros."""
+    w = reach[c]
+    out[:, :w] = 0.0
+    np.matmul(A[:, c:], K[c:, w:], out=out[:, w:])
+    return out
+
+
 def _folded_distances(k_plus: np.ndarray, k_minus: np.ndarray,
+                      reach_plus: np.ndarray, reach_minus: np.ndarray,
                       two_pi: np.ndarray, lost_k: float, rows: np.ndarray):
     """Evolve the starts x < rows[t] through ``_folded_kernels``' halves at
     t = 0, 1, ..., len(rows) - 1, where ``rows`` never grows: ``(dist,
     lost)``, with dist[t] the largest distance of those starts at step t and
     lost[t] the bound so far on what the floor put into it (see
-    ``distance_profile``), not included in dist[t]."""
+    ``distance_profile``), not included in dist[t].  A step multiplies only
+    the columns from the first where S or V holds a nonzero, through the
+    halves' ``_reach``."""
     h, a = len(k_plus) - 1, len(k_minus)
     S, V = np.eye(rows[0], h + 1), np.eye(rows[0], a)
     if a == h and rows[0] > h:
@@ -288,8 +316,13 @@ def _folded_distances(k_plus: np.ndarray, k_minus: np.ndarray,
         dist[t] = 0.5 * (mag.sum(axis=1) + 0.5 * gap[:, a:].sum(axis=1)).max()
         if t + 1 < len(rows):
             r = rows[t + 1]
-            S, S_next = np.matmul(S[:r], k_plus, out=S_next[:r]), S
-            V, V_next = np.matmul(V[:r], k_minus, out=V_next[:r]), V
+            live = S[:r].any(axis=0)
+            live[:a] |= V[:r].any(axis=0)
+            c = int(live.argmax())
+            S, S_next = _window_matmul(S[:r], k_plus, reach_plus, c,
+                                       S_next[:r]), S
+            V, V_next = _window_matmul(V[:r], k_minus, reach_minus, c,
+                                       V_next[:r]), V
             zeroed = _flush(S, S) + _flush(V, np.abs(V, out=V_next[:r]))
             lost[t + 1] = lost[t] + (lost_k + float(zeroed.max()))
     return dist, lost
@@ -399,7 +432,8 @@ def _rows_kept(params: ChainParams, d0: np.ndarray,
       product errs by at most gamma |S| |K|, K_plus and |K_minus| do not
       raise the row norms of ``distance_profile``, and |s|_+ = 1 and
       |v|_- <= 2 d_0, so a step adds at most gamma (1/2 + d_0) to the
-      distance;
+      distance.  A windowed product (``_window_matmul``) sums fewer terms
+      than the h + 1 of the whole one, so gamma covers it too;
     - gamma d0(t), for the distance pass, a sum of at most h + 1 terms;
     - gamma, for the rounding of pi itself (whose L1 error a test checks).
     rho bounds the relative rounding error of B: each exponent summed in
@@ -434,9 +468,15 @@ def distance_profile(params: ChainParams, t_max: int,
     parts, S_t = D_t (I + J) on the columns z <= h (the middle column of an
     even n is 2 D_t(x, h)) and V_t = D_t (I - J) on the a = (n + 1) // 2
     columns z < n/2.  Both evolve by P, since PJ = JP, so a step is
-    S <- S K_plus and V <- V K_minus (``_folded_kernels``): 2(h+1)^3 +
-    2(h+1)a^2 flops, about half the 2(h+1)(n+1)^2 of D <- D P.  As pi is
-    even, |u+v| + |u-v| = 2 max(|u|, |v|) gives
+    S <- S K_plus and V <- V K_minus (``_folded_kernels``).  Once the
+    chain has moved, S and V are exact zeros on the columns z < c where
+    pi(z) is below UNDERFLOW_FLOOR, and the rows y >= c of K_plus and
+    K_minus are zero before the columns w_+ = reach_+[c] and w_- =
+    reach_-[c] (``_reach``), so a step over r rows multiplies only those
+    windows: 2r(h+1-c)(h+1-w_+) + 2r(a-c)(a-w_-) flops, at most the
+    2r(h+1)^2 + 2ra^2 of the whole halves, which are about half the
+    2r(n+1)^2 of D <- D P.  As pi is even, |u+v| + |u-v| = 2 max(|u|, |v|)
+    gives
     d_x(t) = 1/2 [sum_{z<n/2} max(|S(x,z) - 2 pi(z)|, |V(x,z)|)
                   + 1/2 |S(x,h) - 2 pi(h)| (even n only)].
 
@@ -474,7 +514,8 @@ def distance_profile(params: ChainParams, t_max: int,
                 "the state-zero start policy scales further")
         k_plus, k_minus, lost_k = _folded_kernels(params)
         two_pi = 2.0 * stationary(params).dense_on(0, n)[:n // 2 + 1]
-        walk = functools.partial(_folded_distances, k_plus, k_minus, two_pi,
+        walk = functools.partial(_folded_distances, k_plus, k_minus,
+                                 _reach(k_plus), _reach(k_minus), two_pi,
                                  lost_k)
         # start 0 alone first: its distances decide which starts can leave
         dist, lost_t = walk(_rows_kept(params, *walk(np.ones(t_max + 1, int))))

@@ -7,6 +7,7 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .chain import ChainParams, Eigenfunction, eigen_eval
@@ -63,6 +64,8 @@ def floor_k(n: int, lam: float) -> int:
     """floor(lam n), the swap count of the floor_lambda_n rule."""
     if as_index(n, "n") < 1:
         raise ParameterError("n must be positive")
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+        raise ParameterError(f"lam must be a real number, not {lam!r}")
     if not 0.0 <= lam <= 1.0:  # NaN fails it too
         raise ParameterError(f"lam must lie in [0, 1], not {lam!r}")
     return int(math.floor(lam * n))

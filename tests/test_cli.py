@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 import blmix
 from blmix.cli import main
-from blmix.config import (EXPERIMENTS, ExperimentConfig, ResultRecord, emit,
-                          format_value, parse_config, parse_csv, parse_json,
-                          render_csv, render_json, run)
+from blmix.config import (EXPERIMENTS, emit, format_value, parse_config,
+                          parse_csv, parse_json, render_csv, render_json, run)
 from blmix.errors import ConfigError
 
 

@@ -4,7 +4,6 @@ with the band excursions of a single chain checked by simulation."""
 import dataclasses
 import math
 import threading
-from fractions import Fraction
 
 import numpy as np
 import pytest

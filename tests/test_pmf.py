@@ -1,7 +1,6 @@
 """Distribution algebra: pmfs, TV distance, convolution, sampling."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest

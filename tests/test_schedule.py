@@ -68,10 +68,12 @@ def test_floor_k():
 
 @pytest.mark.parametrize("n,lam", [
     (100, math.nan), (100, math.inf), (100, -math.inf), (100, -0.1),
-    (100, 1.5), (2.5, 0.25), (True, 0.25), (100.0, 0.25), (0, 0.25)])
+    (100, 1.5), (2.5, 0.25), (True, 0.25), (100.0, 0.25), (0, 0.25),
+    (100, True), (100, np.True_), (100, "x"), (100, None), (100, 0.25j)])
 def test_floor_k_refuses_bad_inputs(n, lam):
-    """A non-finite or out-of-range lam and an n that is not a positive
-    integer are refused, not rounded or left to escape as another error."""
+    """A non-finite, out-of-range, bool or non-real lam and an n that is not
+    a positive integer are refused, not rounded or left to escape as another
+    error."""
     with pytest.raises(ParameterError):
         floor_k(n, lam)
 
