@@ -11,6 +11,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +28,7 @@ MONOTONE_TOL = 1e-12
 UNDERFLOW_FLOOR = 2.0**-510
 TILE = 32  # consecutive states whose rows are built and stored as one block
 _MODES = 64  # Hahn modes the all-states row bound sums one by one
+_BLOCK = 1 << 16  # table entries of the row certificates built at a time
 _U = 2.0**-53  # unit roundoff of a double
 _TINY = 2.0**-1022  # the smallest normal double
 
@@ -373,28 +375,58 @@ def _log_binomials(m: int, top: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log((m - j + 1) / j))))
 
 
-def _row_bounds(params: ChainParams, t_max: int) -> np.ndarray:
-    """log B_x(t) for t = 0..t_max (rows) and the starts x <= n/2
-    (columns), where B_x(t) bounds the distance d_x(t) from start x.
+def _log_mode_sum(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """log sum_i exp(w[:, i]) q[i], for q >= 0, in log scale: each row's
+    exponents are shifted by their largest (-inf for no modes)."""
+    w_top = w.max(axis=1, keepdims=True, initial=-np.inf)
+    return np.log(np.maximum(np.exp(w - w_top) @ q, _TINY)) + w_top
 
-    The chi-square distance of P^t(x, .) from pi is sum_{i>=1} d_i
-    beta_i^(2t) Q_i(x)^2 (see ``_hahn``), and d_x(t) is at most half its
-    square root.  The modes i <= I = min(_MODES, n) are summed one by one,
-    with |Q_i(x)| and |beta_i| each raised by its rounding bound (but not
-    above 1).  By completeness, sum_{i>=0} d_i Q_i(x)^2 = 1/pi(x), so the
-    modes i > I add at most beta*^(2t) (1/pi(x) - 1), with beta* the
-    largest raised |beta_i| over i > I.  That holds however inaccurate the
-    Q_i(x) of high degree are, as none of them is used.  log d_i and
-    log 1/pi(x) = log C(2n, n) - 2 log C(n, x) are cumulative sums of log
-    ratios, and the modes are summed in log scale, each row's exponents
-    shifted by their largest."""
+
+def _row_bounds(params: ChainParams) -> Callable[
+        [np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The two certificates of the starts x <= n/2, as a function of an
+    array of steps t that returns ``(log B, log R)``, each of shape
+    (len(t), n // 2 + 1), a row per step and a column per start.
+
+    B_x(t) bounds the distance d_x(t) from start x.  The chi-square distance
+    of P^t(x, .) from pi is sum_{i>=1} d_i beta_i^(2t) Q_i(x)^2 (see
+    ``_hahn``), and d_x(t) is at most half its square root.  The modes
+    i <= I = min(_MODES, n) are summed one by one, with |Q_i(x)| and
+    |beta_i| each raised by its rounding bound (but not above 1).  By
+    completeness, sum_{i>=0} d_i Q_i(x)^2 = 1/pi(x), so the modes i > I add
+    at most beta*^(2t) (1/pi(x) - 1), with beta* the largest raised |beta_i|
+    over i > I.  That holds however inaccurate the Q_i(x) of high degree
+    are, as none of them is used.
+
+    R_x(t) bounds how far start x can lie above Q_1(x) = 1 - 2x/n times the
+    distance from 0: d_x(t) <= Q_1(x) d_0(t) + R_x(t).  With e_x = P^t(x,
+    .) - pi, e_x(y) / pi(y) = sum_{i>=1} d_i beta_i^t Q_i(x) Q_i(y), and
+    Q_i(0) = 1, so e_x - Q_1(x) e_0 has no mode 1 and its chi-square norm is
+    sum_{i>=2} d_i beta_i^(2t) (Q_i(x) - Q_1(x))^2.  Cauchy-Schwarz bounds
+    its L1 norm by the root of that, and R_x(t) is half the root.  The
+    modes 2 <= i <= I are summed with |Q_i(x) - Q_1(x)| raised by both
+    rounding bounds (but not above 2).  As (a - b)^2 <= 2a^2 + 2b^2 and
+    sum_{i>=1} d_i = C(2n, n) - 1, the modes i > I add at most
+    2 beta*^(2t) (1/pi(x) - 1 + Q_1(x)^2 (C(2n, n) - 1)).
+
+    log d_i, log 1/pi(x) = log C(2n, n) - 2 log C(n, x) and log C(2n, n)
+    are cumulative sums of log ratios, and the modes are summed in log
+    scale (``_log_mode_sum``), so no term overflows at any n or t."""
     n, k, h = params.n, params.k, params.n // 2
     top = min(_MODES, n)
     beta, err = _hahn(n, np.float64(k), n)
     beta = np.clip(np.abs(beta) + err, _TINY, 1.0)
-    # the raised |Q_i(x)| squared, in place: these tables are the largest
-    # arrays here, and copies of them raise the profile's peak RSS
+    log_beta = np.log(beta[1:top + 1])
+    log_beta_tail = np.log(beta[top + 1:].max(initial=_TINY))
+    # the raised |Q_i(x)| and |Q_i(x) - Q_1(x)| squared, in place where it
+    # can be: these tables are the largest arrays here, and copies of them
+    # raise the profile's peak RSS
     q, err = _hahn(n, np.arange(h + 1.0), top)
+    gap = np.abs(q[2:] - q[1])
+    gap += err[2:]
+    gap += err[1]
+    np.minimum(gap, 2.0, out=gap)
+    gap *= gap
     q = np.abs(q[1:], out=q[1:])
     q += err[1:]
     del err
@@ -405,16 +437,24 @@ def _row_bounds(params: ChainParams, t_max: int) -> np.ndarray:
     log_d = log_c[1:top + 1] + np.log1p(-i / (2 * n - i + 1))
     log_tail = log_c[n] - 2.0 * _log_binomials(n, h)  # log 1/pi(x)
     log_tail += np.log1p(-np.exp(-log_tail))  # log (1/pi(x) - 1)
-    t = np.arange(t_max + 1.0)[:, None]
-    w = log_d + 2.0 * t * np.log(beta[1:top + 1])
-    w_top = w.max(axis=1, keepdims=True)
-    log_b = np.log(np.maximum(np.exp(w - w_top) @ q, _TINY))  # the head
-    log_b += w_top
-    np.logaddexp(log_b, log_tail + 2.0 * t * np.log(
-        beta[top + 1:].max(initial=_TINY)), out=log_b)
-    log_b *= 0.5
-    log_b += math.log(0.5)
-    return log_b
+    q1 = (n - 2 * np.arange(h + 1)) / n
+    log_q1 = np.log(q1, out=np.full(h + 1, -np.inf), where=q1 > 0)
+    log_tail_r = np.logaddexp(log_tail, 2.0 * log_q1 + log_c[n]
+                              + np.log1p(-np.exp(-log_c[n])))
+    log_tail_r += math.log(2.0)
+
+    def at(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = t[:, None]
+        w = log_d + 2.0 * t * log_beta
+        log_b = _log_mode_sum(w, q)
+        np.logaddexp(log_b, log_tail + 2.0 * t * log_beta_tail, out=log_b)
+        log_r = _log_mode_sum(w[:, 1:], gap)
+        np.logaddexp(log_r, log_tail_r + 2.0 * t * log_beta_tail, out=log_r)
+        for log_bound in (log_b, log_r):
+            log_bound *= 0.5
+            log_bound += math.log(0.5)
+        return log_b, log_r
+    return at
 
 
 def _rows_kept(params: ChainParams, d0: np.ndarray,
@@ -422,11 +462,13 @@ def _rows_kept(params: ChainParams, d0: np.ndarray,
     """The number of leading starts the all-states loop keeps at each step
     t = 0..len(d0) - 1, given ``_folded_distances`` of start 0 alone.
 
-    Start x leaves from step t on once B_x(t')(1 + rho) < d0(t') - sigma(t')
-    for every t' >= t (``_row_bounds``).  sigma(t) bounds how far d0(t)
+    Start x leaves from step t on once, at every t' >= t, either
+    B_x(t')(1 + rho) < d0(t') - sigma(t') or R_x(t')(1 + rho) < (2x/n)
+    (d0(t') - sigma(t')) (``_row_bounds``).  sigma(t) bounds how far d0(t)
     lies above the exact distance from 0, so the exact d_x(t') then lies
-    below the exact d_0(t') <= d(t') at every later step: dropping x leaves
-    the maximum as it is.  With gamma = _gamma(h + 2), sigma(t) is
+    below the exact d_0(t') <= d(t') at every later step (by the second
+    rule, d_x <= (1 - 2x/n) d_0 + R_x < d_0): dropping x leaves the maximum
+    as it is.  With gamma = _gamma(h + 2), sigma(t) is
     - lost0(t), for the floor;
     - gamma sum_{t'<t} (1/2 + d0(t')), for the products: entrywise a
       product errs by at most gamma |S| |K|, K_plus and |K_minus| do not
@@ -436,23 +478,47 @@ def _rows_kept(params: ChainParams, d0: np.ndarray,
       than the h + 1 of the whole one, so gamma covers it too;
     - gamma d0(t), for the distance pass, a sum of at most h + 1 terms;
     - gamma, for the rounding of pi itself (whose L1 error a test checks).
-    rho bounds the relative rounding error of B: each exponent summed in
-    ``_row_bounds`` gathers at most 6n + 12 rounded terms and partial sums,
-    all at most M = 2n log 2 + 2(t_max + 2) 745.2 in magnitude (log C(2n, n)
-    <= 2n log 2, and no positive double has a log beyond 745.2), and the
-    modes are summed by a product of _MODES + 1 terms at most."""
+    rho bounds the relative rounding error of B, of R and of 2x/n.  Each
+    exponent summed in ``_row_bounds`` gathers at most 6n + 16 rounded terms
+    and partial sums, all at most M = 2n log 2 + 2(t_max + 2) 745.2 in
+    magnitude (log C(2n, n) <= 2n log 2, and no positive double has a log
+    beyond 745.2): B's at most 6n + 12, and R's head shares B's exponents
+    while its tail adds log 2, 2 log Q_1(x) and log (C(2n, n) - 1) to B's.
+    That gives (6n + 16) u (M + 1).  The modes are summed by a product of
+    _MODES + 1 terms at most, over squared tables that round a few times
+    each, and log(2x/n) rounds twice: gamma(_MODES + 6) covers those.
+
+    The rows 0 and 1 are always kept: OpenBLAS rounds a product of one row
+    on another path than one of several, so a loop down to row 0 alone
+    would move d(t) by an ulp against the loop over every row.  The
+    certificates are built _BLOCK entries at a time, from the last steps
+    back, so their memory does not grow with len(d0) times n."""
     n, h, t_max = params.n, params.n // 2, len(d0) - 1
     gamma = _gamma(h + 2)
     spent = np.concatenate(([0.0], np.cumsum(0.5 + d0[:-1])))
     floor = d0 - lost0 - gamma * (1.0 + d0 + spent)
     log_floor = np.log(floor, out=np.full_like(floor, -np.inf),
-                       where=floor > 0)
+                       where=floor > 0)[:, None]
     big = 2 * n * math.log(2) + 2 * (t_max + 2) * 745.2
-    rho = (6 * n + 12) * _U * (big + 1) + _gamma(_MODES + 4)
-    stay = _row_bounds(params, t_max) + math.log1p(rho) >= log_floor[:, None]
-    stay[:, 0] = True  # row 0 is never dropped, so rows never reaches 0
-    stay = np.logical_or.accumulate(stay[::-1])[::-1]
-    return h + 1 - stay[:, ::-1].argmax(axis=1)
+    slack = math.log1p((6 * n + 16) * _U * (big + 1) + _gamma(_MODES + 6))
+    lead = 2 * np.arange(h + 1) / n  # 1 - Q_1(x)
+    log_lead = np.log(lead, out=np.full(h + 1, -np.inf), where=lead > 0)
+    bounds = _row_bounds(params)
+    rows = np.empty(t_max + 1, int)
+    later = np.zeros(h + 1, bool)  # the starts kept at some step past a block
+    block = max(1, _BLOCK // max(h + 1, _MODES))
+    for end in range(t_max + 1, 0, -block):
+        start = max(end - block, 0)
+        log_b, log_r = bounds(np.arange(start, end, dtype=float))
+        low = log_floor[start:end]  # log (d0 - sigma) at these steps
+        stay = log_b + slack >= low
+        stay &= log_r + slack >= low + log_lead
+        stay[:, :2] = True  # the two-row floor
+        stay[-1] |= later
+        stay = np.logical_or.accumulate(stay[::-1])[::-1]
+        rows[start:end] = h + 1 - stay[:, ::-1].argmax(axis=1)
+        later = stay[0]
+    return rows
 
 
 def distance_profile(params: ChainParams, t_max: int,
@@ -496,8 +562,14 @@ def distance_profile(params: ChainParams, t_max: int,
     Only the starts near 0 can attain the maximum once the chain has moved,
     so a first pass evolves row 0 alone, and ``_rows_kept`` then certifies,
     from the chain's spectrum, which starts stay below it from each step
-    on.  Step t multiplies only the leading r_t rows of S and V, r_t never
-    growing, and ``lost_mass`` is taken over those rows.
+    on: by the chi-square bound B_x of every mode, or, past the cutoff, by
+    d_x <= (1 - 2x/n) d_0 + R_x, where R_x bounds the modes i >= 2 of
+    P^t(x, .) - pi - (1 - 2x/n)(P^t(0, .) - pi).  Both are compared with
+    d_0 - sigma, the lower bound on the exact d_0 that the first pass gives,
+    and with a relative allowance rho for their own rounding in log scale
+    (``_rows_kept`` derives sigma and rho).  Step t multiplies only the
+    leading r_t >= min(2, h + 1) rows of S and V, r_t never growing, and
+    ``lost_mass`` is taken over those rows.
     """
     if as_index(t_max, "t_max") < 0:
         raise ParameterError("t_max must be nonnegative")
@@ -554,6 +626,11 @@ def t_mix(profile: MixingProfile, epsilon: float) -> int:
 
 
 def eigen_eval(params: ChainParams, kind: Eigenfunction, x: float) -> float:
+    """F1 and F2 are the chain's eigenfunctions of degree 1 and 2, the Hahn
+    polynomials Q_1 and Q_2 of ``_hahn``, with eigenvalues F1(k) and F2(k).
+    F3(x) = 1/2 + 2(x - n/2)^2/n^2 is a constant plus a multiple of Q_2, so
+    it has no eigenvalue; F3(k) = 1 - 2k(n - k)/n^2 is the contraction rate
+    of the path-coupling bound."""
     n = params.n
     if not 0 <= x <= n:
         raise ParameterError(f"argument {x} outside [0, {n}]")

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import ChainParams
+from .chain import ChainParams, Eigenfunction, eigen_eval
 from .errors import InfeasibleSizeError, ParameterError
 from .pmf import as_index
 from .rng import RngStream
@@ -265,8 +265,7 @@ def stopping_tail(params: ChainParams, spec: StoppingSpec, x0: int, y0: int,
     t_grid = np.arange(horizon + 1)
     bound = np.ones(horizon + 1)
     if spec.kind is StoppingKind.TAU_COUPLE:
-        n, k = params.n, params.k
-        rate = 1.0 - 2.0 * k * (n - k) / n**2
+        rate = eigen_eval(params, Eigenfunction.F3, params.k)
         bound = np.minimum(1.0, rate**t_grid * abs(x0 - y0) / spec.r)
     return SurvivalEstimate(t_grid, surv, _ci_halfwidth(surv, replicas), bound)
 

@@ -1,7 +1,9 @@
 """Exact kernel, stationarity, mixing profiles, moment identities."""
 
 import collections
+import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -260,9 +262,10 @@ def _kept_rows(monkeypatch) -> list:
 
 
 def _unpruned(monkeypatch):
-    """Make the row bound certify nothing, so that every row is kept."""
-    monkeypatch.setattr(chain, "_row_bounds", lambda params, t_max: np.full(
-        (t_max + 1, params.n // 2 + 1), np.inf))
+    """Make both row certificates certify nothing, so that every row is
+    kept."""
+    monkeypatch.setattr(chain, "_row_bounds", lambda params: lambda t: (
+        np.full((len(t), params.n // 2 + 1), np.inf),) * 2)
 
 
 def test_all_states_underflow_floor(monkeypatch):
@@ -463,6 +466,21 @@ def test_stationary_rounding_within_the_row_rule_allowance(n):
     assert Fraction(l1, 2 * scale * total) <= chain._gamma(n // 2 + 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_distances(n, k):
+    """d_x(t) of every start x <= n/2 (columns) at every step t of the
+    default horizon (rows), from a loop over the rows of the dense kernel."""
+    t_max = _default_horizon(n, k)
+    P = dense_kernel(ChainParams(n, k))
+    pi = stationary(ChainParams(n, k)).dense_on(0, n)
+    D = np.eye(n // 2 + 1, n + 1)
+    d = np.empty((t_max + 1, n // 2 + 1))
+    for t in range(t_max + 1):
+        d[t] = 0.5 * np.abs(D - pi).sum(axis=1)
+        D = D @ P
+    return d
+
+
 @pytest.mark.parametrize("n", [40, 41, 64, 65, 126, 127, 300, 301, 512, 1024])
 @pytest.mark.parametrize("frac", [4, 3])
 def test_row_bound_holds_for_every_start(n, frac):
@@ -473,7 +491,7 @@ def test_row_bound_holds_for_every_start(n, frac):
     k = n // frac
     t_max = _default_horizon(n, k)
     params = ChainParams(n, k)
-    log_bound = chain._row_bounds(params, t_max)
+    log_bound, _ = chain._row_bounds(params)(np.arange(t_max + 1.0))
     # at t = 0 the chi-square distance is 1/pi(x) - 1 exactly, most of it in
     # the modes past the first 64 when n > 64: the completeness tail's share
     total = math.comb(2 * n, n)
@@ -482,13 +500,26 @@ def test_row_bound_holds_for_every_start(n, frac):
     assert np.all(log_bound[0] >= np.array(log_chi2) / 2 + math.log(0.5)
                   - 1e-9)  # the log sums' rounding, far inside rho
     bound = np.exp(np.minimum(log_bound, 1.0))
-    P = dense_kernel(params)
-    pi = stationary(params).dense_on(0, n)
-    D = np.eye(n // 2 + 1, n + 1)
+    d = _dense_distances(n, k)
     for t in range(t_max + 1):
-        d = 0.5 * np.abs(D - pi).sum(axis=1)
-        assert np.all(d <= bound[t] + (t + 2) * chain._gamma(n + 2))
-        D = D @ P
+        assert np.all(d[t] <= bound[t] + (t + 2) * chain._gamma(n + 2))
+
+
+@pytest.mark.parametrize("n", [40, 41, 64, 65, 126, 127, 300, 301, 512, 1024])
+@pytest.mark.parametrize("frac", [4, 3])
+def test_mode_one_bound_holds_for_every_start(n, frac):
+    """d_x(t) <= (1 - 2x/n) d_0(t) + R_x(t) for every start x <= n/2 and
+    every t of the default horizon, from the dense kernel's loop, with the
+    allowance of ``test_row_bound_holds_for_every_start``."""
+    k = n // frac
+    t_max = _default_horizon(n, k)
+    _, log_r = chain._row_bounds(ChainParams(n, k))(np.arange(t_max + 1.0))
+    r = np.exp(np.minimum(log_r, 1.0))
+    d = _dense_distances(n, k)
+    q1 = 1 - 2 * np.arange(n // 2 + 1) / n
+    for t in range(t_max + 1):
+        assert np.all(d[t] <= q1 * d[t, 0] + r[t]
+                      + (t + 2) * chain._gamma(n + 2))
 
 
 @pytest.mark.parametrize("n", [40, 41, 62, 63, 64, 65, 126, 127, 300, 301,
@@ -512,33 +543,71 @@ def test_pruned_profile_matches_every_row(n, frac, monkeypatch):
 def test_products_skip_the_dead_columns_at_1024(monkeypatch):
     """At n = 1024, k = n/4 and the default horizon, pi(z) is below
     UNDERFLOW_FLOOR for z below about 0.22 n, so S and V are exact zeros
-    there once the chain has moved: the all-states products make at most
-    50% of the multiply-adds of full-width products over the same kept rows
-    of both passes (46% observed)."""
+    there once the chain has moved: the products of the loop over every row
+    make at most 50% of the multiply-adds of full-width products (42.8%
+    observed). Measured over every row, as the pruning drops the late steps,
+    whose windows are the narrowest."""
     n, k = 1024, 256
     h, a = n // 2, (n + 1) // 2
     t_max = _default_horizon(n, k)
-    kept = _kept_rows(monkeypatch)
+    _unpruned(monkeypatch)
     made, matmul = [], np.matmul
     monkeypatch.setattr(np, "matmul", lambda A, B, **kw: made.append(
         A.shape[0] * A.shape[1] * B.shape[1]) or matmul(A, B, **kw))
     distance_profile(ChainParams(n, k), t_max)
-    # two products a step: row 0 alone, then the kept rows
-    full = (t_max + kept[0][1:].sum()) * ((h + 1) ** 2 + a ** 2)
+    # two products a step: row 0 alone, then every row
+    full = (t_max + t_max * (h + 1)) * ((h + 1) ** 2 + a ** 2)
     assert len(made) == 4 * t_max
     assert sum(made) <= 0.5 * full
 
 
+def _row_steps_kept(n, monkeypatch):
+    """The rows ``_rows_kept`` keeps at each step at k = n/4 and the
+    default horizon."""
+    k = n // 4
+    kept = _kept_rows(monkeypatch)
+    distance_profile(ChainParams(n, k), _default_horizon(n, k))
+    return kept[0]
+
+
 def test_rows_kept_at_1024(monkeypatch):
     """At n = 1024, k = n/4 and the default horizon the profile multiplies
-    at most 35% of the rows the unpruned loop does (31.9% observed)."""
-    n, k = 1024, 256
-    t_max = _default_horizon(n, k)
-    kept = _kept_rows(monkeypatch)
-    distance_profile(ChainParams(n, k), t_max)
-    rows = kept[0]
-    assert rows[0] == n // 2 + 1 and rows[-1] < 0.13 * n
-    assert rows.sum() <= 0.35 * (n // 2 + 1) * (t_max + 1)
+    at most 18% of the rows the unpruned loop does (16.6% observed), and
+    the two-row floor at the last step."""
+    rows = _row_steps_kept(1024, monkeypatch)
+    assert rows[0] == 513 and rows[-1] == 2
+    assert rows.sum() <= 0.18 * rows[0] * len(rows)
+
+
+def test_rows_kept_at_512(monkeypatch):
+    """At n = 512 the profile keeps at most 1,450 row-steps (1,314
+    observed; 2,823 under the chi-square certificate alone)."""
+    rows = _row_steps_kept(512, monkeypatch)
+    assert rows[0] == 257 and rows[-1] == 2
+    assert rows.sum() <= 1450
+
+
+def test_rows_kept_memory_does_not_grow_with_the_horizon(monkeypatch):
+    """The certificates are built a block of steps at a time: over 2 * 10^4
+    steps of a geometric d0 at n = 300 the row rule's traced peak stays
+    below 8 MB (3.9 MB observed; the whole tables took 60 MB), and its
+    rows are those of the rule over one block of every step, and over
+    blocks of one step."""
+    params = ChainParams(300, 75)
+    t_max = 20_000
+    d0 = 0.9995 ** np.arange(t_max + 1.0)
+    lost0 = np.zeros(t_max + 1)
+    tracemalloc.start()
+    try:
+        rows = chain._rows_kept(params, d0, lost0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    assert rows[0] == 151 and rows[-1] == 2 and np.all(np.diff(rows) <= 0)
+    for block in (10**9, 1):
+        monkeypatch.setattr(chain, "_BLOCK", block)
+        assert np.array_equal(chain._rows_kept(params, d0, lost0), rows)
 
 
 @pytest.mark.parametrize("n,k,t_max", [

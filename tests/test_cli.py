@@ -305,7 +305,24 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("n,policy", [(5000, "state_zero"), (40, "all_states")])
+def test_cli_import_loads_the_traced_layers():
+    """The benchmark's traced runs (perfbench/child.py --trace 1) import
+    blmix.cli and blmix.config, wrap every public function of the seven
+    layer modules found in sys.modules, and read distance_profile's first
+    three arguments by position or name: all of these must hold."""
+    out = run_python(
+        "import inspect, sys, blmix.cli, blmix.config\n"
+        "layers = ('pmf', 'chain', 'coupling', 'schedule', 'approx',"
+        " 'config', 'cli')\n"
+        "print(sorted(m for m in layers if f'blmix.{m}' not in sys.modules))\n"
+        "chain = sys.modules['blmix.chain']\n"
+        "print(list(inspect.signature(chain.distance_profile).parameters)[:3])")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == [
+        "[]", "['params', 't_max', 'start_policy']"]
+
+
+@pytest.mark.parametrize("n,policy",[(5000, "state_zero"), (40, "all_states")])
 def test_cli_profile_needs_no_scipy(tmp_path, n, policy):
     """With every scipy import made to fail, a trimmed state-zero profile
     and an all-states one exit 0 and write the bytes they write with scipy

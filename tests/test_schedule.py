@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blmix import ChainParams, Eigenfunction, eigen_eval, floor_k, make_schedule
+from blmix import ChainParams, Eigenfunction, chain, eigen_eval, floor_k, make_schedule
 from blmix.errors import ParameterError
 
 
@@ -118,12 +118,19 @@ def test_expansion_hypothesis_flag():
     assert 4 <= s.t_n < 40
 
 
-def test_expansion_exact_matches_eigenvalue_power():
-    s = make_schedule(640, 176, 0.3)
-    for which in Eigenfunction:
-        exact, _, _ = lemma2_expansion(s, which, 7)
-        assert exact == pytest.approx(
-            eigen_eval(ChainParams(640, 176), which, 176) ** 7, rel=1e-12)
+@pytest.mark.parametrize("n", [40, 41, 640, 1024])
+def test_eigenfunctions_match_the_hahn_polynomials(n):
+    """F1 and F2 are the Hahn polynomials Q_1 and Q_2 of ``chain._hahn``
+    at every state, within the recurrence's stated rounding bound plus
+    eigen_eval's own: F1 rounds 2x/n <= 2 and a difference of size <= 1
+    (3u), F2 two quotients of size <= 4 and two sums of size <= 3 (12u).
+    This pins Q_1(x) = 1 - 2x/n, which the all-states row rule takes as
+    exact."""
+    q, err = chain._hahn(n, np.arange(n + 1.0), 2)
+    params = ChainParams(n, n // 4)
+    for i, which, own in ((1, Eigenfunction.F1, 3), (2, Eigenfunction.F2, 12)):
+        f = np.array([eigen_eval(params, which, x) for x in range(n + 1)])
+        assert np.all(np.abs(f - q[i]) <= err[i] + own * 2.0**-53)
 
 
 def test_expansion_residual_second_order_rate():
