@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pmf as _pmf
 from .errors import HorizonExceededError, InfeasibleSizeError, ParameterError
-from .pmf import (SUM_TOL, FinitePmf, HypergeomParams, as_index,
+from .pmf import (SUM_TOL, FinitePmf, HypergeomParams, as_index, check_real,
                   hypergeom_pmf, point_mass, tv_distance)
 
 MATRIX_GUARD = 4096      # refuse the all-states profile above this
@@ -384,30 +384,24 @@ def _log_mode_sum(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _row_bounds(params: ChainParams) -> Callable[
         [np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The two certificates of the starts x <= n/2, as a function of an
-    array of steps t that returns ``(log B, log R)``, each of shape
-    (len(t), n // 2 + 1), a row per step and a column per start.
+    """The certificates R_c of the starts x <= n/2 at c = 0 and c = Q_1(x),
+    as a function of an array of steps t that returns their logs, each of
+    shape (len(t), n // 2 + 1), a row per step and a column per start.
 
-    B_x(t) bounds the distance d_x(t) from start x.  The chi-square distance
-    of P^t(x, .) from pi is sum_{i>=1} d_i beta_i^(2t) Q_i(x)^2 (see
-    ``_hahn``), and d_x(t) is at most half its square root.  The modes
-    i <= I = min(_MODES, n) are summed one by one, with |Q_i(x)| and
-    |beta_i| each raised by its rounding bound (but not above 1).  By
-    completeness, sum_{i>=0} d_i Q_i(x)^2 = 1/pi(x), so the modes i > I add
-    at most beta*^(2t) (1/pi(x) - 1), with beta* the largest raised |beta_i|
-    over i > I.  That holds however inaccurate the Q_i(x) of high degree
-    are, as none of them is used.
-
-    R_x(t) bounds how far start x can lie above Q_1(x) = 1 - 2x/n times the
-    distance from 0: d_x(t) <= Q_1(x) d_0(t) + R_x(t).  With e_x = P^t(x,
-    .) - pi, e_x(y) / pi(y) = sum_{i>=1} d_i beta_i^t Q_i(x) Q_i(y), and
-    Q_i(0) = 1, so e_x - Q_1(x) e_0 has no mode 1 and its chi-square norm is
-    sum_{i>=2} d_i beta_i^(2t) (Q_i(x) - Q_1(x))^2.  Cauchy-Schwarz bounds
-    its L1 norm by the root of that, and R_x(t) is half the root.  The
-    modes 2 <= i <= I are summed with |Q_i(x) - Q_1(x)| raised by both
-    rounding bounds (but not above 2).  As (a - b)^2 <= 2a^2 + 2b^2 and
-    sum_{i>=1} d_i = C(2n, n) - 1, the modes i > I add at most
-    2 beta*^(2t) (1/pi(x) - 1 + Q_1(x)^2 (C(2n, n) - 1)).
+    With e_x = P^t(x, .) - pi, e_x(y) / pi(y) = sum_{i>=1} d_i beta_i^t
+    Q_i(x) Q_i(y) (see ``_hahn``) and Q_i(0) = 1, so e_x - c e_0 has the
+    chi-square norm sum_{i>=1} d_i beta_i^(2t) (Q_i(x) - c)^2, and by
+    Cauchy-Schwarz d_x(t) <= c d_0(t) + R_c(t), R_c half its root: at c = 0
+    a bound on d_x alone, at c = Q_1(x) = 1 - 2x/n one without mode 1, the
+    slowest.  The modes i <= I = min(_MODES, n) are summed one by one, with
+    |Q_i(x) - c| raised by the rounding bounds of Q_i(x) and of c (not above
+    1 + c) and |beta_i| by its own (not above 1).  By completeness, sum_{i>=0}
+    d_i Q_i(x) Q_i(y) = delta_xy / pi(x), so sum_{i>=1} d_i Q_i(x)^2 =
+    1/pi(x) - 1, sum_{i>=1} d_i = C(2n, n) - 1 and, for x >= 1, sum_{i>=1}
+    d_i Q_i(x) = -1: the modes i > I add at most beta*^(2t) (1/pi(x) - 1 +
+    2c + c^2 (C(2n, n) - 1)) (at x = 0 the sum is (1 - c)^2 (C(2n, n) -
+    1)), with beta* the largest raised |beta_i| over i > I, and use no
+    Q_i(x) of high degree, which the float recurrence gets wrong.
 
     log d_i, log 1/pi(x) = log C(2n, n) - 2 log C(n, x) and log C(2n, n)
     are cumulative sums of log ratios, and the modes are summed in log
@@ -418,42 +412,34 @@ def _row_bounds(params: ChainParams) -> Callable[
     beta = np.clip(np.abs(beta) + err, _TINY, 1.0)
     log_beta = np.log(beta[1:top + 1])
     log_beta_tail = np.log(beta[top + 1:].max(initial=_TINY))
-    # the raised |Q_i(x)| and |Q_i(x) - Q_1(x)| squared, in place where it
-    # can be: these tables are the largest arrays here, and copies of them
-    # raise the profile's peak RSS
-    q, err = _hahn(n, np.arange(h + 1.0), top)
-    gap = np.abs(q[2:] - q[1])
-    gap += err[2:]
-    gap += err[1]
-    np.minimum(gap, 2.0, out=gap)
-    gap *= gap
-    q = np.abs(q[1:], out=q[1:])
-    q += err[1:]
-    del err
-    np.minimum(q, 1.0, out=q)
-    q *= q
-    log_c = _log_binomials(2 * n, n)
+    log_binom = _log_binomials(2 * n, n)
     i = np.arange(1.0, top + 1)
-    log_d = log_c[1:top + 1] + np.log1p(-i / (2 * n - i + 1))
-    log_tail = log_c[n] - 2.0 * _log_binomials(n, h)  # log 1/pi(x)
+    log_d = log_binom[1:top + 1] + np.log1p(-i / (2 * n - i + 1))
+    log_total = log_binom[n] + np.log1p(-np.exp(-log_binom[n]))
+    log_tail = log_binom[n] - 2.0 * _log_binomials(n, h)  # log 1/pi(x)
     log_tail += np.log1p(-np.exp(-log_tail))  # log (1/pi(x) - 1)
-    q1 = (n - 2 * np.arange(h + 1)) / n
-    log_q1 = np.log(q1, out=np.full(h + 1, -np.inf), where=q1 > 0)
-    log_tail_r = np.logaddexp(log_tail, 2.0 * log_q1 + log_c[n]
-                              + np.log1p(-np.exp(-log_c[n])))
-    log_tail_r += math.log(2.0)
+    q, err = _hahn(n, np.arange(h + 1.0), top)
+    q1 = q[1].copy()  # Q_1(x) = (n - 2x)/n bit for bit; its table overwrites q
+    # each c's table and tail; the tables are the largest arrays here, and
+    # copies of them raise the profile's peak RSS, so c = Q_1's is built in q
+    certs = []
+    for c, err_c, out in ((0.0, 0.0, np.empty_like(q[1:])),
+                          (q1, err[1], q[1:])):
+        table = np.abs(np.subtract(q[1:], c, out=out), out=out)
+        table += err[1:]
+        table += err_c
+        np.minimum(table, 1.0 + c, out=table)
+        table *= table
+        log_c = np.log(c, out=np.full(h + 1, -np.inf), where=c > 0)
+        certs.append((table, np.logaddexp(log_tail, np.logaddexp(
+            math.log(2.0) + log_c, 2.0 * log_c + log_total))))
 
     def at(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = t[:, None]
         w = log_d + 2.0 * t * log_beta
-        log_b = _log_mode_sum(w, q)
-        np.logaddexp(log_b, log_tail + 2.0 * t * log_beta_tail, out=log_b)
-        log_r = _log_mode_sum(w[:, 1:], gap)
-        np.logaddexp(log_r, log_tail_r + 2.0 * t * log_beta_tail, out=log_r)
-        for log_bound in (log_b, log_r):
-            log_bound *= 0.5
-            log_bound += math.log(0.5)
-        return log_b, log_r
+        return tuple(0.5 * np.logaddexp(_log_mode_sum(w, table), log_tail_c
+                                        + 2.0 * t * log_beta_tail)
+                     + math.log(0.5) for table, log_tail_c in certs)
     return at
 
 
@@ -462,13 +448,12 @@ def _rows_kept(params: ChainParams, d0: np.ndarray,
     """The number of leading starts the all-states loop keeps at each step
     t = 0..len(d0) - 1, given ``_folded_distances`` of start 0 alone.
 
-    Start x leaves from step t on once, at every t' >= t, either
-    B_x(t')(1 + rho) < d0(t') - sigma(t') or R_x(t')(1 + rho) < (2x/n)
-    (d0(t') - sigma(t')) (``_row_bounds``).  sigma(t) bounds how far d0(t)
-    lies above the exact distance from 0, so the exact d_x(t') then lies
-    below the exact d_0(t') <= d(t') at every later step (by the second
-    rule, d_x <= (1 - 2x/n) d_0 + R_x < d_0): dropping x leaves the maximum
-    as it is.  With gamma = _gamma(h + 2), sigma(t) is
+    Start x leaves from step t on once, at every t' >= t, R_c(t')(1 + rho)
+    < (1 - c)(d0(t') - sigma(t')) for c = 0 or c = Q_1(x) = 1 - 2x/n
+    (``_row_bounds``).  sigma(t) bounds how far d0(t) lies above the exact
+    distance from 0, so the exact d_x(t') <= c d_0(t') + R_c then lies
+    below the exact d_0(t') <= d(t') at every later step: dropping x leaves
+    the maximum as it is.  With gamma = _gamma(h + 2), sigma(t) is
     - lost0(t), for the floor;
     - gamma sum_{t'<t} (1/2 + d0(t')), for the products: entrywise a
       product errs by at most gamma |S| |K|, K_plus and |K_minus| do not
@@ -478,21 +463,26 @@ def _rows_kept(params: ChainParams, d0: np.ndarray,
       than the h + 1 of the whole one, so gamma covers it too;
     - gamma d0(t), for the distance pass, a sum of at most h + 1 terms;
     - gamma, for the rounding of pi itself (whose L1 error a test checks).
-    rho bounds the relative rounding error of B, of R and of 2x/n.  Each
-    exponent summed in ``_row_bounds`` gathers at most 6n + 16 rounded terms
-    and partial sums, all at most M = 2n log 2 + 2(t_max + 2) 745.2 in
-    magnitude (log C(2n, n) <= 2n log 2, and no positive double has a log
-    beyond 745.2): B's at most 6n + 12, and R's head shares B's exponents
-    while its tail adds log 2, 2 log Q_1(x) and log (C(2n, n) - 1) to B's.
-    That gives (6n + 16) u (M + 1).  The modes are summed by a product of
-    _MODES + 1 terms at most, over squared tables that round a few times
-    each, and log(2x/n) rounds twice: gamma(_MODES + 6) covers those.
+    rho bounds the relative rounding error of R_c and of 1 - c.  Each
+    exponent summed in ``_row_bounds`` gathers at most 4.5n + 20 <= 6n + 16
+    rounded terms and partial sums (n >= 3; below, the two-row floor keeps
+    every row): 3j for log C(m, j), so 4.5n + 4 for log (1/pi(x) - 1), and
+    at most 3 more for each product by t, shift, sum and logaddexp.  All
+    are at most M = 2n log 2 + 2(t_max + 2) 745.2 in magnitude (log C(2n,
+    n) <= 2n log 2, and no positive double has a log beyond 745.2), which
+    gives (6n + 16) u (M + 1).  The modes are summed by a product of
+    _MODES terms at most, over tables that round a few times each, and
+    log(2x/n) rounds twice: as R_c is a root, gamma(_MODES + 6) covers
+    those.
 
     The rows 0 and 1 are always kept: OpenBLAS rounds a product of one row
     on another path than one of several, so a loop down to row 0 alone
     would move d(t) by an ulp against the loop over every row.  The
     certificates are built _BLOCK entries at a time, from the last steps
-    back, so their memory does not grow with len(d0) times n."""
+    back, so their memory does not grow with len(d0) times n.  A step keeps
+    the rows up to the last start kept there or later (a running maximum):
+    once that is h, the earlier steps keep every row, and no more blocks
+    are built."""
     n, h, t_max = params.n, params.n // 2, len(d0) - 1
     gamma = _gamma(h + 2)
     spent = np.concatenate(([0.0], np.cumsum(0.5 + d0[:-1])))
@@ -502,23 +492,22 @@ def _rows_kept(params: ChainParams, d0: np.ndarray,
     big = 2 * n * math.log(2) + 2 * (t_max + 2) * 745.2
     slack = math.log1p((6 * n + 16) * _U * (big + 1) + _gamma(_MODES + 6))
     lead = 2 * np.arange(h + 1) / n  # 1 - Q_1(x)
-    log_lead = np.log(lead, out=np.full(h + 1, -np.inf), where=lead > 0)
+    log_leads = 0.0, np.log(lead, out=np.full(h + 1, -np.inf), where=lead > 0)
     bounds = _row_bounds(params)
-    rows = np.empty(t_max + 1, int)
-    later = np.zeros(h + 1, bool)  # the starts kept at some step past a block
+    rows = np.full(t_max + 1, h + 1)  # 1 + the last start kept at each step
     block = max(1, _BLOCK // max(h + 1, _MODES))
     for end in range(t_max + 1, 0, -block):
         start = max(end - block, 0)
-        log_b, log_r = bounds(np.arange(start, end, dtype=float))
         low = log_floor[start:end]  # log (d0 - sigma) at these steps
-        stay = log_b + slack >= low
-        stay &= log_r + slack >= low + log_lead
+        stay = np.ones((end - start, h + 1), bool)
+        for log_bound, log_lead in zip(
+                bounds(np.arange(start, end, dtype=float)), log_leads):
+            stay &= log_bound + slack >= low + log_lead
         stay[:, :2] = True  # the two-row floor
-        stay[-1] |= later
-        stay = np.logical_or.accumulate(stay[::-1])[::-1]
         rows[start:end] = h + 1 - stay[:, ::-1].argmax(axis=1)
-        later = stay[0]
-    return rows
+        if rows[start:end].max() == h + 1:  # every row, here and before
+            break
+    return np.maximum.accumulate(rows[::-1])[::-1]
 
 
 def distance_profile(params: ChainParams, t_max: int,
@@ -562,14 +551,15 @@ def distance_profile(params: ChainParams, t_max: int,
     Only the starts near 0 can attain the maximum once the chain has moved,
     so a first pass evolves row 0 alone, and ``_rows_kept`` then certifies,
     from the chain's spectrum, which starts stay below it from each step
-    on: by the chi-square bound B_x of every mode, or, past the cutoff, by
-    d_x <= (1 - 2x/n) d_0 + R_x, where R_x bounds the modes i >= 2 of
-    P^t(x, .) - pi - (1 - 2x/n)(P^t(0, .) - pi).  Both are compared with
-    d_0 - sigma, the lower bound on the exact d_0 that the first pass gives,
-    and with a relative allowance rho for their own rounding in log scale
-    (``_rows_kept`` derives sigma and rho).  Step t multiplies only the
-    leading r_t >= min(2, h + 1) rows of S and V, r_t never growing, and
-    ``lost_mass`` is taken over those rows.
+    on, by one inequality: d_x <= c d_0 + R_c, where R_c bounds P^t(x, .)
+    - pi - c (P^t(0, .) - pi) through its modes (``_row_bounds``), at c = 0
+    (the chi-square bound) and at c = Q_1(x) = 1 - 2x/n, which removes the
+    slowest mode and certifies past the cutoff.  Start x stays below d_0
+    where R_c < (1 - c)(d_0 - sigma) for either c, with d_0 - sigma the
+    lower bound on the exact d_0 that the first pass gives, and a relative
+    allowance rho for R_c's own rounding (``_rows_kept`` derives sigma and
+    rho).  Step t multiplies only the leading r_t >= min(2, h + 1) rows of
+    S and V, r_t never growing, and ``lost_mass`` is taken over those rows.
     """
     if as_index(t_max, "t_max") < 0:
         raise ParameterError("t_max must be nonnegative")
@@ -614,6 +604,7 @@ def distance_profile(params: ChainParams, t_max: int,
 
 def t_mix(profile: MixingProfile, epsilon: float) -> int:
     """Smallest t in the profile with d(t) <= epsilon."""
+    check_real(epsilon, "epsilon")
     if not 0 < epsilon:
         raise ParameterError("epsilon must be positive")
     if epsilon >= 1:
@@ -632,6 +623,7 @@ def eigen_eval(params: ChainParams, kind: Eigenfunction, x: float) -> float:
     it has no eigenvalue; F3(k) = 1 - 2k(n - k)/n^2 is the contraction rate
     of the path-coupling bound."""
     n = params.n
+    check_real(x, "argument")
     if not 0 <= x <= n:
         raise ParameterError(f"argument {x} outside [0, {n}]")
     if kind is Eigenfunction.F1:

@@ -9,6 +9,7 @@ operations are pure functions.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -123,6 +124,13 @@ def as_index(value, name: str) -> int:
         except TypeError:
             pass
     raise ParameterError(f"{name} must be an integer, not {value!r}")
+
+
+def check_real(value, name: str) -> None:
+    """Raise ParameterError for a bool or a value that is not a real number
+    (NaN passes, for the caller's range check)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, not {value!r}")
 
 
 def point_mass(j: int) -> FinitePmf:

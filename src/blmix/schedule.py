@@ -7,12 +7,11 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from .chain import ChainParams, Eigenfunction, eigen_eval
 from .errors import ParameterError
-from .pmf import as_index
+from .pmf import as_index, check_real
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,7 @@ def floor_k(n: int, lam: float) -> int:
     """floor(lam n), the swap count of the floor_lambda_n rule."""
     if as_index(n, "n") < 1:
         raise ParameterError("n must be positive")
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
-        raise ParameterError(f"lam must be a real number, not {lam!r}")
+    check_real(lam, "lam")
     if not 0.0 <= lam <= 1.0:  # NaN fails it too
         raise ParameterError(f"lam must lie in [0, 1], not {lam!r}")
     return int(math.floor(lam * n))

@@ -262,8 +262,8 @@ def _kept_rows(monkeypatch) -> list:
 
 
 def _unpruned(monkeypatch):
-    """Make both row certificates certify nothing, so that every row is
-    kept."""
+    """Make the row certificates of both c certify nothing, so that every
+    row is kept."""
     monkeypatch.setattr(chain, "_row_bounds", lambda params: lambda t: (
         np.full((len(t), params.n // 2 + 1), np.inf),) * 2)
 
@@ -399,18 +399,27 @@ def test_hahn_matches_the_exact_hypergeometric_sum(n):
                                                                  err[:, k])
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 11, 12, 20])
 def test_hahn_completeness_in_rationals(n):
     """sum_i d_i Q_i(x) Q_i(y) = delta_xy / pi(x), d_i = C(2n, i) -
-    C(2n, i-1), exactly: the identity the row bound's tail rests on."""
+    C(2n, i-1), exactly, and the two sums the row certificates' tail rests
+    on: for x >= 1, sum_{i>=1} d_i Q_i(x) = -1 and sum_{i>=1} d_i (Q_i(x) -
+    Q_1(x))^2 = 1/pi(x) - 1 + 2 Q_1(x) + Q_1(x)^2 (C(2n, n) - 1)."""
     Q = [[hahn_exact(n, i, x) for x in range(n + 1)] for i in range(n + 1)]
     d = [math.comb(2 * n, i) - (math.comb(2 * n, i - 1) if i else 0)
          for i in range(n + 1)]
+    total = math.comb(2 * n, n)
     for x in range(n + 1):
         for y in range(n + 1):
-            total = sum(di * Qi[x] * Qi[y] for di, Qi in zip(d, Q))
-            assert total == (Fraction(math.comb(2 * n, n), math.comb(n, x) ** 2)
-                             if x == y else 0)
+            assert sum(di * Qi[x] * Qi[y] for di, Qi in zip(d, Q)) == (
+                Fraction(total, math.comb(n, x) ** 2) if x == y else 0)
+    for x in range(1, n + 1):
+        q1 = Q[1][x]
+        assert q1 == 1 - Fraction(2 * x, n)
+        assert sum(di * Qi[x] for di, Qi in zip(d[1:], Q[1:])) == -1
+        assert (sum(di * (Qi[x] - q1) ** 2 for di, Qi in zip(d[1:], Q[1:]))
+                == Fraction(total, math.comb(n, x) ** 2) - 1 + 2 * q1
+                + q1 ** 2 * (total - 1))
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (8, 2), (8, 4), (9, 3), (12, 5)])
@@ -484,10 +493,11 @@ def _dense_distances(n, k):
 @pytest.mark.parametrize("n", [40, 41, 64, 65, 126, 127, 300, 301, 512, 1024])
 @pytest.mark.parametrize("frac", [4, 3])
 def test_row_bound_holds_for_every_start(n, frac):
-    """B_x(t) is at least the distance d_x(t) of every start x <= n/2 at
-    every t of the default horizon, from a loop over the rows of the dense
-    kernel, up to that loop's own rounding, (t + 2) gamma_(n+2); and at
-    t = 0 it is at least half the root of the exact chi-square distance."""
+    """R_0(t), the row certificate at c = 0, is at least the distance
+    d_x(t) of every start x <= n/2 at every t of the default horizon, from
+    a loop over the rows of the dense kernel, up to that loop's own
+    rounding, (t + 2) gamma_(n+2); and at t = 0 it is at least half the
+    root of the exact chi-square distance."""
     k = n // frac
     t_max = _default_horizon(n, k)
     params = ChainParams(n, k)
@@ -508,12 +518,22 @@ def test_row_bound_holds_for_every_start(n, frac):
 @pytest.mark.parametrize("n", [40, 41, 64, 65, 126, 127, 300, 301, 512, 1024])
 @pytest.mark.parametrize("frac", [4, 3])
 def test_mode_one_bound_holds_for_every_start(n, frac):
-    """d_x(t) <= (1 - 2x/n) d_0(t) + R_x(t) for every start x <= n/2 and
-    every t of the default horizon, from the dense kernel's loop, with the
-    allowance of ``test_row_bound_holds_for_every_start``."""
+    """d_x(t) <= c d_0(t) + R_c(t) at c = Q_1(x) = 1 - 2x/n for every start
+    x <= n/2 and every t of the default horizon, from the dense kernel's
+    loop, with the allowance of ``test_row_bound_holds_for_every_start``;
+    and at t = 0, for x >= 1, R_c is at least half the root of the exact
+    sum_{i>=1} d_i (Q_i(x) - Q_1(x))^2
+    (``test_hahn_completeness_in_rationals``)."""
     k = n // frac
     t_max = _default_horizon(n, k)
     _, log_r = chain._row_bounds(ChainParams(n, k))(np.arange(t_max + 1.0))
+    total = math.comb(2 * n, n)
+    for x in range(1, n // 2 + 1):
+        q1 = 1 - Fraction(2 * x, n)
+        exact = (Fraction(total, math.comb(n, x) ** 2) - 1 + 2 * q1
+                 + q1 ** 2 * (total - 1))
+        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+        assert log_r[0, x] >= log_exact / 2 + math.log(0.5) - 1e-9
     r = np.exp(np.minimum(log_r, 1.0))
     d = _dense_distances(n, k)
     q1 = 1 - 2 * np.arange(n // 2 + 1) / n
@@ -616,11 +636,25 @@ def test_rows_kept_memory_does_not_grow_with_the_horizon(monkeypatch):
 def test_every_row_kept_where_nothing_is_certified(n, k, t_max, monkeypatch):
     """Where the bound certifies no start at every later step (t_max = 0,
     k = n/3 at the default horizon, where d(t_max) is about 1e-14, k near
-    n/2, where d(t) collapses within a few steps), every row is kept."""
+    n/2, where d(t) collapses within a few steps), every row is kept. Past
+    t = 0 that is because d0(t_max) lies below sigma, so nothing is
+    certified at the last step: with blocks of one step, the rule builds
+    the last block alone and keeps the same rows."""
     t_max = _default_horizon(n, k) if t_max is None else t_max
+    params = ChainParams(n, k)
     kept = _kept_rows(monkeypatch)
-    distance_profile(ChainParams(n, k), t_max)
+    distance_profile(params, t_max)
     assert np.all(kept[0] == n // 2 + 1)
+    blocks, row_bounds = [], chain._row_bounds
+
+    def counted(params):
+        at = row_bounds(params)
+        return lambda t: blocks.append(t) or at(t)
+    monkeypatch.setattr(chain, "_BLOCK", 1)
+    monkeypatch.setattr(chain, "_row_bounds", counted)
+    distance_profile(params, t_max)
+    assert [t.tolist() for t in blocks] == [[t_max]]
+    assert np.array_equal(kept[1], kept[0])
 
 
 def test_trimmed_evolution_above_matrix_guard():
@@ -885,6 +919,18 @@ def test_eigen_eval_examples():
     assert eigen_eval(ChainParams(4, 0), Eigenfunction.F3, 2) == pytest.approx(0.5)
     with pytest.raises(ParameterError):
         eigen_eval(ChainParams(1, 0), Eigenfunction.F2, 0)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, 0.5j, math.nan])
+def test_t_mix_and_eigen_eval_refuse_non_real_arguments(bad):
+    """A bool, a non-real or a NaN epsilon or eigenfunction argument is
+    refused, not read as 1 (a bool) or left to escape as a TypeError."""
+    profile = distance_profile(ChainParams(2, 1), 3)
+    with pytest.raises(ParameterError):
+        t_mix(profile, bad)
+    for kind in Eigenfunction:
+        with pytest.raises(ParameterError):
+            eigen_eval(ChainParams(10, 2), kind, bad)
 
 
 # ---------------------------------------------------------- moment identities
