@@ -1,6 +1,16 @@
 """Exact kernels, coupling simulation and mixing-time diagnostics for the
 two-urn ball-swap chain."""
 
+import os
+import sys
+
+# OpenBLAS reads this once, as numpy loads it.  Its idle worker spins 2**28
+# cycles (~0.13 s of CPU) after the load and each threaded product; 2**20
+# (~0.5 ms) still spans one loop's gaps.  Thread count and result bits stay.
+# A user's value wins; once numpy is loaded, OpenBLAS has read it already.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .chain import (ChainParams, Eigenfunction, MixingProfile, StartPolicy,
                     distance_profile, eigen_eval, evolve,
                     lower_bound_certificate, stationary, t_mix,

@@ -196,7 +196,7 @@ class _SparseKernel:
                 self._tiles[tile] = c0, block
             c0, block = self._tiles[tile]
             out[:, c0:c0 + block.shape[1]] += part.T @ block
-        # elementwise, not BLAS: a threaded dot would leave spinning threads
+        # elementwise, not BLAS: a threaded dot would wake OpenBLAS's worker
         lost = mu.lost_mass + float((both * self._lost[:, None]).sum())
         return _pmf.from_weights(0, out[0] + out[1, ::-1],
                                  lost_mass=min(lost, 1.0))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .chain import ChainParams, Eigenfunction, eigen_eval
 from .errors import InfeasibleSizeError, ParameterError
-from .pmf import as_index
+from .pmf import as_index, check_real
 from .rng import RngStream
 from .schedule import Schedule
 
@@ -68,11 +68,15 @@ class StoppingSpec:
     r: float | None = None  # distance threshold, tau_couple only
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ParameterError("kappa must be positive")
-        if (self.kind is StoppingKind.TAU_COUPLE
-                and (self.r is None or not self.r > 0)):
-            raise ParameterError("tau_couple requires a positive r")
+        check_real(self.kappa, "kappa")
+        if not 0 < self.kappa < math.inf:
+            raise ParameterError("kappa must be positive and finite")
+        if self.r is not None:
+            check_real(self.r, "r")
+            if not 0 < self.r < math.inf:
+                raise ParameterError("r must be positive and finite")
+        elif self.kind is StoppingKind.TAU_COUPLE:
+            raise ParameterError("tau_couple requires an r")
 
 
 @dataclass(frozen=True)

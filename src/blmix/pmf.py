@@ -39,6 +39,7 @@ class FinitePmf:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "offset", as_index(self.offset, "offset"))
         if w.ndim != 1 or w.size == 0:
             raise ParameterError("weights must be a non-empty 1-d array")
         if not np.all(w >= 0):
@@ -257,6 +258,8 @@ class DiscreteNormalParams:
     def __post_init__(self):
         for name in ("lo", "hi"):
             object.__setattr__(self, name, as_index(getattr(self, name), name))
+        for name in ("center", "scale"):
+            check_real(getattr(self, name), name)
         if not (math.isfinite(self.center) and math.isfinite(self.scale)):
             raise ParameterError("center and scale must be finite numbers")
         if not self.scale > 0:
@@ -334,6 +337,7 @@ def lost_either(la, lb):
 def hoeffding_tail(params: HypergeomParams, deviation: float) -> float:
     """Two-sided exponential tail bound 2*exp(-2*draws*deviation^2) for the
     draw fraction deviating by more than ``deviation``.  May exceed 1."""
+    check_real(deviation, "deviation")
     if not deviation >= 0:
         raise ParameterError("deviation must be nonnegative")
     return 2.0 * math.exp(-2.0 * params.draws * deviation * deviation)

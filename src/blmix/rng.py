@@ -25,7 +25,7 @@ class RngStream:
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
-            if not isinstance(v, int) or not -_U64 < v < _U64:
+            if type(v) is not int or not -_U64 < v < _U64:
                 raise ParameterError(f"{name} must be a 64-bit integer, got {v!r}")
 
     def _philox(self) -> np.random.Philox:

@@ -35,6 +35,8 @@ class Schedule:
 
 
 def make_schedule(n: int, k: int, lam: float) -> Schedule:
+    n, k = as_index(n, "n"), as_index(k, "k")
+    check_real(lam, "lam")
     if n < 3:
         raise ParameterError("n must be at least 3 (log log n must be positive)")
     if not 0.0 < lam < 0.5:

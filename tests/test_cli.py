@@ -305,6 +305,23 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("preset,imports,expected", [
+    (None, "blmix", "20"), ("28", "blmix", "28"), (None, "numpy, blmix", "None")])
+def test_import_sets_the_openblas_thread_timeout(monkeypatch, preset, imports,
+                                                 expected):
+    """Imported before numpy, blmix sets OPENBLAS_THREAD_TIMEOUT to 20 where
+    it is unset, so OpenBLAS's idle worker spins 2**20 cycles, not 2**28,
+    before it sleeps; a value already set is kept; and after numpy, whose
+    OpenBLAS has read its environment already, it is left unset."""
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", preset)
+    out = run_python(f"import os, {imports}\n"
+                     "print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == expected
+
+
 def test_cli_import_loads_the_traced_layers():
     """The benchmark's traced runs (perfbench/child.py --trace 1) import
     blmix.cli and blmix.config, wrap every public function of the seven

@@ -287,13 +287,21 @@ def test_survival_reproducible():
 # ------------------------------------------------------------- stopping times
 
 def test_stopping_spec_validation():
+    """A kappa or r that is not positive is refused, and so is a missing one
+    (r only for tau_couple, the kind that reads it), an infinite one, which
+    no replica could cross, True, which is not read as 1, and a string or
+    complex number, which would escape as TypeError."""
     sched = make_schedule(400, 100, 0.25)
-    for kappa in (0.0, np.nan):
+    hostile = (math.inf, True, np.True_, "x", 1j)
+    for kappa in (0.0, np.nan, None) + hostile:
         with pytest.raises(ParameterError):
             StoppingSpec(StoppingKind.TAU1, sched, kappa=kappa)
-    for r in (None, 0.0, np.nan):
+    for r in (None, 0.0, np.nan) + hostile:
         with pytest.raises(ParameterError):
             StoppingSpec(StoppingKind.TAU_COUPLE, sched, r=r)
+    for r in (0.0, np.nan) + hostile:  # r is checked whenever it is given
+        with pytest.raises(ParameterError):
+            StoppingSpec(StoppingKind.TAU1, sched, r=r)
 
 
 def test_default_horizons():

@@ -42,6 +42,17 @@ def test_finite_pmf_validation():
     assert p.mean() == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("offset", [math.nan, 2.5, np.float64(2.0), True,
+                                    np.True_, None, "2"])
+def test_finite_pmf_refuses_a_non_integer_offset(offset):
+    """A NaN or 2.5 offset would put the weights off the integers, and True
+    would read as 1: each is refused as every other index is.  A numpy
+    integer is stored as the int it holds."""
+    with pytest.raises(ParameterError, match="must be an integer"):
+        FinitePmf(offset, np.ones(1))
+    assert type(FinitePmf(np.int64(2), np.ones(1)).offset) is int
+
+
 def test_shift_and_truncate_bookkeeping():
     p = FinitePmf(0, np.array([0.5, 0.5 - 1e-20, 1e-20]))
     assert p.shifted(7).lo == 7
@@ -172,11 +183,14 @@ def test_discrete_normal_examples():
 def test_discrete_normal_invalid():
     """A bound that is not an integer (0.5 would shift the support by a
     half, True would read as 1) and a center or scale that is not a finite
-    number (an infinite scale would give a uniform law) are refused."""
+    number (an infinite scale would give a uniform law, True would read as
+    1, and a string or None would escape as TypeError) are refused."""
     for args in ((0, 0.0, 0, 5), (0, 1.0, 3, 2), (0, 1, 0.5, 3.5),
                  (0, 1, 0, 3.5), (0, 1, True, 3), (0, 1, 0, True),
                  (0, math.inf, 0, 5), (0, math.nan, 0, 5),
-                 (math.nan, 1, 0, 5), (-math.inf, 1, 0, 5)):
+                 (math.nan, 1, 0, 5), (-math.inf, 1, 0, 5),
+                 (True, 1.0, 0, 5), (0.0, True, 0, 5), (0.0, np.True_, 0, 5),
+                 ("0", 1.0, 0, 5), (0.0, None, 0, 5)):
         with pytest.raises(ParameterError):
             DiscreteNormalParams(*args)
     params = DiscreteNormalParams(0.5, 1.0, np.int64(0), np.int64(3))
@@ -290,7 +304,8 @@ def test_hoeffding_examples():
     grid = np.linspace(0.01, 0.5, 20)
     values = [hoeffding_tail(params, d) for d in grid]
     assert np.all(np.diff(values) < 0)
-    for bad in (-0.1, np.nan):
+    # True is not read as 1; a string, None or 0.1j would escape as TypeError
+    for bad in (-0.1, np.nan, True, np.True_, "x", None, 0.1j):
         with pytest.raises(ParameterError):
             hoeffding_tail(HypergeomParams(10, 5, 4), bad)
 
@@ -315,6 +330,15 @@ def test_chunk_streams_start_at_the_stream_and_differ():
     assert np.array_equal(draws[5], RngStream(7, 1).chunk(5)
                           .integers(0, 2**63, size=16))
     assert len({d.tobytes() for d in draws}) == len(draws)
+
+
+@pytest.mark.parametrize("args", [(True, 2), (7, False), (np.True_, 2),
+                                  (7.0, 2), (np.int64(7), 2), (2**64, 0)])
+def test_rng_stream_refuses_a_seed_that_is_not_an_int(args):
+    """A bool seed or stream id is not read as 0 or 1, and a float, a numpy
+    integer or a value past 64 bits is refused as before."""
+    with pytest.raises(ParameterError, match="must be a 64-bit integer"):
+        RngStream(*args)
 
 
 def test_sampling_refuses_a_bad_size():

@@ -58,6 +58,17 @@ def test_make_schedule_validation():
         make_schedule(100, 120, 0.25)
 
 
+@pytest.mark.parametrize("n,k,lam", [
+    (100, "25", 0.25), (100, 25.0, 0.25), (100, True, 0.25), ("100", 25, 0.25),
+    (100.0, 25, 0.25), (100, 25, None), (100, 25, "0.25"), (100, 25, True),
+    (100, 25, 0.25j)])
+def test_make_schedule_refuses_non_integer_sizes_and_non_real_lam(n, k, lam):
+    """n and k go through the integer check and lam through the real one,
+    so a string or None is refused, not left to escape as TypeError."""
+    with pytest.raises(ParameterError):
+        make_schedule(n, k, lam)
+
+
 def test_floor_k():
     assert floor_k(1000, 0.25) == 250
     assert floor_k(1001, 0.25) == 250
