@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import ChainParams, transition_row
+from .chain import LAW_GUARD, ChainParams, transition_row
 from .errors import InfeasibleSizeError, ParameterError
 from .pmf import (DiscreteNormalParams, HypergeomParams, as_index,
                   discrete_normal_norm_const, discrete_normal_pmf,
                   hypergeom_pmf, tv_distance)
 
 EXACT_TV_GUARD = 10_000  # compute the exact one-step TV only up to this n
-APPROX_GUARD = 10**7  # the largest n: each law holds k + 1 points, untrimmed
+APPROX_GUARD = LAW_GUARD  # the largest n: laws of k + 1 points, untrimmed
 
 
 @dataclass(frozen=True)

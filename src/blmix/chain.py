@@ -22,6 +22,7 @@ from .pmf import (SUM_TOL, FinitePmf, HypergeomParams, as_index, check_real,
 
 MATRIX_GUARD = 4096      # refuse the all-states profile above this
 VECTOR_GUARD = 100_000   # refuse single-start evolution above this
+LAW_GUARD = 10**7  # refuse untrimmed laws, of up to n + 1 points, above this
 MONOTONE_TOL = 1e-12
 # all-states entries below this are zeroed: a product of two entries at or
 # above it is a normal double, so the dense matmul never meets a subnormal
@@ -125,6 +126,11 @@ def _check_trim(trim) -> None:
         raise ParameterError(f"trim must be a bool, not {trim!r}")
 
 
+def _check_law_size(n: int) -> None:
+    if n > LAW_GUARD:
+        raise InfeasibleSizeError(f"n={n} is above LAW_GUARD={LAW_GUARD:,}")
+
+
 def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf:
     """Law of the next state from ``x``: x plus incoming-red minus
     outgoing-red counts, both hypergeometric over the k swapped balls.
@@ -134,42 +140,49 @@ def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf
 
     With ``trim`` the hypergeometric law is computed on its Hoeffding
     window and the row's negligible tails are cut; ``lost_mass`` bounds the
-    probability dropped."""
+    probability dropped.  Refused above LAW_GUARD."""
     x = as_index(x, "state")
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
     _check_trim(trim)
+    _check_law_size(params.n)
     c0, block, lost = _rows(params.n, params.k, np.array([x]), trim)
     return FinitePmf(c0, block[0], float(lost[0]))
 
 
 def stationary(params: ChainParams) -> FinitePmf:
     """The unique invariant law: hypergeometric counts of red balls when the
-    2n balls are split evenly at random."""
+    2n balls are split evenly at random.  Refused above LAW_GUARD."""
     n = params.n
+    _check_law_size(n)
     return hypergeom_pmf(HypergeomParams(2 * n, n, n))
 
 
 class _SparseKernel:
-    """The kernel rows of the states c <= n/2 reached so far, held in dense
+    """The kernel rows of the states c <= n/2 that carry mass, or whose colour
+    swaps n - c do, in the law the latest step stepped from, held in dense
     blocks of TILE consecutive states.  A tile is built whole, by one
-    ``_rows`` call, the first time any of its states carries mass, and
-    spans the union of its rows' columns, so its bits do not depend on the
-    order states were reached in.  Swapping the colours maps the chain to
+    ``_rows`` call, when its states first carry mass, and spans the union of
+    its rows' columns, so its bits do not depend on the order states were
+    reached in.  It is dropped at the first step where none of them does,
+    and built again, the same bits, if they carry mass later: the chain
+    pulls the law toward n/2 by |1 - 2k/n| a step, so the tiles it leaves
+    behind are rarely stepped again.  Swapping the colours maps the chain to
     itself, so the row of x > n/2 is the row of n - x reversed: a step sends
     the mass of each such x through the row of n - x and reverses that part
     of the result.  A step is one (2 x TILE) by (TILE x width) product per
-    built tile from the first to the last tile with mass (the last tile
-    holds fewer states when TILE does not divide n // 2 + 1), added in tile
-    order; the tiles outside that range would add exact zeros, so the result
-    is the same bits as over every built tile.
+    tile with mass (the last tile holds fewer states when TILE does not
+    divide n // 2 + 1), added in tile order; the tiles without mass would
+    add exact zeros, so the result is the same bits as over every tile.
     """
 
     def __init__(self, params: ChainParams, trim: bool):
         self.params = params
         self.trim = trim
-        self._lost = np.zeros(params.n // 2 + 1)  # lost mass of each built row
-        # the first column and the (TILE, width) block of each built tile
+        # lost mass of each row built so far: a dropped tile's entries stay,
+        # and weigh only states without mass
+        self._lost = np.zeros(params.n // 2 + 1)
+        # the first column and the (TILE, width) block of each tile held
         self._tiles = [None] * (params.n // 2 // TILE + 1)
 
     def step(self, mu: FinitePmf) -> FinitePmf:
@@ -183,18 +196,23 @@ class _SparseKernel:
         both[:, 0] = x[:half + 1]
         both[:n - half, 1] = x[:half:-1]
         carried = np.nonzero(both.any(axis=1))[0]
+        first, last = carried[0] // TILE, carried[-1] // TILE + 1
+        tiles = self._tiles
+        tiles[:first] = [None] * first
+        tiles[last:] = [None] * (len(tiles) - last)
         # each product is below OpenBLAS's threshold for threading
         out = np.zeros((2, n + 1))
-        for tile in range(carried[0] // TILE, carried[-1] // TILE + 1):
+        for tile in range(first, last):
             part = both[tile * TILE:(tile + 1) * TILE]
-            if self._tiles[tile] is None:
-                if not part.any():
-                    continue
+            if not part.any():
+                tiles[tile] = None
+                continue
+            if tiles[tile] is None:
                 states = np.arange(tile * TILE, tile * TILE + len(part))
                 c0, block, self._lost[states] = _rows(
                     n, self.params.k, states, self.trim)
-                self._tiles[tile] = c0, block
-            c0, block = self._tiles[tile]
+                tiles[tile] = c0, block
+            c0, block = tiles[tile]
             out[:, c0:c0 + block.shape[1]] += part.T @ block
         # elementwise, not BLAS: a threaded dot would wake OpenBLAS's worker
         lost = mu.lost_mass + float((both * self._lost[:, None]).sum())
@@ -204,21 +222,27 @@ class _SparseKernel:
 
 @functools.lru_cache(maxsize=1)
 def _kernel(params: ChainParams, trim: bool) -> _SparseKernel:
-    """The kernel of the latest ``(params, trim)``, kept so that repeated
-    one-step calls build each row once.  Its results do not depend on which
-    rows it already holds: rows of states without mass add exact zeros."""
+    """The kernel of the latest ``(params, trim)``, kept so that a law
+    stepped call by call builds each row once; a tile it leaves is dropped.
+    Its results do not depend on which rows it holds: a row rebuilt is the
+    same bits, and rows of states without mass add exact zeros."""
     return _SparseKernel(params, trim)
 
 
 def evolve(params: ChainParams, mu: FinitePmf, steps: int,
            trim: bool = False) -> FinitePmf:
     """Push ``mu`` through the kernel ``steps`` times, accumulating any
-    truncation losses from the rows used."""
+    truncation losses from the rows used.  Refused above VECTOR_GUARD, before
+    the kernel or any row is built: a step holds dense laws of n + 1
+    points."""
     if mu.lo < 0 or mu.hi > params.n:
         raise ParameterError("distribution leaves the state space")
     if as_index(steps, "steps") < 0:
         raise ParameterError("steps must be nonnegative")
     _check_trim(trim)
+    if params.n > VECTOR_GUARD:
+        raise InfeasibleSizeError(f"single-start evolution refused for "
+                                  f"n={params.n} > {VECTOR_GUARD}")
     kernel = _kernel(params, trim)
     out = mu
     for _ in range(steps):
@@ -300,7 +324,8 @@ def _folded_distances(k_plus: np.ndarray, k_minus: np.ndarray,
     lost[t] the bound so far on what the floor put into it (see
     ``distance_profile``), not included in dist[t].  A step multiplies only
     the columns from the first where S or V holds a nonzero, through the
-    halves' ``_reach``."""
+    halves' ``_reach``; the first step, from S_0 = V_0 = I, copies the
+    halves' leading rows instead."""
     h, a = len(k_plus) - 1, len(k_minus)
     S, V = np.eye(rows[0], h + 1), np.eye(rows[0], a)
     if a == h and rows[0] > h:
@@ -318,13 +343,22 @@ def _folded_distances(k_plus: np.ndarray, k_minus: np.ndarray,
         dist[t] = 0.5 * (mag.sum(axis=1) + 0.5 * gap[:, a:].sum(axis=1)).max()
         if t + 1 < len(rows):
             r = rows[t + 1]
-            live = S[:r].any(axis=0)
-            live[:a] |= V[:r].any(axis=0)
-            c = int(live.argmax())
-            S, S_next = _window_matmul(S[:r], k_plus, reach_plus, c,
-                                       S_next[:r]), S
-            V, V_next = _window_matmul(V[:r], k_minus, reach_minus, c,
-                                       V_next[:r]), V
+            if t == 0:  # I times a half is its rows, bit for bit
+                S, S_next = S_next[:r], S
+                V, V_next = V_next[:r], V
+                S[:] = k_plus[:r]
+                if a == h and r > h:
+                    S[h] *= 2.0
+                V[:a] = k_minus[:r]
+                V[a:] = 0.0
+            else:
+                live = S[:r].any(axis=0)
+                live[:a] |= V[:r].any(axis=0)
+                c = int(live.argmax())
+                S, S_next = _window_matmul(S[:r], k_plus, reach_plus, c,
+                                           S_next[:r]), S
+                V, V_next = _window_matmul(V[:r], k_minus, reach_minus, c,
+                                           V_next[:r]), V
             zeroed = _flush(S, S) + _flush(V, np.abs(V, out=V_next[:r]))
             lost[t + 1] = lost[t] + (lost_k + float(zeroed.max()))
     return dist, lost

@@ -14,7 +14,7 @@ from blmix import (ChainParams, Eigenfunction, HypergeomParams, MixingProfile,
                    evolve, hypergeom_pmf, lower_bound_certificate,
                    make_schedule, point_mass, stationary, t_mix,
                    transition_row, tv_distance)
-from blmix import chain, pmf
+from blmix import approx, chain, pmf
 from blmix.chain import MATRIX_GUARD, TILE, UNDERFLOW_FLOOR
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
@@ -337,6 +337,43 @@ def test_folded_kernels_match_the_dense_fold(n, k):
     assert got_lost == lost
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 41, 64, 101])
+def test_all_states_first_step_copies_the_folded_rows(n, monkeypatch):
+    """The all-states loop's first step copies the folded halves' leading
+    rows (K_plus's middle row doubled at even n) in place of multiplying
+    them by S_0 = V_0 = I: S_1, V_1, d(1) and its lost mass are the bits of
+    the product, at every number of rows kept."""
+    h, a = n // 2, (n + 1) // 2
+    flushed, flush = [], chain._flush
+
+    def kept(A, mag):
+        zeroed = flush(A, mag)
+        flushed.append(A.tobytes())
+        return zeroed
+
+    monkeypatch.setattr(chain, "_flush", kept)
+    for k in sorted({0, 1, n // 4, n // 3, n // 2, n}):
+        params = ChainParams(n, k)
+        k_plus, k_minus, lost_k = chain._folded_kernels(params)
+        two_pi = 2.0 * stationary(params).dense_on(0, n)[:h + 1]
+        for r in sorted({min(m, h + 1) for m in (1, 2, h, h + 1)} - {0}):
+            S, V = np.eye(r, h + 1), np.eye(r, a)
+            if a == h and r > h:
+                S[h, h] = 2.0
+            S, V = S @ k_plus, V @ k_minus
+            zeroed = flush(S, S) + flush(V, np.abs(V))
+            gap = np.abs(S - two_pi)
+            d1 = 0.5 * (np.maximum(gap[:, :a], np.abs(V)).sum(axis=1)
+                        + 0.5 * gap[:, a:].sum(axis=1)).max()
+            flushed.clear()
+            dist, lost = chain._folded_distances(
+                k_plus, k_minus, chain._reach(k_plus), chain._reach(k_minus),
+                two_pi, lost_k, np.array([h + 1, r]))
+            assert flushed == [S.tobytes(), V.tobytes()]
+            assert dist[1] == d1
+            assert lost[1] == lost_k + zeroed.max()
+
+
 @pytest.mark.parametrize("n,k", [
     pytest.param(n, k, id=str(n) if k == n // 4 else f"{n}-{k}")
     for n in (40, 41, 300, 301, 1024)
@@ -564,9 +601,9 @@ def test_products_skip_the_dead_columns_at_1024(monkeypatch):
     """At n = 1024, k = n/4 and the default horizon, pi(z) is below
     UNDERFLOW_FLOOR for z below about 0.22 n, so S and V are exact zeros
     there once the chain has moved: the products of the loop over every row
-    make at most 50% of the multiply-adds of full-width products (42.8%
-    observed). Measured over every row, as the pruning drops the late steps,
-    whose windows are the narrowest."""
+    make at most 50% of the multiply-adds of full-width products over the
+    same steps (42.0% observed). Measured over every row, as the pruning
+    drops the late steps, whose windows are the narrowest."""
     n, k = 1024, 256
     h, a = n // 2, (n + 1) // 2
     t_max = _default_horizon(n, k)
@@ -575,9 +612,11 @@ def test_products_skip_the_dead_columns_at_1024(monkeypatch):
     monkeypatch.setattr(np, "matmul", lambda A, B, **kw: made.append(
         A.shape[0] * A.shape[1] * B.shape[1]) or matmul(A, B, **kw))
     distance_profile(ChainParams(n, k), t_max)
-    # two products a step: row 0 alone, then every row
-    full = (t_max + t_max * (h + 1)) * ((h + 1) ** 2 + a ** 2)
-    assert len(made) == 4 * t_max
+    # two products a step after the first, which copies the halves' rows:
+    # row 0 alone, then every row
+    steps = t_max - 1
+    full = (steps + steps * (h + 1)) * ((h + 1) ** 2 + a ** 2)
+    assert len(made) == 4 * steps
     assert sum(made) <= 0.5 * full
 
 
@@ -807,6 +846,7 @@ def test_sparse_kernel_step_over_rows_with_mass_is_the_full_product(n, trim):
     kernel = chain._SparseKernel(params, trim)
     kernel.step(from_weights(0, np.ones(n + 1), normalize=True))
     assert None not in kernel._tiles  # every tile is built
+    tiles = list(kernel._tiles)  # the step drops the tiles without mass
     mu = transition_row(params, 2 * n // 5, trim=trim)
     assert TILE <= mu.lo and mu.hi <= n - TILE  # state 0's tile has no mass
     out = kernel.step(mu)
@@ -817,7 +857,7 @@ def test_sparse_kernel_step_over_rows_with_mass_is_the_full_product(n, trim):
     both[:, 0] = x[:half + 1]
     both[:n - half, 1] = x[:half:-1]
     prod = np.zeros((2, n + 1))
-    for tile, (c0, block) in enumerate(kernel._tiles):
+    for tile, (c0, block) in enumerate(tiles):
         part = both[tile * TILE:(tile + 1) * TILE]
         # the last tile holds the n // 2 + 1 - tile * TILE states left
         assert block.shape[0] == len(part) and block.flags.c_contiguous
@@ -827,20 +867,22 @@ def test_sparse_kernel_step_over_rows_with_mass_is_the_full_product(n, trim):
 
 
 @pytest.mark.parametrize("n", [126, 300, 5000])
-def test_state_zero_profile_ignores_build_history(n):
+def test_state_zero_profile_ignores_build_history(n, row_builds):
     """The cached kernel's rows do not depend on the order states were
     reached in: a state-zero profile on a fresh kernel is byte-equal to one
-    taken after an evolution from state n, which starts above n/2, has
-    filled the kernel first."""
+    that steps through tile 0 as an evolution from state n, which starts
+    above n/2, built it."""
     params = ChainParams(n, n // 4)
     t_max = _default_horizon(n, n // 4)
-    chain._kernel.cache_clear()
     fresh = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
+    fresh_builds = row_builds[0]  # an untrimmed law can come back to tile 0
     chain._kernel.cache_clear()
-    evolve(params, point_mass(n), t_max, trim=n > MATRIX_GUARD)
+    evolve(params, point_mass(n), 1, trim=n > MATRIX_GUARD)
     # state n is stepped through the row of its colour swap 0
     assert chain._kernel(params, n > MATRIX_GUARD)._tiles[0] is not None
+    row_builds.clear()
     after = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
+    assert row_builds[0] == fresh_builds - 1  # step 0 used the tile held
     assert after.d_values.tobytes() == fresh.d_values.tobytes()
     assert after.lost_mass == fresh.lost_mass
 
@@ -862,26 +904,89 @@ def row_builds(monkeypatch):
 
 
 def test_state_zero_profile_builds_each_colour_swap_pair_once(row_builds):
-    """At n = 10^4 the state-zero profile builds the row of each state
-    x <= n/2 at most once and steps its colour swap n - x through it.  The
-    rows it builds are the whole tiles of the states it steps from."""
-    n, k = 10_000, 2500
-    params = ChainParams(n, k)
+    """A trimmed state-zero profile (n = 10^4, k = n/4, and n = 5001, k
+    from n/10 to n/2) builds the row of each state x <= n/2 at most once,
+    though it drops the tiles the law leaves, and steps its colour swap
+    n - x through it.  The rows it builds are the whole tiles of the states
+    it steps from."""
     built = row_builds
-    t_max = _default_horizon(n, k)
-    profile = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
-    assert max(built.values()) == 1
-    assert max(built) <= n // 2
-    # the states with mass at t < t_max, stepped through the cached kernel
-    reached, mu = set(), point_mass(0)
-    for _ in range(t_max):
-        reached.update(mu.support[mu.weights > 0].tolist())
-        mu = evolve(params, mu, 1, trim=True)
-    # the upper half was reached too, and no row was stored for it
-    assert max(reached) > n // 2
-    tiles = {min(x, n - x) // TILE for x in reached}
-    assert sorted(built) == [c for c in range(n // 2 + 1) if c // TILE in tiles]
-    assert profile.d_values[-1] < 0.25
+    for n, k in ((10_000, 2500), (5001, 500), (5001, 1667), (5001, 2500)):
+        params = ChainParams(n, k)
+        chain._kernel.cache_clear()
+        built.clear()
+        t_max = _default_horizon(n, k)
+        profile = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
+        assert max(built.values()) == 1
+        assert max(built) <= n // 2
+        # the states with mass at t < t_max, through the cached kernel
+        reached, mu = set(), point_mass(0)
+        for _ in range(t_max):
+            reached.update(mu.support[mu.weights > 0].tolist())
+            mu = evolve(params, mu, 1, trim=True)
+        # the upper half was reached too, and no row was stored for it
+        assert max(reached) > n // 2
+        tiles = {min(x, n - x) // TILE for x in reached}
+        assert sorted(built) == [c for c in range(n // 2 + 1)
+                                 if c // TILE in tiles]
+        assert profile.d_values[-1] < 0.25
+
+
+@pytest.mark.parametrize("n", [700, 5001, 20_000])
+def test_sparse_kernel_holds_the_tiles_with_mass(n, monkeypatch):
+    """After each step of a state-zero profile the kernel holds exactly the
+    tiles of the states c <= n/2 that carry the mass, or their colour swaps
+    do, of the law it stepped, and the step is byte-equal to the same step
+    on a fresh kernel (every third step, to keep the test short)."""
+    params = ChainParams(n, n // 4)
+    t_max = _default_horizon(n, n // 4)
+    trim = n > MATRIX_GUARD
+    step = chain._SparseKernel.step
+    steps = []
+
+    def checked(kernel, mu):
+        out = step(kernel, mu)
+        x = mu.support[mu.weights > 0]
+        held = [t for t, tile in enumerate(kernel._tiles) if tile is not None]
+        assert held == sorted(set((np.minimum(x, n - x) // TILE).tolist()))
+        steps.append((mu, out))
+        return out
+
+    monkeypatch.setattr(chain._SparseKernel, "step", checked)
+    chain._kernel.cache_clear()
+    distance_profile(params, t_max, StartPolicy.STATE_ZERO)
+    chain._kernel.cache_clear()
+    assert len(steps) == t_max
+    for mu, out in steps[::3]:
+        fresh = step(chain._SparseKernel(params, trim), mu)
+        assert fresh.dense_on(0, n).tobytes() == out.dense_on(0, n).tobytes()
+        assert fresh.lost_mass == out.lost_mass
+
+
+def test_state_zero_profile_peak_is_below_the_tiles_built(monkeypatch):
+    """The kernel holds only the tiles the current law steps from, so the
+    traced peak of a trimmed profile (n = 2 * 10^4, k = n/4, the default
+    horizon) stays below 0.75 times the bytes of every tile it builds
+    (0.64 observed; 1.13 when every tile built was kept)."""
+    n, k = 20_000, 5000
+    built = []
+    rows = chain._rows
+
+    def counted(*args):
+        c0, block, lost = rows(*args)
+        built.append(block.nbytes)
+        return c0, block, lost
+
+    monkeypatch.setattr(chain, "_rows", counted)
+    chain._kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        distance_profile(ChainParams(n, k), _default_horizon(n, k),
+                         StartPolicy.STATE_ZERO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        chain._kernel.cache_clear()
+    assert peak <= 0.75 * sum(built)
 
 
 def test_evolve_from_the_top_builds_each_canonical_row_once(row_builds):
@@ -890,24 +995,62 @@ def test_evolve_from_the_top_builds_each_canonical_row_once(row_builds):
     state min(x, n - x) is built exactly once."""
     n, k = 5000, 1250
     params = ChainParams(n, k)
+    # the states with mass at t < 40
+    reached, mu = set(), point_mass(n)
+    for _ in range(40):
+        reached.update(mu.support[mu.weights > 0].tolist())
+        mu = evolve(params, mu, 1, trim=True)
+    chain._kernel.cache_clear()
+    row_builds.clear()
     evolve(params, point_mass(n), 40, trim=True)
-    tiles = chain._kernel(params, True)._tiles
-    built = np.repeat([block is not None for block in tiles], TILE)
-    reached = np.nonzero(built[:n // 2 + 1])[0]
-    canonical = set(np.minimum(reached, n - reached).tolist())
-    assert sorted(row_builds) == sorted(canonical)
+    tiles = {min(x, n - x) // TILE for x in reached}
+    canonical = [c for c in range(n // 2 + 1) if c // TILE in tiles]
+    assert sorted(row_builds) == canonical
     assert sum(row_builds.values()) == len(canonical)
+
+
+def _refuse_building(monkeypatch):
+    """Make building a kernel, a kernel row or a hypergeometric law fail."""
+    def refused(*args):
+        raise AssertionError("a kernel, row or law was built")
+
+    for name in ("_rows", "_SparseKernel"):
+        monkeypatch.setattr(chain, name, refused)
+    monkeypatch.setattr(pmf, "hypergeom_laws", refused)
 
 
 def test_matrix_guard(monkeypatch):
     """Above MATRIX_GUARD the all-states profile is refused before any
     kernel row is built."""
-    def refused(*args):
-        raise AssertionError("a kernel row was built")
-
-    monkeypatch.setattr(chain, "_rows", refused)
+    _refuse_building(monkeypatch)
     with pytest.raises(InfeasibleSizeError):
         distance_profile(ChainParams(5000, 1250), 2, StartPolicy.ALL_STATES)
+
+
+def test_vector_guard(monkeypatch):
+    """Above VECTOR_GUARD the state-zero profile and ``evolve`` are refused
+    before the kernel, a row or the stationary law is built."""
+    _refuse_building(monkeypatch)
+    params = ChainParams(chain.VECTOR_GUARD + 1, 25_000)
+    with pytest.raises(InfeasibleSizeError):
+        distance_profile(params, 2, StartPolicy.STATE_ZERO)
+    for trim in (False, True):
+        with pytest.raises(InfeasibleSizeError):
+            evolve(params, point_mass(0), 1, trim=trim)
+
+
+def test_law_guard(monkeypatch):
+    """Above LAW_GUARD, the bound on untrimmed laws that approx's
+    APPROX_GUARD names too, a transition row and the stationary law are
+    refused before any law is built."""
+    assert approx.APPROX_GUARD == chain.LAW_GUARD
+    _refuse_building(monkeypatch)
+    params = ChainParams(chain.LAW_GUARD + 1, 1000)
+    for trim in (False, True):
+        with pytest.raises(InfeasibleSizeError):
+            transition_row(params, 0, trim=trim)
+    with pytest.raises(InfeasibleSizeError):
+        stationary(params)
 
 
 # ------------------------------------------------------------ eigenfunctions
