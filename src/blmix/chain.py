@@ -325,43 +325,60 @@ def _folded_distances(k_plus: np.ndarray, k_minus: np.ndarray,
     ``distance_profile``), not included in dist[t].  A step multiplies only
     the columns from the first where S or V holds a nonzero, through the
     halves' ``_reach``; the first step, from S_0 = V_0 = I, copies the
-    halves' leading rows instead."""
+    halves' leading rows instead.  S and V are updated in place, a block
+    of rows (``_row_blocks``) at a time: a block is multiplied into the
+    scratch, copied back, floored and measured before the next."""
     h, a = len(k_plus) - 1, len(k_minus)
     S, V = np.eye(rows[0], h + 1), np.eye(rows[0], a)
     if a == h and rows[0] > h:
         S[h, h] = 2.0  # the middle column of an even n holds 2 D_t(x, h)
-    # between steps S_next and V_next are free, so the loop uses them as
-    # its scratch: V_next holds |V| with the floored entries at 0, left
-    # there by the flush (S >= 0, as S_0 = I and K_plus >= 0).  A step
-    # writes the products of the rows it keeps into leading-row views
-    S_next, V_next = np.empty_like(S), np.abs(V)
+    # one scratch block per array, of at most an eighth of S's rows, and
+    # nothing else the size of S or V: the scratch holds a block's product,
+    # then its |S - 2 pi| and |V| with the floored entries at 0 (S >= 0, as
+    # S_0 = I and K_plus >= 0)
+    size = max(3, -(-(h + 1) // 8))
+    longest = min(size, rows[0])  # the longest block
+    S_tmp, V_tmp = np.empty((longest, h + 1)), np.empty((longest, a))
     dist, lost = np.empty(len(rows)), np.zeros(len(rows))
     for t, r in enumerate(rows):
-        gap = np.abs(np.subtract(S[:r], two_pi, out=S_next[:r]), out=S_next[:r])
-        mag = np.maximum(gap[:, :a], V_next[:r], out=V_next[:r])
-        # gap[:, a:] is the middle column of an even n (none at odd n)
-        dist[t] = 0.5 * (mag.sum(axis=1) + 0.5 * gap[:, a:].sum(axis=1)).max()
-        if t + 1 < len(rows):
-            r = rows[t + 1]
-            if t == 0:  # I times a half is its rows, bit for bit
-                S, S_next = S_next[:r], S
-                V, V_next = V_next[:r], V
-                S[:] = k_plus[:r]
-                if a == h and r > h:
-                    S[h] *= 2.0
-                V[:a] = k_minus[:r]
-                V[a:] = 0.0
-            else:
-                live = S[:r].any(axis=0)
-                live[:a] |= V[:r].any(axis=0)
-                c = int(live.argmax())
-                S, S_next = _window_matmul(S[:r], k_plus, reach_plus, c,
-                                           S_next[:r]), S
-                V, V_next = _window_matmul(V[:r], k_minus, reach_minus, c,
-                                           V_next[:r]), V
-            zeroed = _flush(S, S) + _flush(V, np.abs(V, out=V_next[:r]))
-            lost[t + 1] = lost[t] + (lost_k + float(zeroed.max()))
+        if t == 1:  # I times a half is its rows, bit for bit
+            S[:r] = k_plus[:r]
+            if a == h and r > h:
+                S[h] *= 2.0
+            V[:min(r, a)] = k_minus[:r]  # V's row a, at even n, stays 0
+        elif t > 1:
+            live = S[:r].any(axis=0)
+            live[:a] |= V[:r].any(axis=0)
+            c = int(live.argmax())
+        far = zeroed = 0.0
+        for block in _row_blocks(r, size):
+            s, v = S[block], V[block]
+            s_tmp, v_tmp = S_tmp[:len(s)], V_tmp[:len(s)]
+            if t > 1:
+                s[:] = _window_matmul(s, k_plus, reach_plus, c, s_tmp)
+                v[:] = _window_matmul(v, k_minus, reach_minus, c, v_tmp)
+            np.abs(v, out=v_tmp)
+            if t:
+                zeroed = max(zeroed, float((_flush(s, s)
+                                            + _flush(v, v_tmp)).max()))
+            gap = np.abs(np.subtract(s, two_pi, out=s_tmp), out=s_tmp)
+            mag = np.maximum(gap[:, :a], v_tmp, out=v_tmp)
+            # gap[:, a:] is the middle column of an even n (none at odd n)
+            far = max(far, (mag.sum(axis=1)
+                            + 0.5 * gap[:, a:].sum(axis=1)).max())
+        dist[t] = 0.5 * far
+        if t:
+            lost[t] = lost[t - 1] + (lost_k + zeroed)
     return dist, lost
+
+
+def _row_blocks(r: int, size: int) -> list[slice]:
+    """Rows 0..r-1 split into ceil(r / size) blocks of near-equal length,
+    none longer than ``size``.  With size >= 3, no block is of one row
+    unless r = 1: ceil(r/3) <= r // 2 for r >= 2, and OpenBLAS rounds a
+    product of one row on another path than one of several."""
+    m = -(-r // size)
+    return [slice(r * i // m, r * (i + 1) // m) for i in range(m)]
 
 
 def _gamma(m: int) -> float:

@@ -21,6 +21,7 @@ from .rng import RngStream
 SUM_TOL = 1e-12
 TRIM_REL = 1e-17  # tail weights below this fraction of the peak may be dropped
 _DIRECT_CONV_LIMIT = 4_000_000  # use exact direct convolution below this cost
+_Z_CAP = 2.0**500  # discrete-normal |z| is capped here, so z * z is finite
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,11 @@ class FinitePmf:
     lost_mass: float = 0.0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        try:
+            w = np.asarray(self.weights, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"weights must be real numbers, not {self.weights!r}") from None
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "offset", as_index(self.offset, "offset"))
         if w.ndim != 1 or w.size == 0:
@@ -79,11 +84,15 @@ class FinitePmf:
 
     def shifted(self, d: int) -> "FinitePmf":
         """Law of X + d."""
-        return FinitePmf(self.offset + int(d), self.weights, self.lost_mass)
+        return FinitePmf(self.offset + as_index(d, "d"), self.weights,
+                         self.lost_mass)
 
     def truncated(self, rel_eps: float = TRIM_REL) -> "FinitePmf":
         """Drop tail weights below ``rel_eps`` times the peak, recording the
         dropped probability in ``lost_mass`` (no renormalization)."""
+        check_real(rel_eps, "rel_eps")
+        if not 0 <= rel_eps <= 1:
+            raise ParameterError(f"rel_eps must lie in [0, 1], not {rel_eps}")
         w = self.weights
         (lo,), (hi,), (dropped,) = tail_cut(w[None], [0], [w.size - 1], rel_eps)
         if lo == 0 and hi == w.size - 1:
@@ -93,6 +102,7 @@ class FinitePmf:
 
     def dense_on(self, lo: int, hi: int) -> np.ndarray:
         """Weights as a dense vector over [lo, hi]; support must fit inside."""
+        lo, hi = as_index(lo, "lo"), as_index(hi, "hi")
         if self.lo < lo or self.hi > hi:
             raise ParameterError("support exceeds requested window")
         out = np.zeros(hi - lo + 1)
@@ -268,20 +278,41 @@ class DiscreteNormalParams:
             raise ParameterError("empty support interval")
 
 
+def _normal_z(params: DiscreteNormalParams) -> np.ndarray:
+    """(j - center)/scale over the support, capped at _Z_CAP in magnitude
+    (a quotient past the double range is capped too).  A point beyond the
+    cap has weight exp(-z^2/2) = 0, next to any point within half of it."""
+    with np.errstate(over="ignore"):
+        z = (np.arange(params.lo, params.hi + 1) - params.center) / params.scale
+    return np.clip(z, -_Z_CAP, _Z_CAP, out=z)
+
+
 def discrete_normal_norm_const(params: DiscreteNormalParams) -> float:
     """The normalizer: sum over the support of phi((j - center)/scale)/scale."""
-    z = (np.arange(params.lo, params.hi + 1) - params.center) / params.scale
-    return float(np.sum(np.exp(-0.5 * z * z)) / (params.scale * math.sqrt(2 * math.pi)))
+    z = _normal_z(params)
+    with np.errstate(over="ignore"):
+        width = params.scale * math.sqrt(2 * math.pi)
+        const = np.sum(np.exp(-0.5 * z * z)) / width
+    if not (math.isfinite(width) and const < math.inf):
+        raise ParameterError(f"scale {params.scale} takes the normalizer or "
+                             "its divisor past the double range")
+    return float(const)
 
 
 def discrete_normal_pmf(params: DiscreteNormalParams) -> FinitePmf:
     """Normal density sampled on an integer interval and renormalized.
 
     Weights that underflow double precision are trimmed off the stored
-    support (they carry no representable mass).
+    support (they carry no representable mass).  Refused when no support
+    point lies within _Z_CAP / 2 scales of the center: the weights relative
+    to the nearest point are then out of reach of z * z in doubles.
     """
-    z = (np.arange(params.lo, params.hi + 1) - params.center) / params.scale
-    w = np.exp(-0.5 * (z * z - (z * z).min()))
+    z = _normal_z(params)
+    zz = z * z
+    if not zz.min() <= (_Z_CAP / 2) ** 2:
+        raise ParameterError("the center lies more than 2^499 scales from "
+                             "every point of the support")
+    w = np.exp(-0.5 * (zz - zz.min()))
     return from_weights(params.lo, w, normalize=True)
 
 

@@ -1,12 +1,14 @@
 """Exhaustive enumeration oracles for small instances.
 
-Everything here but ``dense_kernel`` and ``verify_moment_identities`` is
-exact rational arithmetic, over explicit label sets or closed forms, kept
+Everything here but ``dense_kernel``, ``unblocked_folded_distances`` and
+``verify_moment_identities`` is exact rational arithmetic, over explicit label sets or closed forms, kept
 deliberately independent of the library's log-space / block-count /
 float-recurrence code paths.  ``dense_kernel`` is no rational oracle: it
 assembles the full kernel matrix from the library's own rows, for the tests
-that need P as one array.  ``verify_moment_identities`` sets the library's
-exact evolution against the closed-form moments.
+that need P as one array.  Nor is ``unblocked_folded_distances``: it is the
+all-states loop with whole-array products, for the tests that hold the
+library's row-block loop to it.  ``verify_moment_identities`` sets the
+library's exact evolution against the closed-form moments.
 """
 
 from fractions import Fraction
@@ -16,6 +18,7 @@ from math import comb
 import numpy as np
 
 from blmix import Eigenfunction, eigen_eval, evolve, point_mass, transition_row
+from blmix.chain import _flush, _window_matmul
 
 
 def enum_hypergeom(population: int, successes: int, draws: int) -> dict:
@@ -167,6 +170,44 @@ def dense_kernel(params) -> np.ndarray:
         P[x] = transition_row(params, x).dense_on(0, n)
     P[n // 2 + 1:] = P[n - n // 2 - 1::-1, ::-1]
     return P
+
+
+def unblocked_folded_distances(k_plus, k_minus, reach_plus, reach_minus,
+                               two_pi, lost_k, rows) -> tuple:
+    """``chain._folded_distances`` with each step's products, floor and
+    distance pass over all the kept rows of S and V at once, written into
+    a second pair of arrays the size of S and V."""
+    h, a = len(k_plus) - 1, len(k_minus)
+    S, V = np.eye(rows[0], h + 1), np.eye(rows[0], a)
+    if a == h and rows[0] > h:
+        S[h, h] = 2.0
+    S_next, V_next = np.empty_like(S), np.abs(V)
+    dist, lost = np.empty(len(rows)), np.zeros(len(rows))
+    for t, r in enumerate(rows):
+        gap = np.abs(np.subtract(S[:r], two_pi, out=S_next[:r]), out=S_next[:r])
+        mag = np.maximum(gap[:, :a], V_next[:r], out=V_next[:r])
+        dist[t] = 0.5 * (mag.sum(axis=1) + 0.5 * gap[:, a:].sum(axis=1)).max()
+        if t + 1 < len(rows):
+            r = rows[t + 1]
+            if t == 0:
+                S, S_next = S_next[:r], S
+                V, V_next = V_next[:r], V
+                S[:] = k_plus[:r]
+                if a == h and r > h:
+                    S[h] *= 2.0
+                V[:a] = k_minus[:r]
+                V[a:] = 0.0
+            else:
+                live = S[:r].any(axis=0)
+                live[:a] |= V[:r].any(axis=0)
+                c = int(live.argmax())
+                S, S_next = _window_matmul(S[:r], k_plus, reach_plus, c,
+                                           S_next[:r]), S
+                V, V_next = _window_matmul(V[:r], k_minus, reach_minus, c,
+                                           V_next[:r]), V
+            zeroed = _flush(S, S) + _flush(V, np.abs(V, out=V_next[:r]))
+            lost[t + 1] = lost[t] + (lost_k + float(zeroed.max()))
+    return dist, lost
 
 
 def verify_moment_identities(params, x0: int, t: int) -> tuple:

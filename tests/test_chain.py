@@ -22,7 +22,7 @@ from blmix.pmf import FinitePmf, first_last, from_weights
 from oracles import (dense_kernel, enum_transition_row,
                      exact_worst_start_profile, hahn_exact,
                      hahn_recurrence_exact, kernel_counts,
-                     verify_moment_identities)
+                     unblocked_folded_distances, verify_moment_identities)
 
 
 # ------------------------------------------------------------ transition row
@@ -273,17 +273,21 @@ def test_all_states_underflow_floor(monkeypatch):
     half K_minus and of S and V below UNDERFLOW_FLOOR in magnitude, so its
     matmuls never meet a subnormal. Its d(t) is bit for bit that of the
     unfloored split loop, S <- S K_plus and V <- V K_minus, over the same
-    leading rows (OpenBLAS's bits for a row can depend on how many rows
-    the product has), and lost_mass bounds the error the floor put in: the
-    floored S lies below the exact one, so the floor dropped at least S's
-    entries below it, weighed as the profile's bound weighs them (1/2 on
-    the middle column)."""
+    leading rows in the same row blocks (OpenBLAS's bits for a row can
+    depend on how many rows the product has), and lost_mass bounds the
+    error the floor put in: the floored S lies below the exact one, so the
+    floor dropped at least S's entries below it, weighed as the profile's
+    bound weighs them (1/2 on the middle column)."""
     n, k = 300, 75
     h, a = n // 2, (n + 1) // 2
     t_max = _default_horizon(n, k)
     params = ChainParams(n, k)
     kept = _kept_rows(monkeypatch)
+    sizes, row_blocks = set(), chain._row_blocks
+    monkeypatch.setattr(chain, "_row_blocks", lambda r, size: sizes.add(
+        size) or row_blocks(r, size))
     profile = distance_profile(params, t_max, StartPolicy.ALL_STATES)
+    (size,) = sizes
     rows = kept[0]
     P = dense_kernel(params)
     k_plus = np.vstack([P[:a, :h + 1] + P[n:h:-1, :h + 1], P[a:h + 1, :h + 1]])
@@ -298,9 +302,12 @@ def test_all_states_underflow_floor(monkeypatch):
         row = gap.sum(axis=1) + 0.5 * np.abs(S[:, a:] - two_pi[a:]).sum(axis=1)
         d[t] = 0.5 * row.max()
         if t < t_max:
-            S, V = S[:rows[t + 1]] @ k_plus, V[:rows[t + 1]] @ k_minus
+            blocks = row_blocks(rows[t + 1], size)
+            S = np.vstack([S[block] @ k_plus for block in blocks])
+            V = np.vstack([V[block] @ k_minus for block in blocks])
     np.minimum.accumulate(d, out=d)
     assert rows[-1] < h + 1  # the profile dropped rows
+    assert len(row_blocks(rows[1], size)) > 1
     assert profile.d_values.tobytes() == d.tobytes()
     assert 0 < profile.lost_mass <= t_max * (n + 2) * UNDERFLOW_FLOOR
     weight = np.ones(h + 1)
@@ -342,7 +349,9 @@ def test_all_states_first_step_copies_the_folded_rows(n, monkeypatch):
     """The all-states loop's first step copies the folded halves' leading
     rows (K_plus's middle row doubled at even n) in place of multiplying
     them by S_0 = V_0 = I: S_1, V_1, d(1) and its lost mass are the bits of
-    the product, at every number of rows kept."""
+    the product, at every number of rows kept. The loop floors S and V a
+    row block at a time, S's block then V's, so each array's flushed
+    blocks, joined in row order, are S_1 and V_1."""
     h, a = n // 2, (n + 1) // 2
     flushed, flush = [], chain._flush
 
@@ -369,9 +378,77 @@ def test_all_states_first_step_copies_the_folded_rows(n, monkeypatch):
             dist, lost = chain._folded_distances(
                 k_plus, k_minus, chain._reach(k_plus), chain._reach(k_minus),
                 two_pi, lost_k, np.array([h + 1, r]))
-            assert flushed == [S.tobytes(), V.tobytes()]
+            assert b"".join(flushed[0::2]) == S.tobytes()
+            assert b"".join(flushed[1::2]) == V.tobytes()
             assert dist[1] == d1
             assert lost[1] == lost_k + zeroed.max()
+
+
+def test_row_blocks_cover_the_kept_rows(monkeypatch):
+    """The loop's row blocks cover rows 0..r-1 in order, in near-equal
+    blocks no longer than the scratch, and none is of one row unless r = 1:
+    OpenBLAS rounds a product of one row on another path. The loop splits
+    n // 2 + 1 rows into at most 8 blocks, with a scratch of at least 3."""
+    for size in range(3, 40):
+        for r in [*range(1, 200), 1025, 2049]:
+            blocks = chain._row_blocks(r, size)
+            lengths = [b.stop - b.start for b in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == r
+            assert all(b.stop == c.start for b, c in zip(blocks, blocks[1:]))
+            assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
+            assert r == 1 or min(lengths) >= 2
+    sizes, row_blocks = set(), chain._row_blocks
+    monkeypatch.setattr(chain, "_row_blocks", lambda r, size: sizes.add(
+        size) or row_blocks(r, size))
+    for n in (1, 4, 5, 6, 40, 1024, 1025):
+        sizes.clear()
+        distance_profile(ChainParams(n, max(1, n // 4)), 3)
+        (size,) = sizes
+        assert size == max(3, -(-(n // 2 + 1) // 8))
+        assert len(row_blocks(n // 2 + 1, size)) <= 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 41, 200, 300, 301, 512,
+                               1024, 1025, 2048])
+def test_row_block_loop_matches_the_whole_array_loop(n, monkeypatch):
+    """The all-states d(t), whose loop updates S and V in place a row block
+    at a time, is within 1e-14 of the loop that multiplies, floors and
+    measures all the kept rows at once into a second pair of arrays
+    (k = 1, n/4, n/3 and n/2, default horizon; 1.3e-16 observed), and bit
+    for bit the same wherever every step is one block: a block's product
+    can take another OpenBLAS path than the whole array's."""
+    row_blocks, most = chain._row_blocks, []
+    monkeypatch.setattr(chain, "_row_blocks", lambda r, size: most.append(
+        len(row_blocks(r, size))) or row_blocks(r, size))
+    for k in sorted({max(1, k) for k in (1, n // 4, n // 3, n // 2)}):
+        params = ChainParams(n, k)
+        t_max = _default_horizon(n, k) if n >= 3 else 20
+        most.clear()
+        blocked = distance_profile(params, t_max).d_values
+        with monkeypatch.context() as whole:
+            whole.setattr(chain, "_folded_distances",
+                          unblocked_folded_distances)
+            d = distance_profile(params, t_max).d_values
+        assert np.abs(blocked - d).max() <= 1e-14
+        if max(most) == 1:
+            assert blocked.tobytes() == d.tobytes()
+
+
+def test_all_states_peak_holds_no_second_copy_of_s_and_v():
+    """The all-states loop holds K_plus, K_minus, S and V, each of about
+    (n // 2 + 1)^2 doubles, and one scratch block per array, so the traced
+    peak of a profile at n = 1024, k = n/4 and the default horizon is at
+    most 5 (n // 2 + 1)^2 doubles (4.3 observed; 6.1 with a second S and V
+    to write the products into)."""
+    n, k = 1024, 256
+    distance_profile(ChainParams(40, 10), 5)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        distance_profile(ChainParams(n, k), _default_horizon(n, k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * (n // 2 + 1) ** 2
 
 
 @pytest.mark.parametrize("n,k", [
@@ -610,14 +687,23 @@ def test_products_skip_the_dead_columns_at_1024(monkeypatch):
     _unpruned(monkeypatch)
     made, matmul = [], np.matmul
     monkeypatch.setattr(np, "matmul", lambda A, B, **kw: made.append(
-        A.shape[0] * A.shape[1] * B.shape[1]) or matmul(A, B, **kw))
+        (A.shape[0], A.shape[0] * A.shape[1] * B.shape[1])) or matmul(A, B, **kw))
     distance_profile(ChainParams(n, k), t_max)
-    # two products a step after the first, which copies the halves' rows:
-    # row 0 alone, then every row
+    # each step after the first, which copies the halves' rows, multiplies
+    # a row block of S, then the same rows of V, until the blocks cover the
+    # kept rows exactly: row 0 alone, then every row
     steps = t_max - 1
+    products = iter(made)
+    for r in [1] * steps + [h + 1] * steps:
+        covered = 0
+        while covered < r:
+            (s_rows, _), (v_rows, _) = next(products), next(products)
+            assert s_rows == v_rows
+            covered += s_rows
+        assert covered == r
+    assert next(products, None) is None
     full = (steps + steps * (h + 1)) * ((h + 1) ** 2 + a ** 2)
-    assert len(made) == 4 * steps
-    assert sum(made) <= 0.5 * full
+    assert sum(flops for _, flops in made) <= 0.5 * full
 
 
 def _row_steps_kept(n, monkeypatch):

@@ -14,7 +14,8 @@ from blmix import (DiscreteNormalParams, FinitePmf, HypergeomParams, RngStream,
                    hypergeom_pmf, point_mass, sample, sample_hypergeom,
                    tv_distance)
 from blmix.errors import ParameterError
-from blmix.pmf import _DIRECT_CONV_LIMIT, TRIM_REL, _fast_len, from_weights
+from blmix.pmf import (_DIRECT_CONV_LIMIT, TRIM_REL, _fast_len,
+                       discrete_normal_norm_const, from_weights)
 from oracles import enum_hypergeom
 
 
@@ -51,6 +52,24 @@ def test_finite_pmf_refuses_a_non_integer_offset(offset):
     with pytest.raises(ParameterError, match="must be an integer"):
         FinitePmf(offset, np.ones(1))
     assert type(FinitePmf(np.int64(2), np.ones(1)).offset) is int
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: p.shifted(2.5), lambda p: p.shifted(True),
+    lambda p: p.dense_on(0.0, 3.0), lambda p: p.dense_on(0, "3"),
+    lambda p: p.truncated(math.nan), lambda p: p.truncated(-1.0),
+    lambda p: p.truncated(2.0), lambda p: p.truncated("0.1"),
+    lambda p: FinitePmf(0, "abc"), lambda p: FinitePmf(0, [1.0, None]),
+], ids=["shift-2.5", "shift-True", "dense-floats", "dense-str",
+        "trunc-nan", "trunc-neg", "trunc-2", "trunc-str", "weights-str",
+        "weights-None"])
+def test_finite_pmf_refuses_hostile_arguments(call):
+    """A shift or window bound that is not an integer (2.5 would shift by
+    2, True by 1), a truncation level that is not a real in [0, 1] (NaN, -1
+    and 2 left the pmf as it was) and weights that are not numbers each
+    raise ParameterError, not a numpy error or a silent result."""
+    with pytest.raises(ParameterError):
+        call(FinitePmf(0, np.array([0.5, 0.5])))
 
 
 def test_shift_and_truncate_bookkeeping():
@@ -195,6 +214,27 @@ def test_discrete_normal_invalid():
             DiscreteNormalParams(*args)
     params = DiscreteNormalParams(0.5, 1.0, np.int64(0), np.int64(3))
     assert type(params.lo) is int and type(params.hi) is int
+
+
+def test_discrete_normal_far_from_its_scale():
+    """Support points more than 2^500 scales from the center are capped
+    there, so z * z never overflows (the suite turns RuntimeWarning into an
+    error). A scale of 1e-300 about 0 gives the point mass at 0 and the
+    density at the center; a center 1e300 scales from every support point
+    leaves the pmf out of reach (refused) and the normalizer below the
+    double range (0); a normalizer or divisor past the range is refused."""
+    narrow = DiscreteNormalParams(0.0, 1e-300, -5, 5)
+    assert as_dict(discrete_normal_pmf(narrow)) == {0: 1.0}
+    assert discrete_normal_norm_const(narrow) == 1 / (1e-300 * math.sqrt(2 * math.pi))
+    far = DiscreteNormalParams(1e300, 1.0, -5, 5)
+    with pytest.raises(ParameterError, match="2\\^499 scales"):
+        discrete_normal_pmf(far)
+    assert discrete_normal_norm_const(far) == 0.0
+    for scale in (1e-320, np.float64(1.7e308)):
+        with pytest.raises(ParameterError, match="double range"):
+            discrete_normal_norm_const(DiscreteNormalParams(0.0, scale, -5, 5))
+    wide = discrete_normal_pmf(DiscreteNormalParams(0.0, np.float64(1.7e308), -5, 5))
+    assert np.all(wide.weights == wide.weights[0])
 
 
 @pytest.mark.parametrize("center,scale,lo,hi", [
