@@ -18,7 +18,7 @@ import numpy as np
 from . import pmf as _pmf
 from .errors import HorizonExceededError, InfeasibleSizeError, ParameterError
 from .pmf import (SUM_TOL, FinitePmf, HypergeomParams, as_index, check_real,
-                  hypergeom_pmf, point_mass, tv_distance)
+                  check_trim, hypergeom_pmf, point_mass, tv_distance)
 
 MATRIX_GUARD = 4096      # refuse the all-states profile above this
 VECTOR_GUARD = 100_000   # refuse single-start evolution above this
@@ -67,8 +67,24 @@ class MixingProfile:
     lost_mass: float = 0.0
 
     def __post_init__(self):
-        d = np.asarray(self.d_values, dtype=np.float64)
+        if not isinstance(self.params, ChainParams):
+            raise ParameterError(
+                f"params must be a ChainParams, not {self.params!r}")
+        if not isinstance(self.start_policy, StartPolicy):
+            raise ParameterError(f"start_policy must be a StartPolicy, not "
+                                 f"{self.start_policy!r}")
+        check_real(self.lost_mass, "lost_mass")
+        if not 0 <= self.lost_mass <= 1:
+            raise ParameterError(
+                f"lost_mass must lie in [0, 1], not {self.lost_mass}")
+        try:
+            d = np.asarray(self.d_values, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParameterError(f"distance values must be real numbers, not "
+                                 f"{self.d_values!r}") from None
         object.__setattr__(self, "d_values", d)
+        if d.ndim != 1 or d.size == 0:
+            raise ParameterError("distance values must be a non-empty 1-d array")
         if not np.all((d >= -MONOTONE_TOL) & (d <= 1 + MONOTONE_TOL)):
             raise ParameterError("distance values must lie in [0, 1]")
         if np.any(np.diff(d) > MONOTONE_TOL):
@@ -121,11 +137,6 @@ def _rows(n: int, k: int, states: np.ndarray, trim: bool):
     return c0, block, lost
 
 
-def _check_trim(trim) -> None:
-    if not isinstance(trim, bool):
-        raise ParameterError(f"trim must be a bool, not {trim!r}")
-
-
 def _check_law_size(n: int) -> None:
     if n > LAW_GUARD:
         raise InfeasibleSizeError(f"n={n} is above LAW_GUARD={LAW_GUARD:,}")
@@ -144,7 +155,7 @@ def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf
     x = as_index(x, "state")
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
-    _check_trim(trim)
+    check_trim(trim)
     _check_law_size(params.n)
     c0, block, lost = _rows(params.n, params.k, np.array([x]), trim)
     return FinitePmf(c0, block[0], float(lost[0]))
@@ -239,7 +250,7 @@ def evolve(params: ChainParams, mu: FinitePmf, steps: int,
         raise ParameterError("distribution leaves the state space")
     if as_index(steps, "steps") < 0:
         raise ParameterError("steps must be nonnegative")
-    _check_trim(trim)
+    check_trim(trim)
     if params.n > VECTOR_GUARD:
         raise InfeasibleSizeError(f"single-start evolution refused for "
                                   f"n={params.n} > {VECTOR_GUARD}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -17,6 +16,16 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
+
+# CPython's own SHA-256, which hashlib falls back to: hashlib's import loads
+# OpenSSL's libcrypto, 3.5 MiB of memory for one 8-hex-digit digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import approx as _approx
 from . import chain as _chain
@@ -135,7 +144,7 @@ class ExperimentConfig:
     @property
     def digest(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:8]
+        return sha256(blob.encode()).hexdigest()[:8]
 
     def k_for(self, n: int) -> int:
         if self.k_rule == "explicit":

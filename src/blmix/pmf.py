@@ -71,6 +71,7 @@ class FinitePmf:
         return np.arange(self.lo, self.hi + 1)
 
     def prob(self, j: int) -> float:
+        j = as_index(j, "j")
         if self.lo <= j <= self.hi:
             return float(self.weights[j - self.offset])
         return 0.0
@@ -144,6 +145,13 @@ def check_real(value, name: str) -> None:
         raise ParameterError(f"{name} must be a real number, not {value!r}")
 
 
+def check_trim(trim) -> None:
+    """Raise ParameterError for a ``trim`` that is not a bool, rather than
+    read it as true or false."""
+    if not isinstance(trim, bool):
+        raise ParameterError(f"trim must be a bool, not {trim!r}")
+
+
 def point_mass(j: int) -> FinitePmf:
     return FinitePmf(as_index(j, "j"), np.ones(1))
 
@@ -153,10 +161,15 @@ def from_weights(offset: int, weights, lost_mass: float = 0.0,
     """Build a pmf from raw weights, trimming zero tails.
 
     With ``normalize`` the weights are rescaled to sum to ``1 - lost_mass``.
+    A NaN or infinite weight is refused, not trimmed away as a zero tail.
     """
+    offset = as_index(offset, "offset")
     w = np.asarray(weights, dtype=np.float64)
+    s = w.sum()  # one pass: NaN or infinite if any weight is
+    if not math.isfinite(s):
+        raise ParameterError(f"weights must be finite numbers with a finite "
+                             f"sum; they sum to {s}")
     if normalize:
-        s = w.sum()
         if not s > 0:
             raise ParameterError("cannot normalize nonpositive weights")
         w = w * ((1.0 - lost_mass) / s)
@@ -164,7 +177,7 @@ def from_weights(offset: int, weights, lost_mass: float = 0.0,
     if nz.size == 0:
         raise ParameterError("all weights are zero")
     lo, hi = nz[0], nz[-1]
-    return FinitePmf(int(offset + lo), w[lo:hi + 1].copy(), lost_mass)
+    return FinitePmf(offset + int(lo), w[lo:hi + 1].copy(), lost_mass)
 
 
 @dataclass(frozen=True)
@@ -201,6 +214,7 @@ def hypergeom_pmf(params: HypergeomParams, trim: bool = False) -> FinitePmf:
     cuts the support, the Hoeffding bound on the dropped two-sided tail
     (at most ``TRIM_REL``) is recorded as ``lost_mass``.
     """
+    check_trim(trim)
     lo, w, width, lost = hypergeom_laws(params.population, [params.successes],
                                         params.draws, trim)
     return from_weights(int(lo[0]), w[0, :width[0]], lost_mass=float(lost[0]))

@@ -189,6 +189,8 @@ def test_evolve_domain_checks():
             evolve(ChainParams(30, 7), point_mass(3), 1, trim=trim)
         with pytest.raises(ParameterError, match="trim must be a bool"):
             transition_row(ChainParams(30, 7), 3, trim=trim)
+        with pytest.raises(ParameterError, match="trim must be a bool"):
+            hypergeom_pmf(HypergeomParams(30, 7, 3), trim=trim)
 
 
 # --------------------------------------------------------- profiles and t_mix
@@ -217,6 +219,24 @@ def test_mixing_profile_validation():
         with pytest.raises(ParameterError):
             MixingProfile(ChainParams(4, 1), StartPolicy.ALL_STATES,
                           np.array(d))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("params", (4, 1)), ("start_policy", "x"), ("start_policy", "all_states"),
+    ("lost_mass", -1.0), ("lost_mass", np.nan), ("lost_mass", "0"),
+    ("lost_mass", True), ("lost_mass", 1.5), ("d_values", [[1.0, 0.5]]),
+    ("d_values", []), ("d_values", ["a"])])
+def test_mixing_profile_validates_every_field(field, value):
+    """A profile whose policy is not a StartPolicy, whose lost mass is not a
+    probability, or whose distances are not a non-empty 1-d array is
+    refused; each was accepted, and a 2-d or empty profile then failed in
+    t_mix."""
+    fields = {"params": ChainParams(4, 1),
+              "start_policy": StartPolicy.ALL_STATES,
+              "d_values": np.array([1.0, 0.5]), "lost_mass": 0.0}
+    with pytest.raises(ParameterError):
+        MixingProfile(**{**fields, field: value})
+    assert MixingProfile(**fields).lost_mass == 0.0
 
 
 def test_profile_monotone_and_bounded():

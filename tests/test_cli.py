@@ -1,5 +1,7 @@
 """Config validation, experiment dispatch, serialization, CLI exit codes."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -84,6 +86,24 @@ def test_digest_is_stable_and_sensitive():
     assert a.digest == b.digest
     assert len(a.digest) == 8
     assert a.digest != c.digest
+
+
+def test_digest_is_hashlib_sha256_of_the_canonical_blob():
+    """The digest, from CPython's built-in SHA-256 module, is the first 8 hex
+    digits of hashlib's SHA-256 of the canonical JSON, for every experiment
+    and for strings outside ASCII, so file names and config_digest cells
+    join with outputs written through hashlib."""
+    configs = [parse_config(minimal(e)) for e in EXPERIMENTS]
+    configs += [parse_config(json.dumps({
+        "experiment": "coupling", "n_grid": [10, 2**53], "lambda": 0.125,
+        "epsilons": [0.1], "master_seed": -7, "output_dir": "d\u00e9j\u00e0"}))]
+    configs += [dataclasses.replace(configs[0], kind=kind)
+                for kind in ("\u00e9t\u00e9", "\u6df7\u5408", "\U0001f3b2")]
+    for cfg in configs:
+        blob = json.dumps(cfg.canonical(), sort_keys=True,
+                          separators=(",", ":"))
+        assert cfg.digest == hashlib.sha256(blob.encode()).hexdigest()[:8]
+    assert len({cfg.digest for cfg in configs}) == len(configs)
 
 
 # ----------------------------------------------------------------- rendering
@@ -320,6 +340,31 @@ def test_import_sets_the_openblas_thread_timeout(monkeypatch, preset, imports,
                      "print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == expected
+
+
+def test_exact_runs_load_no_openssl(tmp_path):
+    """The config digest comes from CPython's built-in SHA-256, so no exact
+    experiment loads hashlib's OpenSSL module (_hashlib, about 3.5 MiB of
+    memory); only coupling does, through numpy.random."""
+    runs = [("schedule", {"n": 1000}), ("lowerbound", {}),
+            ("approx", {"n": 200}), ("mixtime", {}),
+            ("profile", {"n": 300, "start_policy": "all_states"}),
+            ("profile", {"n": 2000, "start_policy": "state_zero"})]
+    configs = []
+    for i, (experiment, extra) in enumerate(runs):
+        out_dir = tmp_path / str(i)
+        out_dir.mkdir()
+        configs += [experiment, write_config(out_dir, minimal(
+            experiment, **extra, output_dir=str(out_dir)))]
+    code = ("import sys\n"
+            "from blmix.cli import main\n"
+            "for experiment, cfg in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    code = main([experiment, '--config', cfg])\n"
+            "    print('ran', experiment, code, '_hashlib' in sys.modules)\n")
+    out = run_python(code, *configs)
+    assert out.returncode == 0, out.stderr
+    ran = [line for line in out.stdout.split("\n") if line.startswith("ran")]
+    assert ran == [f"ran {e} 0 False" for e, _ in runs]
 
 
 def test_cli_import_loads_the_traced_layers():

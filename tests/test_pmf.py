@@ -72,6 +72,34 @@ def test_finite_pmf_refuses_hostile_arguments(call):
         call(FinitePmf(0, np.array([0.5, 0.5])))
 
 
+@pytest.mark.parametrize("j", [0.5, True, np.True_, "a", None, math.nan])
+def test_prob_refuses_a_non_integer_j(j):
+    """prob(0.5) raised numpy's IndexError and prob(True) returned prob(1):
+    every j that is not an integer is refused.  numpy integers keep their
+    values."""
+    p = FinitePmf(2, np.array([0.25, 0.5, 0.25]))
+    with pytest.raises(ParameterError, match="must be an integer"):
+        p.prob(j)
+    assert p.prob(np.int64(3)) == p.prob(3) == 0.5
+    assert p.prob(np.uint8(1)) == 0.0
+
+
+@pytest.mark.parametrize("offset, weights, normalize", [
+    (2.5, [1.0], False), (True, [1.0], False), ("0", [1.0], False),
+    (0, [np.nan, 1.0], False), (0, [1.0, np.nan], True),
+    (0, [np.inf], True), (0, [0.5, np.inf, 0.5], False),
+    (0, [-np.inf, 1.0], False)],
+    ids=["offset-2.5", "offset-True", "offset-str", "nan-tail", "nan-norm",
+         "inf-norm", "inf-inside", "neg-inf-tail"])
+def test_from_weights_refuses_what_it_swapped_in(offset, weights, normalize):
+    """A 2.5 offset was floored to 2 and a NaN tail weight trimmed off as a
+    zero tail, and an infinite weight under ``normalize`` warned and then
+    reported all weights zero: each raises ParameterError, and no
+    RuntimeWarning (an error under the suite's filter)."""
+    with pytest.raises(ParameterError):
+        from_weights(offset, weights, normalize=normalize)
+
+
 def test_shift_and_truncate_bookkeeping():
     p = FinitePmf(0, np.array([0.5, 0.5 - 1e-20, 1e-20]))
     assert p.shifted(7).lo == 7
