@@ -17,8 +17,9 @@ import numpy as np
 
 from . import pmf as _pmf
 from .errors import HorizonExceededError, InfeasibleSizeError, ParameterError
-from .pmf import (SUM_TOL, FinitePmf, HypergeomParams, as_index, check_real,
-                  check_trim, hypergeom_pmf, point_mass, tv_distance)
+from .pmf import (SUM_TOL, FinitePmf, HypergeomParams, as_index, check_bool,
+                  check_mass, check_real, hypergeom_pmf, point_mass,
+                  tv_distance)
 
 MATRIX_GUARD = 4096      # refuse the all-states profile above this
 VECTOR_GUARD = 100_000   # refuse single-start evolution above this
@@ -73,10 +74,7 @@ class MixingProfile:
         if not isinstance(self.start_policy, StartPolicy):
             raise ParameterError(f"start_policy must be a StartPolicy, not "
                                  f"{self.start_policy!r}")
-        check_real(self.lost_mass, "lost_mass")
-        if not 0 <= self.lost_mass <= 1:
-            raise ParameterError(
-                f"lost_mass must lie in [0, 1], not {self.lost_mass}")
+        check_mass(self.lost_mass, "lost_mass")
         try:
             d = np.asarray(self.d_values, dtype=np.float64)
         except (TypeError, ValueError):
@@ -112,7 +110,7 @@ def _rows(n: int, k: int, states: np.ndarray, trim: bool):
     removed_lo, removed_hi = lo + first, lo + last
     added_lo = np.where(2 * states == n, removed_lo, k - removed_hi)
     start = added_lo - removed_hi + states  # each row's first lane's state
-    # the rows' weights, normalised as ``difference_law`` does each one
+    # the rows' weights, each normalised to one less its lost mass
     rows = np.zeros((len(convs), max(c.size for c in convs)))
     for row, c in zip(rows, convs):
         row[:c.size] = c
@@ -155,7 +153,7 @@ def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf
     x = as_index(x, "state")
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
-    check_trim(trim)
+    check_bool(trim, "trim")
     _check_law_size(params.n)
     c0, block, lost = _rows(params.n, params.k, np.array([x]), trim)
     return FinitePmf(c0, block[0], float(lost[0]))
@@ -250,7 +248,7 @@ def evolve(params: ChainParams, mu: FinitePmf, steps: int,
         raise ParameterError("distribution leaves the state space")
     if as_index(steps, "steps") < 0:
         raise ParameterError("steps must be nonnegative")
-    check_trim(trim)
+    check_bool(trim, "trim")
     if params.n > VECTOR_GUARD:
         raise InfeasibleSizeError(f"single-start evolution refused for "
                                   f"n={params.n} > {VECTOR_GUARD}")

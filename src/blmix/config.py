@@ -419,24 +419,6 @@ def render_json(record: ResultRecord) -> str:
     return json.dumps(objs, indent=1)
 
 
-def parse_csv(text: str) -> ResultRecord:
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
-    rows = tuple(tuple(_sniff(v) for v in row) for row in reader)
-    digest = rows[0][-1] if rows else ""
-    return ResultRecord(experiment="", config_digest=str(digest),
-                        columns=header, rows=rows)
-
-
-def parse_json(text: str) -> ResultRecord:
-    objs = json.loads(text)
-    header = tuple(objs[0]) if objs else ()
-    rows = tuple(tuple(o[c] for c in header) for o in objs)
-    digest = rows[0][-1] if rows else ""
-    return ResultRecord(experiment="", config_digest=str(digest),
-                        columns=header, rows=rows)
-
-
 def emit(record: ResultRecord, output_dir) -> list[str]:
     """Write the record as CSV and as JSON, each file named by experiment
     and digest."""

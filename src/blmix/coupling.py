@@ -47,12 +47,6 @@ MIN_CHUNK = 4096
 SAMPLER_LIMIT = 10**9  # numpy's hypergeometric needs urn counts below this
 
 
-@dataclass(frozen=True)
-class CoupledState:
-    x: int
-    y: int
-
-
 class StoppingKind(enum.Enum):
     TAU_COUPLE = "tau_couple"
     TAU1 = "tau1"
@@ -117,17 +111,6 @@ def _check_sampler(n: int) -> None:
         raise InfeasibleSizeError(
             f"n={n} reaches {SAMPLER_LIMIT:,}: numpy's hypergeometric "
             "sampler takes urn counts below it only")
-
-
-def coupled_step(params: ChainParams, s: CoupledState,
-                 rng: RngStream) -> CoupledState:
-    _check_sampler(params.n)
-    x, y = as_index(s.x, "x"), as_index(s.y, "y")
-    if not (0 <= x <= params.n and 0 <= y <= params.n):
-        raise ParameterError("coupled state outside the state space")
-    x, y = _step_arrays(params.n, params.k, np.array([x]), np.array([y]),
-                        rng.gen)
-    return CoupledState(int(x[0]), int(y[0]))
 
 
 def _chunk_sizes(replicas: int) -> list[int]:

@@ -1,9 +1,8 @@
 """Finite-distribution algebra on contiguous integer supports.
 
 Hypergeometric and discrete-normal pmfs, total-variation distance, the
-convolution giving the law of a difference of independent variables, a
-Hoeffding tail bound, and seeded sampling.  All pmfs are immutable and all
-operations are pure functions.
+convolution of two weight vectors, tail cuts, and a Hoeffding tail bound.
+All pmfs are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -16,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .rng import RngStream
 
 SUM_TOL = 1e-12
 TRIM_REL = 1e-17  # tail weights below this fraction of the peak may be dropped
 _DIRECT_CONV_LIMIT = 4_000_000  # use exact direct convolution below this cost
 _Z_CAP = 2.0**500  # discrete-normal |z| is capped here, so z * z is finite
+_Z_NEAR = 2.0**10  # most scales from a discrete-normal center to its support
 
 
 @dataclass(frozen=True)
@@ -38,22 +37,18 @@ class FinitePmf:
     lost_mass: float = 0.0
 
     def __post_init__(self):
-        try:
-            w = np.asarray(self.weights, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ParameterError(
-                f"weights must be real numbers, not {self.weights!r}") from None
+        w = _real_array(self.weights)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "offset", as_index(self.offset, "offset"))
+        check_mass(self.lost_mass, "lost_mass")
         if w.ndim != 1 or w.size == 0:
             raise ParameterError("weights must be a non-empty 1-d array")
         if not np.all(w >= 0):
             raise ParameterError("weights must be nonnegative")
         if w[0] == 0 or w[-1] == 0:
             raise ParameterError("weights must be trimmed (positive endpoints)")
-        if not self.lost_mass >= 0:
-            raise ParameterError("lost_mass must be nonnegative")
-        total = float(w.sum()) + self.lost_mass
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            total = float(w.sum()) + self.lost_mass
         if not abs(total - 1.0) <= SUM_TOL:
             raise ParameterError(f"weights + lost_mass sum to {total}, not 1")
         w.setflags(write=False)
@@ -87,19 +82,6 @@ class FinitePmf:
         """Law of X + d."""
         return FinitePmf(self.offset + as_index(d, "d"), self.weights,
                          self.lost_mass)
-
-    def truncated(self, rel_eps: float = TRIM_REL) -> "FinitePmf":
-        """Drop tail weights below ``rel_eps`` times the peak, recording the
-        dropped probability in ``lost_mass`` (no renormalization)."""
-        check_real(rel_eps, "rel_eps")
-        if not 0 <= rel_eps <= 1:
-            raise ParameterError(f"rel_eps must lie in [0, 1], not {rel_eps}")
-        w = self.weights
-        (lo,), (hi,), (dropped,) = tail_cut(w[None], [0], [w.size - 1], rel_eps)
-        if lo == 0 and hi == w.size - 1:
-            return self
-        return FinitePmf(self.offset + int(lo), w[lo:hi + 1].copy(),
-                         self.lost_mass + float(dropped))
 
     def dense_on(self, lo: int, hi: int) -> np.ndarray:
         """Weights as a dense vector over [lo, hi]; support must fit inside."""
@@ -145,11 +127,27 @@ def check_real(value, name: str) -> None:
         raise ParameterError(f"{name} must be a real number, not {value!r}")
 
 
-def check_trim(trim) -> None:
-    """Raise ParameterError for a ``trim`` that is not a bool, rather than
+def check_mass(value, name: str) -> None:
+    """Raise ParameterError for a ``value`` that is not a real number in
+    [0, 1]."""
+    check_real(value, name)
+    if not 0 <= value <= 1:
+        raise ParameterError(f"{name} must lie in [0, 1], not {value}")
+
+
+def check_bool(value, name: str) -> None:
+    """Raise ParameterError for a ``value`` that is not a bool, rather than
     read it as true or false."""
-    if not isinstance(trim, bool):
-        raise ParameterError(f"trim must be a bool, not {trim!r}")
+    if not isinstance(value, bool):
+        raise ParameterError(f"{name} must be a bool, not {value!r}")
+
+
+def _real_array(weights) -> np.ndarray:
+    try:
+        return np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"weights must be real numbers, not {weights!r}") from None
 
 
 def point_mass(j: int) -> FinitePmf:
@@ -160,18 +158,22 @@ def from_weights(offset: int, weights, lost_mass: float = 0.0,
                  normalize: bool = False) -> FinitePmf:
     """Build a pmf from raw weights, trimming zero tails.
 
-    With ``normalize`` the weights are rescaled to sum to ``1 - lost_mass``.
+    With ``normalize`` the weights are rescaled to sum to ``1 - lost_mass``;
+    their sum must then be a normal double, so that the scale is finite.
     A NaN or infinite weight is refused, not trimmed away as a zero tail.
     """
     offset = as_index(offset, "offset")
-    w = np.asarray(weights, dtype=np.float64)
-    s = w.sum()  # one pass: NaN or infinite if any weight is
+    check_mass(lost_mass, "lost_mass")
+    check_bool(normalize, "normalize")
+    w = _real_array(weights)
+    with np.errstate(over="ignore"):
+        s = w.sum()  # one pass: NaN or infinite if any weight or the sum is
     if not math.isfinite(s):
         raise ParameterError(f"weights must be finite numbers with a finite "
                              f"sum; they sum to {s}")
     if normalize:
-        if not s > 0:
-            raise ParameterError("cannot normalize nonpositive weights")
+        if not s >= 2.0**-1022:  # the least normal double, so 1/s is finite
+            raise ParameterError(f"cannot normalize weights that sum to {s}")
         w = w * ((1.0 - lost_mass) / s)
     nz = np.nonzero(w > 0)[0]
     if nz.size == 0:
@@ -214,7 +216,7 @@ def hypergeom_pmf(params: HypergeomParams, trim: bool = False) -> FinitePmf:
     cuts the support, the Hoeffding bound on the dropped two-sided tail
     (at most ``TRIM_REL``) is recorded as ``lost_mass``.
     """
-    check_trim(trim)
+    check_bool(trim, "trim")
     lo, w, width, lost = hypergeom_laws(params.population, [params.successes],
                                         params.draws, trim)
     return from_weights(int(lo[0]), w[0, :width[0]], lost_mass=float(lost[0]))
@@ -288,8 +290,9 @@ class DiscreteNormalParams:
             raise ParameterError("center and scale must be finite numbers")
         if not self.scale > 0:
             raise ParameterError("scale must be positive")
-        if self.lo > self.hi:
-            raise ParameterError("empty support interval")
+        if not -2**53 <= self.lo <= self.hi <= 2**53:  # exact in doubles
+            raise ParameterError("the support must be a non-empty interval "
+                                 "within [-2^53, 2^53]")
 
 
 def _normal_z(params: DiscreteNormalParams) -> np.ndarray:
@@ -317,14 +320,20 @@ def discrete_normal_pmf(params: DiscreteNormalParams) -> FinitePmf:
     """Normal density sampled on an integer interval and renormalized.
 
     Weights that underflow double precision are trimmed off the stored
-    support (they carry no representable mass).  Refused when no support
-    point lies within _Z_CAP / 2 scales of the center: the weights relative
-    to the nearest point are then out of reach of z * z in doubles.
+    support (they carry no representable mass).  With z = (j - center)/scale
+    and m the support point nearest the center, each weight kept has
+    z_j^2 - z_m^2 < 1491, so its log relative to the largest weight,
+    -(z_j^2 - z_m^2)/2, rounds by at most 2^-53 (10 z_m^2 + 8946).  Refused
+    when |z_m| exceeds _Z_NEAR = 2^10, where that bound passes 2^-30: below
+    it each normal (not subnormal) weight's ratio to the largest is within
+    a relative 2^-29 of the exact law's.  (At center 1e20 and scale 1e10,
+    say, z * z takes one value at every point of [-5, 5], where the exact
+    law's neighbours differ by a factor e.)
     """
     z = _normal_z(params)
     zz = z * z
-    if not zz.min() <= (_Z_CAP / 2) ** 2:
-        raise ParameterError("the center lies more than 2^499 scales from "
+    if not zz.min() <= _Z_NEAR**2:
+        raise ParameterError("the center lies more than 2^10 scales from "
                              "every point of the support")
     w = np.exp(-0.5 * (zz - zz.min()))
     return from_weights(params.lo, w, normalize=True)
@@ -366,13 +375,6 @@ def convolve(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0, out=w)
 
 
-def difference_law(p_a: FinitePmf, p_b: FinitePmf) -> FinitePmf:
-    """Exact law of A - B for independent A ~ p_a, B ~ p_b."""
-    w = convolve(p_a.weights, p_b.weights[::-1])
-    return from_weights(p_a.lo - p_b.hi, w, normalize=True,
-                        lost_mass=lost_either(p_a.lost_mass, p_b.lost_mass))
-
-
 def lost_either(la, lb):
     """The mass lost by A - B when A and B have lost ``la`` and ``lb``."""
     # written without 1 - (1 - a)(1 - b), which rounds masses below 1e-16 to 0
@@ -386,25 +388,3 @@ def hoeffding_tail(params: HypergeomParams, deviation: float) -> float:
     if not deviation >= 0:
         raise ParameterError("deviation must be nonnegative")
     return 2.0 * math.exp(-2.0 * params.draws * deviation * deviation)
-
-
-def _inverse_transform(pmf: FinitePmf, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(pmf.weights)
-    idx = np.searchsorted(cdf, u * cdf[-1], side="right")
-    return pmf.offset + np.minimum(idx, len(pmf.weights) - 1)
-
-
-def sample(pmf: FinitePmf, rng: RngStream, size: int | None = None):
-    """Inverse-transform draw(s) from ``pmf``; scalar when size is None."""
-    if size is not None and as_index(size, "size") < 0:
-        raise ParameterError("size must be nonnegative")
-    u = rng.gen.random(1 if size is None else size)
-    out = _inverse_transform(pmf, u)
-    return int(out[0]) if size is None else out
-
-
-def sample_hypergeom(params: HypergeomParams, rng: RngStream,
-                     size: int | None = None):
-    """Exact hypergeometric draw(s) by inverse transform against the
-    mode-outward pmf."""
-    return sample(hypergeom_pmf(params), rng, size)

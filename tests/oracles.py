@@ -1,9 +1,12 @@
 """Exhaustive enumeration oracles for small instances.
 
-Everything here but ``dense_kernel``, ``unblocked_folded_distances`` and
-``verify_moment_identities`` is exact rational arithmetic, over explicit label sets or closed forms, kept
+Everything here but ``difference_law``, ``truncated``, ``dense_kernel``,
+``unblocked_folded_distances`` and ``verify_moment_identities`` is exact
+rational arithmetic, over explicit label sets or closed forms, kept
 deliberately independent of the library's log-space / block-count /
-float-recurrence code paths.  ``dense_kernel`` is no rational oracle: it
+float-recurrence code paths.  ``difference_law`` and ``truncated`` build a
+kernel row from two hypergeometric laws in doubles, the reference the
+library's one-law rows are held to.  ``dense_kernel`` is no rational oracle: it
 assembles the full kernel matrix from the library's own rows, for the tests
 that need P as one array.  Nor is ``unblocked_folded_distances``: it is the
 all-states loop with whole-array products, for the tests that hold the
@@ -17,8 +20,10 @@ from math import comb
 
 import numpy as np
 
-from blmix import Eigenfunction, eigen_eval, evolve, point_mass, transition_row
+from blmix import (Eigenfunction, FinitePmf, eigen_eval, evolve, point_mass,
+                   transition_row)
 from blmix.chain import _flush, _window_matmul
+from blmix.pmf import TRIM_REL, convolve, from_weights, lost_either, tail_cut
 
 
 def enum_hypergeom(population: int, successes: int, draws: int) -> dict:
@@ -158,6 +163,24 @@ def hahn_recurrence_exact(n: int, x: int, top: int) -> list:
                    - c * a[i - 1] * num[i - 1])
         den.append(den[i] * a[i])
     return [Fraction(p, q) for p, q in zip(num[:top + 1], den[:top + 1])]
+
+
+def difference_law(p_a: FinitePmf, p_b: FinitePmf) -> FinitePmf:
+    """Law of A - B for independent A ~ p_a, B ~ p_b."""
+    w = convolve(p_a.weights, p_b.weights[::-1])
+    return from_weights(p_a.lo - p_b.hi, w, normalize=True,
+                        lost_mass=lost_either(p_a.lost_mass, p_b.lost_mass))
+
+
+def truncated(p: FinitePmf, rel_eps: float = TRIM_REL) -> FinitePmf:
+    """``p`` without its tail weights below ``rel_eps`` times the peak, the
+    dropped probability added to ``lost_mass`` (no renormalization)."""
+    w = p.weights
+    (lo,), (hi,), (dropped,) = tail_cut(w[None], [0], [w.size - 1], rel_eps)
+    if lo == 0 and hi == w.size - 1:
+        return p
+    return FinitePmf(p.offset + int(lo), w[lo:hi + 1].copy(),
+                     p.lost_mass + float(dropped))
 
 
 def dense_kernel(params) -> np.ndarray:

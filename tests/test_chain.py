@@ -10,18 +10,17 @@ import numpy as np
 import pytest
 
 from blmix import (ChainParams, Eigenfunction, HypergeomParams, MixingProfile,
-                   StartPolicy, difference_law, distance_profile, eigen_eval,
-                   evolve, hypergeom_pmf, lower_bound_certificate,
-                   make_schedule, point_mass, stationary, t_mix,
-                   transition_row, tv_distance)
+                   StartPolicy, distance_profile, eigen_eval, evolve,
+                   hypergeom_pmf, lower_bound_certificate, make_schedule,
+                   point_mass, stationary, t_mix, transition_row, tv_distance)
 from blmix import approx, chain, pmf
 from blmix.chain import MATRIX_GUARD, TILE, UNDERFLOW_FLOOR
 from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
 from blmix.pmf import FinitePmf, first_last, from_weights
-from oracles import (dense_kernel, enum_transition_row,
+from oracles import (dense_kernel, difference_law, enum_transition_row,
                      exact_worst_start_profile, hahn_exact,
-                     hahn_recurrence_exact, kernel_counts,
+                     hahn_recurrence_exact, kernel_counts, truncated,
                      unblocked_folded_distances, verify_moment_identities)
 
 
@@ -134,7 +133,7 @@ def _two_law_row(n, k, x, trim):
     added = hypergeom_pmf(HypergeomParams(n, n - x, k), trim)
     removed = hypergeom_pmf(HypergeomParams(n, x, k), trim)
     row = difference_law(added, removed).shifted(x)
-    return row.truncated() if trim else row
+    return truncated(row) if trim else row
 
 
 @pytest.mark.parametrize("n,trim", [(40, False), (41, False), (300, False),

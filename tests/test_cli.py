@@ -1,7 +1,9 @@
 """Config validation, experiment dispatch, serialization, CLI exit codes."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,9 +16,29 @@ from hypothesis import strategies as st
 
 import blmix
 from blmix.cli import main
-from blmix.config import (EXPERIMENTS, emit, format_value, parse_config,
-                          parse_csv, parse_json, render_csv, render_json, run)
+from blmix.config import (EXPERIMENTS, ResultRecord, _sniff, emit,
+                          format_value, parse_config, render_csv, render_json,
+                          run)
 from blmix.errors import ConfigError
+
+
+def parse_csv(text: str) -> ResultRecord:
+    """A record read back from ``render_csv``'s text, each cell typed as
+    ``render_json`` types it."""
+    reader = csv.reader(io.StringIO(text))
+    header = tuple(next(reader))
+    rows = tuple(tuple(_sniff(v) for v in row) for row in reader)
+    digest = rows[0][-1] if rows else ""
+    return ResultRecord("", str(digest), header, rows)
+
+
+def parse_json(text: str) -> ResultRecord:
+    """A record read back from ``render_json``'s text."""
+    objs = json.loads(text)
+    header = tuple(objs[0]) if objs else ()
+    rows = tuple(tuple(o[c] for c in header) for o in objs)
+    digest = rows[0][-1] if rows else ""
+    return ResultRecord("", str(digest), header, rows)
 
 
 def minimal(experiment="schedule", **extra) -> str:

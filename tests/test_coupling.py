@@ -1,6 +1,7 @@
 """Shared-selection coupling: exactness oracles and Monte Carlo estimators,
 with the band excursions of a single chain checked by simulation."""
 
+import collections
 import dataclasses
 import math
 import threading
@@ -8,9 +9,9 @@ import threading
 import numpy as np
 import pytest
 
-from blmix import (ChainParams, CoupledState, RngStream, StoppingKind,
-                   StoppingSpec, coupled_step, default_horizon, make_schedule,
-                   stopping_tail, transition_row)
+from blmix import (ChainParams, RngStream, StoppingKind, StoppingSpec,
+                   default_horizon, make_schedule, stopping_tail,
+                   transition_row)
 from blmix.coupling import (CHUNKS, MIN_CHUNK, SAMPLER_LIMIT, _chunk_sizes,
                             _chunk_survivors, _ci_halfwidth, _hit_predicate,
                             _step_arrays, _survival_of_hits, _worker_count)
@@ -61,14 +62,14 @@ def test_unordered_pair_symmetry():
 
 
 def test_coupled_step_simulation_matches_exact_law():
+    """20,000 replicas stepped once from (x, y) as one array: the empirical
+    joint law of the pair is within 0.02 in TV of the exact one."""
     n, k, x, y = 5, 2, 1, 4
     law = block_joint_law(n, k, x, y)
-    rng = RngStream(99, 0)
-    counts: dict[tuple[int, int], int] = {}
     draws = 20_000
-    for _ in range(draws):
-        s = coupled_step(ChainParams(n, k), CoupledState(x, y), rng)
-        counts[(s.x, s.y)] = counts.get((s.x, s.y), 0) + 1
+    xs, ys = _step_arrays(n, k, np.full(draws, x), np.full(draws, y),
+                          RngStream(99, 0).gen)
+    counts = collections.Counter(zip(xs.tolist(), ys.tolist()))
     assert set(counts) <= set(law)
     tv = 0.5 * sum(abs(counts.get(key, 0) / draws - float(w))
                    for key, w in law.items())
@@ -76,29 +77,20 @@ def test_coupled_step_simulation_matches_exact_law():
 
 
 def test_equal_copies_stay_equal():
-    params = ChainParams(40, 11)
-    s = CoupledState(17, 17)
-    rng = RngStream(5, 0)
+    x = y = np.array([17])
+    gen = RngStream(5, 0).gen
     for _ in range(50):
-        s = coupled_step(params, s, rng)
-        assert s.x == s.y
-
-
-def test_coupled_step_domain_check():
-    with pytest.raises(ParameterError):
-        coupled_step(ChainParams(5, 2), CoupledState(1, 9), RngStream(0, 0))
+        x, y = _step_arrays(40, 11, x, y, gen)
+        assert x[0] == y[0]
 
 
 def test_sizes_beyond_the_sampler_are_refused():
     """numpy's hypergeometric sampler takes urn counts below SAMPLER_LIMIT
-    only, so every coupling entry point refuses n = SAMPLER_LIMIT as an
+    only, so the stopping-time tail refuses n = SAMPLER_LIMIT as an
     infeasible size before it draws or allocates replicas."""
     n = SAMPLER_LIMIT
     sched = make_schedule(n, n // 4, 0.25)
     spec = StoppingSpec(StoppingKind.TAU_COUPLE, sched, r=1.0)
-    with pytest.raises(InfeasibleSizeError):
-        coupled_step(ChainParams(n, n // 4), CoupledState(0, n),
-                     RngStream(0, 0))
     with pytest.raises(InfeasibleSizeError):
         stopping_tail(ChainParams(n, n // 4), spec, 0, n, 10, RngStream(0, 0),
                       horizon=3)
@@ -383,8 +375,6 @@ _INTEGER_INPUTS = {
                                             RngStream(1, 0), v),
     "tail-threads": lambda v: stopping_tail(_P, _SPEC, 2, 99, 20,
                                             RngStream(1, 0), 5, v),
-    "step-x": lambda v: coupled_step(_P, CoupledState(v, 50), RngStream(1, 0)),
-    "step-y": lambda v: coupled_step(_P, CoupledState(50, v), RngStream(1, 0)),
 }
 
 

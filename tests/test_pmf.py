@@ -1,6 +1,8 @@
-"""Distribution algebra: pmfs, TV distance, convolution, sampling."""
+"""Distribution algebra: pmfs, TV distance, convolution, and the seeded
+hypergeometric draws the coupling takes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,13 +12,12 @@ from scipy import fft as scipy_fft
 from scipy import stats
 
 from blmix import (DiscreteNormalParams, FinitePmf, HypergeomParams, RngStream,
-                   difference_law, discrete_normal_pmf, hoeffding_tail,
-                   hypergeom_pmf, point_mass, sample, sample_hypergeom,
-                   tv_distance)
+                   discrete_normal_pmf, hoeffding_tail, hypergeom_pmf,
+                   point_mass, tv_distance)
 from blmix.errors import ParameterError
 from blmix.pmf import (_DIRECT_CONV_LIMIT, TRIM_REL, _fast_len,
                        discrete_normal_norm_const, from_weights)
-from oracles import enum_hypergeom
+from oracles import difference_law, enum_hypergeom, truncated
 
 
 def as_dict(pmf: FinitePmf) -> dict:
@@ -57,17 +58,13 @@ def test_finite_pmf_refuses_a_non_integer_offset(offset):
 @pytest.mark.parametrize("call", [
     lambda p: p.shifted(2.5), lambda p: p.shifted(True),
     lambda p: p.dense_on(0.0, 3.0), lambda p: p.dense_on(0, "3"),
-    lambda p: p.truncated(math.nan), lambda p: p.truncated(-1.0),
-    lambda p: p.truncated(2.0), lambda p: p.truncated("0.1"),
     lambda p: FinitePmf(0, "abc"), lambda p: FinitePmf(0, [1.0, None]),
-], ids=["shift-2.5", "shift-True", "dense-floats", "dense-str",
-        "trunc-nan", "trunc-neg", "trunc-2", "trunc-str", "weights-str",
+], ids=["shift-2.5", "shift-True", "dense-floats", "dense-str", "weights-str",
         "weights-None"])
 def test_finite_pmf_refuses_hostile_arguments(call):
     """A shift or window bound that is not an integer (2.5 would shift by
-    2, True by 1), a truncation level that is not a real in [0, 1] (NaN, -1
-    and 2 left the pmf as it was) and weights that are not numbers each
-    raise ParameterError, not a numpy error or a silent result."""
+    2, True by 1) and weights that are not numbers each raise
+    ParameterError, not a numpy error or a silent result."""
     with pytest.raises(ParameterError):
         call(FinitePmf(0, np.array([0.5, 0.5])))
 
@@ -100,12 +97,58 @@ def test_from_weights_refuses_what_it_swapped_in(offset, weights, normalize):
         from_weights(offset, weights, normalize=normalize)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: FinitePmf(0, [1.0], "0"), lambda: FinitePmf(0, [1.0], None),
+    lambda: FinitePmf(0, [0.5], 0.5 + 0j), lambda: FinitePmf(0, [1.0], True),
+    lambda: FinitePmf(0, [1.0], -1e-300), lambda: FinitePmf(0, [1.0], 2.0),
+    lambda: from_weights(0, [1.0], lost_mass="x"),
+    lambda: from_weights(0, [1.0], lost_mass=math.inf, normalize=True),
+    lambda: from_weights(0, ["a"]), lambda: from_weights(0, [1j]),
+    lambda: from_weights(0, [2.0], normalize="no"),
+    lambda: from_weights(0, [1.0], normalize=1),
+    lambda: from_weights(0, [1.0], normalize=np.True_),
+], ids=["lost-str", "lost-None", "lost-complex", "lost-True", "lost-neg",
+        "lost-2", "fw-lost-str", "fw-lost-inf", "fw-weight-str",
+        "fw-weight-complex", "fw-normalize-str", "fw-normalize-1",
+        "fw-normalize-np-bool"])
+def test_pmf_constructors_refuse_what_is_not_a_law(call):
+    """A lost mass that is not a real number in [0, 1], a weight that is not
+    a number and a ``normalize`` that is not a bool raise ParameterError:
+    a string lost mass raised TypeError, a string weight numpy's
+    ValueError, and normalize="no" normalized."""
+    with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FinitePmf(0, [1e308, 1e308]),
+    lambda: from_weights(0, [1e308, 1e308]),
+    lambda: from_weights(0, [1e308, 1e308], normalize=True),
+    lambda: from_weights(0, [5e-324], normalize=True),
+    lambda: from_weights(0, [1e-310, 0.0, 1e-310], normalize=True),
+], ids=["pmf-overflow", "fw-overflow", "fw-norm-overflow", "fw-norm-subnormal",
+        "fw-norm-subnormal-sum"])
+def test_weight_sums_past_the_double_range_are_refused(call):
+    """Finite weights whose sum overflows, or whose sum is too small for
+    its reciprocal to be finite, raise ParameterError, not numpy's
+    RuntimeWarning (an error under the suite's filter)."""
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_from_weights_normalizes_subnormal_weights_with_a_normal_sum():
+    """The refusal above is of the sum: subnormal weights whose sum is a
+    normal double still normalize."""
+    p = from_weights(3, [2.0**-1023, 2.0**-1023], normalize=True)
+    assert (p.lo, p.weights.tolist()) == (3, [0.5, 0.5])
+
+
 def test_shift_and_truncate_bookkeeping():
     p = FinitePmf(0, np.array([0.5, 0.5 - 1e-20, 1e-20]))
     assert p.shifted(7).lo == 7
-    t = p.truncated(rel_eps=1e-12)
+    t = truncated(p, rel_eps=1e-12)
     assert t.hi == 1 and t.lost_mass == pytest.approx(1e-20)
-    assert t.truncated() is t  # nothing left to drop
+    assert truncated(t) is t  # nothing left to drop
 
 
 # ------------------------------------------------------------ hypergeometric
@@ -229,15 +272,17 @@ def test_discrete_normal_examples():
 
 def test_discrete_normal_invalid():
     """A bound that is not an integer (0.5 would shift the support by a
-    half, True would read as 1) and a center or scale that is not a finite
-    number (an infinite scale would give a uniform law, True would read as
-    1, and a string or None would escape as TypeError) are refused."""
+    half, True would read as 1) or lies past 2^53, where doubles skip
+    integers, and a center or scale that is not a finite number (an
+    infinite scale would give a uniform law, True would read as 1, and a
+    string or None would escape as TypeError) are refused."""
     for args in ((0, 0.0, 0, 5), (0, 1.0, 3, 2), (0, 1, 0.5, 3.5),
                  (0, 1, 0, 3.5), (0, 1, True, 3), (0, 1, 0, True),
                  (0, math.inf, 0, 5), (0, math.nan, 0, 5),
                  (math.nan, 1, 0, 5), (-math.inf, 1, 0, 5),
                  (True, 1.0, 0, 5), (0.0, True, 0, 5), (0.0, np.True_, 0, 5),
-                 ("0", 1.0, 0, 5), (0.0, None, 0, 5)):
+                 ("0", 1.0, 0, 5), (0.0, None, 0, 5), (0, 1, 0, 2**53 + 1),
+                 (0, 1, -2**60, 0)):
         with pytest.raises(ParameterError):
             DiscreteNormalParams(*args)
     params = DiscreteNormalParams(0.5, 1.0, np.int64(0), np.int64(3))
@@ -255,7 +300,7 @@ def test_discrete_normal_far_from_its_scale():
     assert as_dict(discrete_normal_pmf(narrow)) == {0: 1.0}
     assert discrete_normal_norm_const(narrow) == 1 / (1e-300 * math.sqrt(2 * math.pi))
     far = DiscreteNormalParams(1e300, 1.0, -5, 5)
-    with pytest.raises(ParameterError, match="2\\^499 scales"):
+    with pytest.raises(ParameterError, match="2\\^10 scales"):
         discrete_normal_pmf(far)
     assert discrete_normal_norm_const(far) == 0.0
     for scale in (1e-320, np.float64(1.7e308)):
@@ -263,6 +308,54 @@ def test_discrete_normal_far_from_its_scale():
             discrete_normal_norm_const(DiscreteNormalParams(0.0, scale, -5, 5))
     wide = discrete_normal_pmf(DiscreteNormalParams(0.0, np.float64(1.7e308), -5, 5))
     assert np.all(wide.weights == wide.weights[0])
+
+
+def _exact_log_ratios(center, scale, lo, hi) -> dict:
+    """-((j - c)^2 - (m - c)^2) / (2 s^2) for each j, m the support point
+    nearest c: the exact log of weight j over weight m, in rationals."""
+    c, s = Fraction(center), Fraction(scale)
+    near = min(range(lo, hi + 1), key=lambda j: abs(j - c))
+    return {j: -((j - c) ** 2 - (near - c) ** 2) / (2 * s * s)
+            for j in range(lo, hi + 1)}
+
+
+_SEEDED = np.random.default_rng(8).uniform(size=(40, 3))
+
+
+@pytest.mark.parametrize("center,scale,lo,hi", [
+    (12.5, 2.165, 0, 25), (5.0, 2.0, 0, 10), (0.0, 1e-300, -5, 5),
+    (1e300, 1e299, -5, 5), (0.5 + 2**-30, 1e-3, 0, 1),
+    (-1e6, 1000.0, 0, 10), (1e6 + 25.0, 999.5, 0, 30),
+    (-2**10 * 2**20, 2**20, 0, 40),
+] + [(lo - z * 2.0**(20 * u) + 5, 2.0**(20 * u), 0, 10)
+     for (z, u, lo) in _SEEDED * (2**10, 1.0, 20.0)])
+def test_discrete_normal_matches_the_exact_quadratic(center, scale, lo, hi):
+    """Within 2^10 scales of the center, each normal weight's ratio to the
+    largest is within a relative 2^-29 of the exact law's, and a weight
+    that underflows is one the exact law puts below 2^-1000 of it."""
+    pmf = discrete_normal_pmf(DiscreteNormalParams(center, scale, lo, hi))
+    exact = _exact_log_ratios(center, scale, lo, hi)
+    peak = pmf.prob(max(exact, key=exact.get))
+    assert peak == pmf.weights.max()
+    for j, log_ratio in exact.items():
+        ratio, want = pmf.prob(j) / peak, math.exp(float(max(log_ratio, -10**4)))
+        if pmf.prob(j) >= np.finfo(np.float64).tiny:
+            assert abs(ratio / want - 1) <= 2**-29
+        else:
+            assert want <= 2**-1000
+
+
+def test_discrete_normal_refuses_a_center_too_far_to_resolve():
+    """At center 1e20 and scale 1e10, j - center rounded to one value at
+    each j of [-5, 5], and the pmf came out uniform, where the exact law's
+    neighbours differ by a factor e; it is refused, as is every center
+    more than 2^10 scales from the support."""
+    exact = _exact_log_ratios(1e20, 1e10, -5, 5)
+    assert float(exact[4] - exact[5]) == pytest.approx(-1.0, abs=1e-9)
+    for params in [(1e20, 1e10, -5, 5), (-2**10 * 2**20 - 1.0, 2**20, 0, 40),
+                   (0.5 + 2**-30, 1e-5, 0, 1)]:
+        with pytest.raises(ParameterError, match="2\\^10 scales"):
+            discrete_normal_pmf(DiscreteNormalParams(*params))
 
 
 @pytest.mark.parametrize("center,scale,lo,hi", [
@@ -380,6 +473,14 @@ def test_hoeffding_examples():
 
 # ----------------------------------------------------------------- sampling
 
+def sample_hypergeom(params: HypergeomParams, rng: RngStream, size: int):
+    """Hypergeometric draws from the stream's generator, as the coupling's
+    step takes them."""
+    return rng.gen.hypergeometric(params.successes,
+                                  params.population - params.successes,
+                                  params.draws, size)
+
+
 def test_sampling_determinism():
     params = HypergeomParams(100, 50, 25)
     a = sample_hypergeom(params, RngStream(7, 3), size=100)
@@ -407,19 +508,6 @@ def test_rng_stream_refuses_a_seed_that_is_not_an_int(args):
     integer or a value past 64 bits is refused as before."""
     with pytest.raises(ParameterError, match="must be a 64-bit integer"):
         RngStream(*args)
-
-
-def test_sampling_refuses_a_bad_size():
-    """A size that is not a nonnegative integer raises ParameterError, where
-    numpy raised TypeError (2.5, True) or ValueError (-1)."""
-    params = HypergeomParams(100, 50, 25)
-    for size in (2.5, True, -1, np.float64(3.0)):
-        with pytest.raises(ParameterError):
-            sample_hypergeom(params, RngStream(7, 3), size=size)
-        with pytest.raises(ParameterError):
-            sample(point_mass(2), RngStream(7, 3), size=size)
-    assert sample_hypergeom(params, RngStream(7, 3), size=0).size == 0
-    assert sample_hypergeom(params, RngStream(7, 3), size=np.int64(4)).size == 4
 
 
 def test_sampling_forced_draw():
