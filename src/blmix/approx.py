@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import LAW_GUARD, ChainParams, transition_row
+from .chain import ChainParams, transition_row
 from .errors import InfeasibleSizeError, ParameterError
-from .pmf import (DiscreteNormalParams, HypergeomParams, as_index,
+from .pmf import (LAW_GUARD, DiscreteNormalParams, HypergeomParams, as_index,
                   discrete_normal_norm_const, discrete_normal_pmf,
                   hypergeom_pmf, tv_distance)
 
 EXACT_TV_GUARD = 10_000  # compute the exact one-step TV only up to this n
-APPROX_GUARD = LAW_GUARD  # the largest n: laws of k + 1 points, untrimmed
 
 
 @dataclass(frozen=True)
@@ -30,9 +29,9 @@ class ApproxParams:
     def __post_init__(self):
         for name in ("n", "k", "ell"):
             object.__setattr__(self, name, as_index(getattr(self, name), name))
-        if self.n > APPROX_GUARD:
+        if self.n > LAW_GUARD:  # its laws, untrimmed, have k + 1 points
             raise InfeasibleSizeError(
-                f"n={self.n} is above APPROX_GUARD={APPROX_GUARD:,}")
+                f"n={self.n} is above LAW_GUARD={LAW_GUARD:,}")
         if not 0 < self.k < self.n:
             raise ParameterError("k must lie strictly between 0 and n")
         if not 0 < self.ell < self.n:

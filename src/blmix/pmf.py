@@ -1,8 +1,8 @@
 """Finite-distribution algebra on contiguous integer supports.
 
-Hypergeometric and discrete-normal pmfs, total-variation distance, the
-convolution of two weight vectors, tail cuts, and a Hoeffding tail bound.
-All pmfs are immutable and all operations are pure functions.
+Hypergeometric and discrete-normal pmfs, total-variation distance, tail
+cuts, and a Hoeffding tail bound.  All pmfs are immutable and all operations
+are pure functions.  Kernel rows convolve these laws directly, never by FFT.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InfeasibleSizeError, ParameterError
 
 SUM_TOL = 1e-12
 TRIM_REL = 1e-17  # tail weights below this fraction of the peak may be dropped
-_DIRECT_CONV_LIMIT = 4_000_000  # use exact direct convolution below this cost
+LAW_GUARD = 10**7  # refuse a law or dense vector of more than this + 1 points
 _Z_CAP = 2.0**500  # discrete-normal |z| is capped here, so z * z is finite
 _Z_NEAR = 2.0**10  # most scales from a discrete-normal center to its support
 
@@ -88,9 +88,19 @@ class FinitePmf:
         lo, hi = as_index(lo, "lo"), as_index(hi, "hi")
         if self.lo < lo or self.hi > hi:
             raise ParameterError("support exceeds requested window")
+        _check_lanes(hi - lo + 1)
         out = np.zeros(hi - lo + 1)
         out[self.lo - lo:self.hi - lo + 1] = self.weights
         return out
+
+
+def _check_lanes(lanes: int) -> None:
+    """Raise InfeasibleSizeError, before anything of that size is
+    allocated, for a law or dense vector of more than LAW_GUARD + 1
+    points."""
+    if lanes > LAW_GUARD + 1:
+        raise InfeasibleSizeError(f"{lanes:,} points are more than "
+                                  f"LAW_GUARD + 1 = {LAW_GUARD + 1:,}")
 
 
 def first_last(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +251,7 @@ def hypergeom_laws(pop: int, successes, draws: int, trim: bool = False):
             window = max(lo, math.floor(mean - dev)), min(hi, math.ceil(mean + dev))
             if window != (lo, hi):
                 (lo, hi), lost = window, tail
+        _check_lanes(hi - lo + 1)
         mode = min(hi, max(lo, (m + 1) * (succ + 1) // (pop + 2)))
         laws.append((succ, lo, hi - lo + 1, mode - lo, lost))
     succ, lo, width, i, lost = (np.array(v)[:, None] for v in zip(*laws))
@@ -293,6 +304,7 @@ class DiscreteNormalParams:
         if not -2**53 <= self.lo <= self.hi <= 2**53:  # exact in doubles
             raise ParameterError("the support must be a non-empty interval "
                                  "within [-2^53, 2^53]")
+        _check_lanes(self.hi - self.lo + 1)
 
 
 def _normal_z(params: DiscreteNormalParams) -> np.ndarray:
@@ -345,34 +357,6 @@ def tv_distance(p: FinitePmf, q: FinitePmf) -> float:
     lo = min(p.lo, q.lo)
     hi = max(p.hi, q.hi)
     return float(0.5 * np.abs(p.dense_on(lo, hi) - q.dense_on(lo, hi)).sum())
-
-
-def _fast_len(size: int) -> int:
-    """The smallest 2^a 3^b 5^c at least ``size``, a length pocketfft
-    transforms fast; ``scipy.fft.next_fast_len(size, True)`` is the same."""
-    best = 1 << (size - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the least p35 * 2^a >= size
-            best = min(best, p35 << ((size - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def convolve(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """The convolution of two weight vectors: direct below
-    ``_DIRECT_CONV_LIMIT`` multiplications, else by FFT with its negative
-    rounding clamped to zero."""
-    if wa.size * wb.size <= _DIRECT_CONV_LIMIT:
-        return np.convolve(wa, wb)
-    size = wa.size + wb.size - 1
-    fft_len = _fast_len(size)
-    w = np.fft.irfft(np.fft.rfft(wa, fft_len) * np.fft.rfft(wb, fft_len),
-                     fft_len)[:size]
-    return np.maximum(w, 0.0, out=w)
 
 
 def lost_either(la, lb):

@@ -23,7 +23,7 @@ import numpy as np
 from blmix import (Eigenfunction, FinitePmf, eigen_eval, evolve, point_mass,
                    transition_row)
 from blmix.chain import _flush, _window_matmul
-from blmix.pmf import TRIM_REL, convolve, from_weights, lost_either, tail_cut
+from blmix.pmf import TRIM_REL, from_weights, lost_either, tail_cut
 
 
 def enum_hypergeom(population: int, successes: int, draws: int) -> dict:
@@ -167,7 +167,7 @@ def hahn_recurrence_exact(n: int, x: int, top: int) -> list:
 
 def difference_law(p_a: FinitePmf, p_b: FinitePmf) -> FinitePmf:
     """Law of A - B for independent A ~ p_a, B ~ p_b."""
-    w = convolve(p_a.weights, p_b.weights[::-1])
+    w = np.convolve(p_a.weights, p_b.weights[::-1])
     return from_weights(p_a.lo - p_b.hi, w, normalize=True,
                         lost_mass=lost_either(p_a.lost_mass, p_b.lost_mass))
 

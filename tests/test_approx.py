@@ -10,8 +10,7 @@ import pytest
 from blmix import (ApproxParams, ChainParams, FourChainSetup,
                    discrete_normal_pmf, hyper_vs_dnormal_tv, hypergeom_pmf,
                    normalization_constant, one_step_tv, tv_distance)
-from blmix.approx import APPROX_GUARD
-from blmix.pmf import discrete_normal_norm_const
+from blmix.pmf import LAW_GUARD, discrete_normal_norm_const
 from blmix.errors import InfeasibleSizeError, ParameterError
 
 
@@ -78,9 +77,9 @@ def test_approx_params_validation_and_fields():
 
 
 def test_approx_params_refuse_n_above_the_guard():
-    """Above APPROX_GUARD the untrimmed laws grow too large to build, so
+    """Above LAW_GUARD the untrimmed laws grow too large to build, so
     the parameters, and with them every approximation, refuse the size."""
-    n = APPROX_GUARD
+    n = LAW_GUARD
     assert ApproxParams(n, n // 4, n // 2).n == n
     with pytest.raises(InfeasibleSizeError):
         ApproxParams(n + 1, n // 4, n // 2)

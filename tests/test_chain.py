@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from blmix import (ChainParams, Eigenfunction, HypergeomParams, MixingProfile,
                    StartPolicy, distance_profile, eigen_eval, evolve,
@@ -79,6 +80,39 @@ def test_transition_row_matches_enumeration(n):
                 assert row.prob(y) == pytest.approx(float(w), abs=1e-12)
 
 
+def _log_row(n, k, x, ys):
+    """log P(x, y) for each y of ``ys``, from scipy's log-pmfs of the reds
+    leaving the urn of x reds, a ~ Hyp(n, x, k), and of those coming from
+    the other urn, b ~ Hyp(n, n - x, k): the log-sum-exp over the pairs
+    with y = x - a + b, taken 256 ys at a time."""
+    a = np.arange(max(0, k - (n - x)), min(k, x) + 1)
+    log_a = stats.hypergeom.logpmf(a, n, x, k)
+    b_lo, b_hi = max(0, k - x), min(k, n - x)
+    log_b = stats.hypergeom.logpmf(np.arange(b_lo, b_hi + 1), n, n - x, k)
+    out = []
+    for block in np.array_split(ys, max(1, ys.size // 256)):
+        b = block[:, None] - x + a
+        terms = log_a + log_b[np.clip(b - b_lo, 0, b_hi - b_lo)]
+        terms[(b < b_lo) | (b > b_hi)] = -np.inf
+        out.append(special.logsumexp(terms, axis=1))
+    return np.concatenate(out)
+
+
+def test_row_tails_are_exact():
+    """Every weight of at least 1e-300 in an untrimmed row is within a
+    relative 1e-9 of the log-space reference, far into the tails: each row
+    is a direct convolution of nonnegative weights.  At n = 1.2 * 10^4,
+    k = x = n/2 the laws are wide enough that an FFT convolution's rounding
+    swamps most such lanes (log gaps up to 1.4e3)."""
+    n = 12_000
+    row = transition_row(ChainParams(n, n // 2), n // 2)
+    keep = row.weights >= 1e-300
+    ref = _log_row(n, n // 2, n // 2, row.support[keep])
+    assert keep.sum() > 2000
+    # a log gap of at most 1e-9 is a relative error of at most 1.0000000005e-9
+    assert np.abs(np.log(row.weights[keep]) - ref).max() <= 1e-9
+
+
 # -------------------------------------------------------------- stationarity
 
 def test_stationary_examples():
@@ -129,7 +163,11 @@ def test_kernel_matrix_is_mirrored(n):
 def _two_law_row(n, k, x, trim):
     """A row built from two hypergeometric laws: the reds drawn from the
     other urn, Hyp(n, n - x, k), and from the urn holding x reds,
-    Hyp(n, x, k)."""
+    Hyp(n, x, k).  Trimmed rows for k > n/2 are the rows of n - k reversed,
+    whose Hoeffding windows are on n - k draws."""
+    if trim and 2 * k > n:
+        ref = _two_law_row(n, n - k, x, trim)
+        return FinitePmf(n - ref.hi, ref.weights[::-1], ref.lost_mass)
     added = hypergeom_pmf(HypergeomParams(n, n - x, k), trim)
     removed = hypergeom_pmf(HypergeomParams(n, x, k), trim)
     row = difference_law(added, removed).shifted(x)
@@ -140,12 +178,14 @@ def _two_law_row(n, k, x, trim):
                                     (1024, False), (5000, True), (20000, True)])
 def test_one_law_rows_match_two_law_rows(n, trim):
     """Each row takes its incoming reds as the reflection k - Hyp(n, x, k)
-    of its outgoing reds' law.  It has the support of the row built from
-    two laws, its lost mass up to the rounding of the trimmed tails' sum,
-    and weights within 1e-15."""
+    of its outgoing reds' law, and rows for k > n/2 are those of n - k
+    reversed.  It has the support of the row built from two laws (for a
+    trimmed k > n/2, of n - k, reversed), its lost mass up to the rounding
+    of the trimmed tails' sum, and weights within 1e-15."""
     xs = sorted({0, 1, 2, n // 4, n // 2 - 1, n // 2, n // 2 + 1,
                  n - n // 4, n - 2, n - 1, n, *range(0, n + 1, n // 17)})
-    for k in sorted({1, n // 4, n // 2, n - 1, n}):
+    ks = {1, n // 4, n // 2, n - 1, n} | (set() if trim else {3 * n // 4})
+    for k in sorted(ks):
         for x in xs:
             row = transition_row(ChainParams(n, k), x, trim=trim)
             ref = _two_law_row(n, k, x, trim)
@@ -897,22 +937,22 @@ def test_row_bytes_do_not_depend_on_the_batch(n, k, trim):
     _assert_rows_do_not_depend_on_the_batch(n, k, trim, np.arange(n // 2 + 1))
 
 
-def test_fft_row_bytes_do_not_depend_on_the_batch(monkeypatch):
-    """At n = 10^5, k = 6 * 10^4 (trimmed) each of the top 256 states'
-    rows convolves two laws of about 2,190 lanes, past the direct limit, so
-    the rows built by FFT do not depend on the batch either."""
-    n, k = 100_000, 60_000
-    products = []
-    convolve = pmf.convolve
-
-    def counted(wa, wb):
-        products.append(wa.size * wb.size)
-        return convolve(wa, wb)
-
-    monkeypatch.setattr(pmf, "convolve", counted)
-    _assert_rows_do_not_depend_on_the_batch(
-        n, k, True, np.arange(n // 2 - 255, n // 2 + 1))
-    assert min(products) > pmf._DIRECT_CONV_LIMIT
+@pytest.mark.parametrize("n,k,trim,states", [
+    pytest.param(n, k, trim, states, id=f"{n}-{k}") for n, k, trim, states in
+    [(100_000, 60_000, True, np.arange(50_000 - 255, 50_001))]
+    + [(n, n - n // 4, False, np.arange(n // 2 + 1)) for n in sorted(_TILE_EDGES)]])
+def test_rows_above_half_are_reflected(n, k, trim, states):
+    """For k > n/2 each row is the row of n - k swaps reversed, bit for
+    bit, with the same lost mass, and does not depend on the batch it is
+    built in: at n = 10^5, k = 6 * 10^4 (trimmed) the top 256 states, and
+    every state c <= n/2 at the tile-edge sizes with k = n - n // 4."""
+    for tile in np.split(states, np.arange(TILE, states.size, TILE)):
+        c0, block, lost = chain._rows(n, k, tile, trim)
+        c0_swap, block_swap, lost_swap = chain._rows(n, n - k, tile, trim)
+        assert c0 == n + 1 - c0_swap - block.shape[1]
+        assert block.tobytes() == block_swap[:, ::-1].tobytes()
+        assert lost.tobytes() == lost_swap.tobytes()
+    _assert_rows_do_not_depend_on_the_batch(n, k, trim, states)
 
 
 @pytest.mark.parametrize("n,k,trim", [
@@ -1145,10 +1185,11 @@ def test_vector_guard(monkeypatch):
 
 
 def test_law_guard(monkeypatch):
-    """Above LAW_GUARD, the bound on untrimmed laws that approx's
-    APPROX_GUARD names too, a transition row and the stationary law are
+    """Above LAW_GUARD, the bound on laws that ``pmf`` defines and ``chain``
+    and ``approx`` import, a transition row and the stationary law are
     refused before any law is built."""
-    assert approx.APPROX_GUARD == chain.LAW_GUARD
+    assert chain.LAW_GUARD is approx.LAW_GUARD is pmf.LAW_GUARD
+    assert not hasattr(approx, "APPROX_GUARD")
     _refuse_building(monkeypatch)
     params = ChainParams(chain.LAW_GUARD + 1, 1000)
     for trim in (False, True):

@@ -2,21 +2,21 @@
 hypergeometric draws the coupling takes."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import fft as scipy_fft
 from scipy import stats
 
 from blmix import (DiscreteNormalParams, FinitePmf, HypergeomParams, RngStream,
                    discrete_normal_pmf, hoeffding_tail, hypergeom_pmf,
                    point_mass, tv_distance)
-from blmix.errors import ParameterError
-from blmix.pmf import (_DIRECT_CONV_LIMIT, TRIM_REL, _fast_len,
-                       discrete_normal_norm_const, from_weights)
+from blmix.errors import InfeasibleSizeError, ParameterError
+from blmix.pmf import (LAW_GUARD, TRIM_REL, discrete_normal_norm_const,
+                       from_weights)
 from oracles import difference_law, enum_hypergeom, truncated
 
 
@@ -287,6 +287,8 @@ def test_discrete_normal_invalid():
             DiscreteNormalParams(*args)
     params = DiscreteNormalParams(0.5, 1.0, np.int64(0), np.int64(3))
     assert type(params.lo) is int and type(params.hi) is int
+    # LAW_GUARD + 1 points is the widest support the size guard lets through
+    assert DiscreteNormalParams(0.0, 1.0, 0, LAW_GUARD).hi == LAW_GUARD
 
 
 def test_discrete_normal_far_from_its_scale():
@@ -418,44 +420,6 @@ def test_difference_law_moments(p, q):
                                          rel=1e-9, abs=1e-9)
 
 
-FFT_SHAPES = [
-    # untrimmed inputs at n = 4e4, k = n/4: one row's pair of laws (3309 x
-    # 3309), then two pairs of unequal widths (3837 x 3309, 3309 x 1925)
-    (HypergeomParams(40_000, 20_000, 10_000), HypergeomParams(40_000, 20_000, 10_000)),
-    (HypergeomParams(40_000, 20_000, 20_000), HypergeomParams(40_000, 20_000, 10_000)),
-    (HypergeomParams(40_000, 20_000, 10_000), HypergeomParams(40_000, 4_000, 10_000)),
-]
-
-
-@pytest.mark.parametrize("a, b", FFT_SHAPES)
-def test_difference_law_fft_branch(a, b):
-    """Above _DIRECT_CONV_LIMIT the law comes from numpy's FFT: bit for bit
-    what scipy.fft gives at the same length, within 1e-15 of the direct
-    convolution everywhere, and nonnegative."""
-    p, q = hypergeom_pmf(a), hypergeom_pmf(b)
-    wa, wb = p.weights, q.weights[::-1]
-    assert wa.size * wb.size > _DIRECT_CONV_LIMIT
-    got = difference_law(p, q)
-
-    size = wa.size + wb.size - 1
-    fft_len = scipy_fft.next_fast_len(size, True)
-    w = scipy_fft.irfft(scipy_fft.rfft(wa, fft_len) * scipy_fft.rfft(wb, fft_len),
-                        fft_len)[:size]
-    ref = from_weights(p.lo - q.hi, np.maximum(w, 0.0), normalize=True)
-    assert got.offset == ref.offset
-    assert got.weights.tobytes() == ref.weights.tobytes()
-
-    direct = np.convolve(wa, wb)
-    lo, hi = p.lo - q.hi, p.hi - q.lo
-    assert np.abs(got.dense_on(lo, hi) - direct / direct.sum()).max() <= 1e-15
-    assert np.all(got.weights >= 0)
-
-
-def test_fast_len_matches_scipy():
-    assert all(_fast_len(size) == scipy_fft.next_fast_len(size, True)
-               for size in range(1, 100_001))
-
-
 # -------------------------------------------------------------- tail bound
 
 def test_hoeffding_examples():
@@ -469,6 +433,35 @@ def test_hoeffding_examples():
     for bad in (-0.1, np.nan, True, np.True_, "x", None, 0.1j):
         with pytest.raises(ParameterError):
             hoeffding_tail(HypergeomParams(10, 5, 4), bad)
+
+
+# --------------------------------------------------------------- size guard
+
+@pytest.mark.parametrize("call", [
+    lambda: hypergeom_pmf(HypergeomParams(2**60, 2**59, 2**59)),
+    lambda: hypergeom_pmf(HypergeomParams(2**60, 2**59, 2**59), trim=True),
+    lambda: discrete_normal_pmf(DiscreteNormalParams(0.0, 1.0, -2**53, 2**53)),
+    lambda: discrete_normal_norm_const(
+        DiscreteNormalParams(0.0, 1.0, -2**53, 2**53)),
+    lambda: tv_distance(point_mass(0), point_mass(2**60)),
+    lambda: FinitePmf(2**62, [1.0]).dense_on(0, 2**62),
+    lambda: DiscreteNormalParams(0.0, 1.0, 0, LAW_GUARD + 1),
+    lambda: point_mass(0).dense_on(0, LAW_GUARD + 1),
+], ids=["hypergeom", "hypergeom-trim", "dnormal", "dnormal-const", "tv",
+        "dense_on", "dnormal-edge", "dense_on-edge"])
+def test_oversized_laws_are_refused_before_allocating(call):
+    """A law or dense vector of more than LAW_GUARD + 1 points is refused
+    before any array of its size is allocated: the traced peak stays
+    below 64 KiB.  Unrefused, the first six would end in numpy's
+    MemoryError (EiB to GiB) or ValueError ("array is too big")."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleSizeError, match="LAW_GUARD"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 # ----------------------------------------------------------------- sampling
