@@ -12,12 +12,10 @@ import math
 from dataclasses import dataclass
 
 from .chain import ChainParams, transition_row
-from .errors import InfeasibleSizeError, ParameterError
-from .pmf import (LAW_GUARD, DiscreteNormalParams, HypergeomParams, as_index,
+from .errors import EXACT_TV_GUARD, ParameterError, check_size
+from .pmf import (DiscreteNormalParams, HypergeomParams, as_index,
                   discrete_normal_norm_const, discrete_normal_pmf,
                   hypergeom_pmf, tv_distance)
-
-EXACT_TV_GUARD = 10_000  # compute the exact one-step TV only up to this n
 
 
 @dataclass(frozen=True)
@@ -29,9 +27,7 @@ class ApproxParams:
     def __post_init__(self):
         for name in ("n", "k", "ell"):
             object.__setattr__(self, name, as_index(getattr(self, name), name))
-        if self.n > LAW_GUARD:  # its laws, untrimmed, have k + 1 points
-            raise InfeasibleSizeError(
-                f"n={self.n} is above LAW_GUARD={LAW_GUARD:,}")
+        check_size("LAW_GUARD", self.n)  # its laws have k + 1 points
         if not 0 < self.k < self.n:
             raise ParameterError("k must lie strictly between 0 and n")
         if not 0 < self.ell < self.n:

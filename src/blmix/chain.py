@@ -16,13 +16,12 @@ from typing import Callable
 import numpy as np
 
 from . import pmf as _pmf
-from .errors import HorizonExceededError, InfeasibleSizeError, ParameterError
-from .pmf import (LAW_GUARD, SUM_TOL, FinitePmf, HypergeomParams, as_index,
-                  check_bool, check_mass, check_real, hypergeom_pmf,
-                  point_mass, tv_distance)
+from .errors import (MATRIX_GUARD, HorizonExceededError, ParameterError,
+                     check_size)
+from .pmf import (SUM_TOL, FinitePmf, HypergeomParams, as_index, check_bool,
+                  check_mass, check_real, hypergeom_pmf, point_mass,
+                  tv_distance)
 
-MATRIX_GUARD = 4096      # refuse the all-states profile above this
-VECTOR_GUARD = 100_000   # refuse single-start evolution above this
 MONOTONE_TOL = 1e-12
 # all-states entries below this are zeroed: a product of two entries at or
 # above it is a normal double, so the dense matmul never meets a subnormal
@@ -139,11 +138,6 @@ def _rows(n: int, k: int, states: np.ndarray, trim: bool):
     return c0, block, lost
 
 
-def _check_law_size(n: int) -> None:
-    if n > LAW_GUARD:
-        raise InfeasibleSizeError(f"n={n} is above LAW_GUARD={LAW_GUARD:,}")
-
-
 def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf:
     """Law of the next state from ``x``: x plus incoming-red minus
     outgoing-red counts, both hypergeometric over the k swapped balls.
@@ -159,7 +153,7 @@ def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
     check_bool(trim, "trim")
-    _check_law_size(params.n)
+    check_size("LAW_GUARD", params.n)
     c0, block, lost = _rows(params.n, params.k, np.array([x]), trim)
     return FinitePmf(c0, block[0], float(lost[0]))
 
@@ -168,7 +162,7 @@ def stationary(params: ChainParams) -> FinitePmf:
     """The unique invariant law: hypergeometric counts of red balls when the
     2n balls are split evenly at random.  Refused above LAW_GUARD."""
     n = params.n
-    _check_law_size(n)
+    check_size("LAW_GUARD", n)
     return hypergeom_pmf(HypergeomParams(2 * n, n, n))
 
 
@@ -254,9 +248,7 @@ def evolve(params: ChainParams, mu: FinitePmf, steps: int,
     if as_index(steps, "steps") < 0:
         raise ParameterError("steps must be nonnegative")
     check_bool(trim, "trim")
-    if params.n > VECTOR_GUARD:
-        raise InfeasibleSizeError(f"single-start evolution refused for "
-                                  f"n={params.n} > {VECTOR_GUARD}")
+    check_size("VECTOR_GUARD", params.n)
     kernel = _kernel(params, trim)
     out = mu
     for _ in range(steps):
@@ -631,14 +623,12 @@ def distance_profile(params: ChainParams, t_max: int,
     if not isinstance(start_policy, StartPolicy):
         raise ParameterError(
             f"start_policy must be a StartPolicy, not {start_policy!r}")
+    check_size("MAX_HORIZON", t_max, "t_max")
     n = params.n
-    d = np.empty(t_max + 1)
     # each branch refuses an oversized n before it builds anything of size n
     if start_policy is StartPolicy.ALL_STATES:
-        if n > MATRIX_GUARD:
-            raise InfeasibleSizeError(
-                f"all-states profile refused for n={n} > {MATRIX_GUARD}; "
-                "the state-zero start policy scales further")
+        check_size("MATRIX_GUARD", n, advice="the state-zero start policy "
+                   "scales further")
         k_plus, k_minus, lost_k = _folded_kernels(params)
         two_pi = 2.0 * stationary(params).dense_on(0, n)[:n // 2 + 1]
         walk = functools.partial(_folded_distances, k_plus, k_minus,
@@ -646,13 +636,12 @@ def distance_profile(params: ChainParams, t_max: int,
                                  lost_k)
         # start 0 alone first: its distances decide which starts can leave
         dist, lost_t = walk(_rows_kept(params, *walk(np.ones(t_max + 1, int))))
-        np.minimum(1.0, dist + lost_t, out=d)
+        d = np.minimum(1.0, dist + lost_t)
         lost = float(lost_t[-1])
     else:
-        if n > VECTOR_GUARD:
-            raise InfeasibleSizeError(
-                f"single-start evolution refused for n={n} > {VECTOR_GUARD}; "
-                "use the coupling simulation or the lower-bound certificate")
+        check_size("VECTOR_GUARD", n, advice="use the coupling simulation or "
+                   "the lower-bound certificate")
+        d = np.empty(t_max + 1)
         pi = stationary(params)
         kernel = _kernel(params, n > MATRIX_GUARD)
         mu = point_mass(0)

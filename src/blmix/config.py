@@ -33,20 +33,14 @@ from . import coupling as _coupling
 from . import schedule as _schedule
 from .chain import ChainParams, StartPolicy
 from .coupling import StoppingKind, StoppingSpec
-from .errors import ConfigError, ParameterError
+from .errors import (MAX_HORIZON, MAX_N, MAX_REPLICAS, ConfigError,
+                     ParameterError)
 from .rng import RngStream
 
 EXPERIMENTS = ("profile", "mixtime", "coupling", "approx", "lowerbound",
                "schedule", "sweep")
 
 _REQUIRED = object()  # default of a field the config must give
-# the largest sizes a config may ask for, so that the arrays they size stay
-# allocatable: a double of d(t) or of survival per step, and about 120 bytes
-# of coupling state per replica; and the largest n a double holds exactly,
-# since lambda * n and the schedule are taken in floats
-MAX_HORIZON = 10**6
-MAX_REPLICAS = 10**7
-MAX_N = 2**53
 
 
 def _field(must: str, check, default=_REQUIRED, key=None, coerce=None):

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import ChainParams, Eigenfunction, eigen_eval
-from .errors import InfeasibleSizeError, ParameterError
+from .errors import ParameterError, check_size
 from .pmf import as_index, check_real
 from .rng import RngStream
 from .schedule import Schedule
@@ -44,7 +44,6 @@ CHUNKS = 8  # most replica chunks of a survival curve, each with its own stream
 # threads save, and a curve of fewer than 2 * MIN_CHUNK replicas stays one
 # chunk, drawing from the stream itself
 MIN_CHUNK = 4096
-SAMPLER_LIMIT = 10**9  # numpy's hypergeometric needs urn counts below this
 
 
 class StoppingKind(enum.Enum):
@@ -83,7 +82,9 @@ class SurvivalEstimate:
 
 def _step_arrays(n: int, k: int, x: np.ndarray, y: np.ndarray,
                  gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One coupled step for replica arrays x, y (updated copies returned)."""
+    """One coupled step for replica arrays x, y: the new states of the copies
+    at min(x, y) and at max(x, y), in that order.  Every stopping predicate
+    is symmetric in the two copies, so which copy is which is not kept."""
     if k == 0:
         return x, y
     lo = np.minimum(x, y)
@@ -98,19 +99,9 @@ def _step_arrays(n: int, k: int, x: np.ndarray, y: np.ndarray,
     b2 = gen.hypergeometric(hi - lo, lo, k - b1)
     new_lo = lo - a1 + b1 + b2
     new_hi = hi - a1 - a2 + b1
-    swap = x > y
-    new_x = np.where(swap, new_hi, new_lo)
-    new_y = np.where(swap, new_lo, new_hi)
-    if np.any(np.abs(new_x - new_y) > np.abs(x - y)):
+    if np.any(np.abs(new_hi - new_lo) > hi - lo):
         raise AssertionError("coupling contraction violated")
-    return new_x, new_y
-
-
-def _check_sampler(n: int) -> None:
-    if n >= SAMPLER_LIMIT:
-        raise InfeasibleSizeError(
-            f"n={n} reaches {SAMPLER_LIMIT:,}: numpy's hypergeometric "
-            "sampler takes urn counts below it only")
+    return new_lo, new_hi
 
 
 def _chunk_sizes(replicas: int) -> list[int]:
@@ -179,7 +170,10 @@ def _survival_of_hits(params: ChainParams, x0: int, y0: int, horizon: int,
     if not (0 <= x0 <= params.n and 0 <= y0 <= params.n):
         raise ParameterError(
             f"starting states ({x0}, {y0}) outside [0, {params.n}]")
-    _check_sampler(params.n)
+    check_size("MAX_REPLICAS", replicas, "replicas")
+    check_size("MAX_HORIZON", horizon, "horizon")
+    check_size("SAMPLER_LIMIT", params.n + 1, "n + 1", "numpy's "
+               "hypergeometric sampler takes urn counts below SAMPLER_LIMIT")
     sizes = _chunk_sizes(replicas)
     workers = _worker_count(threads, len(sizes))
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleSizeError, ParameterError
+from .errors import ParameterError, check_size
 
 SUM_TOL = 1e-12
 TRIM_REL = 1e-17  # tail weights below this fraction of the peak may be dropped
-LAW_GUARD = 10**7  # refuse a law or dense vector of more than this + 1 points
 _Z_CAP = 2.0**500  # discrete-normal |z| is capped here, so z * z is finite
 _Z_NEAR = 2.0**10  # most scales from a discrete-normal center to its support
 
@@ -88,19 +87,10 @@ class FinitePmf:
         lo, hi = as_index(lo, "lo"), as_index(hi, "hi")
         if self.lo < lo or self.hi > hi:
             raise ParameterError("support exceeds requested window")
-        _check_lanes(hi - lo + 1)
+        check_size("LAW_GUARD", hi - lo, "hi - lo")
         out = np.zeros(hi - lo + 1)
         out[self.lo - lo:self.hi - lo + 1] = self.weights
         return out
-
-
-def _check_lanes(lanes: int) -> None:
-    """Raise InfeasibleSizeError, before anything of that size is
-    allocated, for a law or dense vector of more than LAW_GUARD + 1
-    points."""
-    if lanes > LAW_GUARD + 1:
-        raise InfeasibleSizeError(f"{lanes:,} points are more than "
-                                  f"LAW_GUARD + 1 = {LAW_GUARD + 1:,}")
 
 
 def first_last(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +241,7 @@ def hypergeom_laws(pop: int, successes, draws: int, trim: bool = False):
             window = max(lo, math.floor(mean - dev)), min(hi, math.ceil(mean + dev))
             if window != (lo, hi):
                 (lo, hi), lost = window, tail
-        _check_lanes(hi - lo + 1)
+        check_size("LAW_GUARD", hi - lo, "hi - lo")
         mode = min(hi, max(lo, (m + 1) * (succ + 1) // (pop + 2)))
         laws.append((succ, lo, hi - lo + 1, mode - lo, lost))
     succ, lo, width, i, lost = (np.array(v)[:, None] for v in zip(*laws))
@@ -304,7 +294,7 @@ class DiscreteNormalParams:
         if not -2**53 <= self.lo <= self.hi <= 2**53:  # exact in doubles
             raise ParameterError("the support must be a non-empty interval "
                                  "within [-2^53, 2^53]")
-        _check_lanes(self.hi - self.lo + 1)
+        check_size("LAW_GUARD", self.hi - self.lo, "hi - lo")
 
 
 def _normal_z(params: DiscreteNormalParams) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Exhaustive enumeration oracles for small instances.
 
-Everything here but ``difference_law``, ``truncated``, ``dense_kernel``,
-``unblocked_folded_distances`` and ``verify_moment_identities`` is exact
-rational arithmetic, over explicit label sets or closed forms, kept
-deliberately independent of the library's log-space / block-count /
-float-recurrence code paths.  ``difference_law`` and ``truncated`` build a
+Everything here but ``coupled_survival``, ``difference_law``,
+``truncated``, ``dense_kernel``, ``unblocked_folded_distances`` and
+``verify_moment_identities`` is exact rational arithmetic, over explicit
+label sets or closed forms, kept deliberately independent of the library's
+log-space / block-count / float-recurrence code paths.
+``coupled_survival`` evolves the exact rational one-step laws of the
+coupled pair in doubles.  ``difference_law`` and ``truncated`` build a
 kernel row from two hypergeometric laws in doubles, the reference the
 library's one-law rows are held to.  ``dense_kernel`` is no rational oracle: it
 assembles the full kernel matrix from the library's own rows, for the tests
@@ -96,6 +98,33 @@ def block_joint_law(n: int, k: int, x: int, y: int) -> dict:
                     key = (new_hi, new_lo) if x > y else (new_lo, new_hi)
                     law[key] = law.get(key, 0) + wa * wb
     return {key: Fraction(c, total) for key, c in law.items()}
+
+
+def coupled_survival(n: int, k: int, x0: int, y0: int, hit, horizon: int
+                     ) -> np.ndarray:
+    """P(tau > t), t = 0..horizon, for tau the first t at which ``hit``
+    holds for the coupled pair started at (x0, y0), ``hit`` being symmetric
+    in the two copies and vectorised over arrays of states.  The chain of
+    the unordered pair (min, max) steps by the exact laws of
+    ``block_joint_law``; the law of the pairs not yet hit is evolved in
+    doubles, which round each step's probabilities by about 1e-16."""
+    pairs = [(lo, hi) for hi in range(n + 1) for lo in range(hi + 1)]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    P = np.zeros((len(pairs), len(pairs)))
+    for i, (lo, hi) in enumerate(pairs):
+        for (x, y), w in block_joint_law(n, k, lo, hi).items():
+            P[i, index[min(x, y), max(x, y)]] += float(w)
+    lo, hi = np.array(pairs).T
+    running = ~hit(lo, hi)
+    mu = np.zeros(len(pairs))
+    mu[index[min(x0, y0), max(x0, y0)]] = 1.0
+    out = np.empty(horizon + 1)
+    for t in range(horizon + 1):
+        if t:
+            mu = mu @ P
+        mu *= running
+        out[t] = mu.sum()
+    return out
 
 
 def marginals(joint: dict) -> tuple[dict, dict]:

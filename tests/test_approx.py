@@ -10,8 +10,8 @@ import pytest
 from blmix import (ApproxParams, ChainParams, FourChainSetup,
                    discrete_normal_pmf, hyper_vs_dnormal_tv, hypergeom_pmf,
                    normalization_constant, one_step_tv, tv_distance)
-from blmix.pmf import LAW_GUARD, discrete_normal_norm_const
-from blmix.errors import InfeasibleSizeError, ParameterError
+from blmix.pmf import discrete_normal_norm_const
+from blmix.errors import LAW_GUARD, InfeasibleSizeError, ParameterError
 
 
 def window_constants(ap):

@@ -14,9 +14,10 @@ from blmix import (ChainParams, Eigenfunction, HypergeomParams, MixingProfile,
                    StartPolicy, distance_profile, eigen_eval, evolve,
                    hypergeom_pmf, lower_bound_certificate, make_schedule,
                    point_mass, stationary, t_mix, transition_row, tv_distance)
-from blmix import approx, chain, pmf
-from blmix.chain import MATRIX_GUARD, TILE, UNDERFLOW_FLOOR
-from blmix.errors import (HorizonExceededError, InfeasibleSizeError,
+from blmix import chain, pmf
+from blmix.chain import TILE, UNDERFLOW_FLOOR
+from blmix.errors import (LAW_GUARD, MATRIX_GUARD, VECTOR_GUARD,
+                          HorizonExceededError, InfeasibleSizeError,
                           ParameterError)
 from blmix.pmf import FinitePmf, first_last, from_weights
 from oracles import (dense_kernel, difference_law, enum_transition_row,
@@ -1176,7 +1177,7 @@ def test_vector_guard(monkeypatch):
     """Above VECTOR_GUARD the state-zero profile and ``evolve`` are refused
     before the kernel, a row or the stationary law is built."""
     _refuse_building(monkeypatch)
-    params = ChainParams(chain.VECTOR_GUARD + 1, 25_000)
+    params = ChainParams(VECTOR_GUARD + 1, 25_000)
     with pytest.raises(InfeasibleSizeError):
         distance_profile(params, 2, StartPolicy.STATE_ZERO)
     for trim in (False, True):
@@ -1185,13 +1186,11 @@ def test_vector_guard(monkeypatch):
 
 
 def test_law_guard(monkeypatch):
-    """Above LAW_GUARD, the bound on laws that ``pmf`` defines and ``chain``
-    and ``approx`` import, a transition row and the stationary law are
-    refused before any law is built."""
-    assert chain.LAW_GUARD is approx.LAW_GUARD is pmf.LAW_GUARD
-    assert not hasattr(approx, "APPROX_GUARD")
+    """Above LAW_GUARD, the bound on laws that ``pmf`` and ``approx`` refuse
+    too, a transition row and the stationary law are refused before any law
+    is built."""
     _refuse_building(monkeypatch)
-    params = ChainParams(chain.LAW_GUARD + 1, 1000)
+    params = ChainParams(LAW_GUARD + 1, 1000)
     for trim in (False, True):
         with pytest.raises(InfeasibleSizeError):
             transition_row(params, 0, trim=trim)

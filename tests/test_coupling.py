@@ -4,6 +4,7 @@ with the band excursions of a single chain checked by simulation."""
 import collections
 import dataclasses
 import math
+import statistics
 import threading
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 from blmix import (ChainParams, RngStream, StoppingKind, StoppingSpec,
                    default_horizon, make_schedule, stopping_tail,
                    transition_row)
-from blmix.coupling import (CHUNKS, MIN_CHUNK, SAMPLER_LIMIT, _chunk_sizes,
-                            _chunk_survivors, _ci_halfwidth, _hit_predicate,
-                            _step_arrays, _survival_of_hits, _worker_count)
-from blmix.errors import InfeasibleSizeError, ParameterError
-from oracles import block_joint_law, enum_coupled_joint, marginals
+from blmix.coupling import (CHUNKS, MIN_CHUNK, _chunk_sizes, _chunk_survivors,
+                            _ci_halfwidth, _hit_predicate, _step_arrays,
+                            _survival_of_hits, _worker_count)
+from blmix.errors import SAMPLER_LIMIT, InfeasibleSizeError, ParameterError
+from oracles import (block_joint_law, coupled_survival, enum_coupled_joint,
+                     marginals)
 
 
 # ------------------------------------------------------------ exact step law
@@ -74,6 +76,33 @@ def test_coupled_step_simulation_matches_exact_law():
     tv = 0.5 * sum(abs(counts.get(key, 0) / draws - float(w))
                    for key, w in law.items())
     assert tv <= 0.02
+
+
+def test_survival_matches_the_exact_oracle():
+    """At n = 24, k = 6, from (0, 24), with 20,000 replicas a kind, the
+    survival P(tau > t) of each stopping kind at each t = 0..15 lies
+    within a z-test of the exact one (``coupled_survival``), at a
+    family-wise level of 1e-3 over all 64 (kind, t) pairs by Bonferroni.
+    The exact tau_couple survival lies at or below the path-coupling
+    bound."""
+    n, k, replicas, horizon = 24, 6, 20_000, 15
+    sched = make_schedule(n, k, 0.25)
+    # bands that every kind crosses in a few steps, none the same hit set
+    kappas = {StoppingKind.TAU_COUPLE: 10.0, StoppingKind.TAU1: 0.5,
+              StoppingKind.TAU3: 0.03, StoppingKind.TAU4: 1.0}
+    z_crit = statistics.NormalDist().inv_cdf(
+        1 - 1e-3 / (2 * len(kappas) * (horizon + 1)))
+    for seed, (kind, kappa) in enumerate(kappas.items()):
+        spec = StoppingSpec(kind, sched, kappa=kappa, r=1.0)
+        exact = coupled_survival(n, k, 0, n, _hit_predicate(spec), horizon)
+        est = stopping_tail(ChainParams(n, k), spec, 0, n, replicas,
+                            RngStream(seed, 1), horizon)
+        p = np.clip(exact, 0.0, 1.0)
+        sd = np.sqrt(p * (1.0 - p) / replicas)
+        gap = np.abs(est.empirical_survival - p)
+        assert np.all(gap <= z_crit * sd + 1e-12), kind
+        if kind is StoppingKind.TAU_COUPLE:
+            assert np.all(exact <= est.theoretical_bound + 1e-12)
 
 
 def test_equal_copies_stay_equal():

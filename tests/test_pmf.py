@@ -14,9 +14,8 @@ from scipy import stats
 from blmix import (DiscreteNormalParams, FinitePmf, HypergeomParams, RngStream,
                    discrete_normal_pmf, hoeffding_tail, hypergeom_pmf,
                    point_mass, tv_distance)
-from blmix.errors import InfeasibleSizeError, ParameterError
-from blmix.pmf import (LAW_GUARD, TRIM_REL, discrete_normal_norm_const,
-                       from_weights)
+from blmix.errors import LAW_GUARD, InfeasibleSizeError, ParameterError
+from blmix.pmf import TRIM_REL, discrete_normal_norm_const, from_weights
 from oracles import difference_law, enum_hypergeom, truncated
 
 
