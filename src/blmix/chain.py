@@ -273,25 +273,27 @@ def _folded_kernels(params: ChainParams) -> tuple[np.ndarray, np.ndarray, float]
     ``(K_plus, K_minus, lost)``: with h = n // 2, a = (n + 1) // 2 and y, z
     < n/2, K_plus[y, z] = P(y, z) + P(n - y, z) for z <= h, plus the middle
     row P(h, .) at even n, and K_minus[y, z] = P(y, z) - P(n - y, z).  The
-    rows y <= h of P are built untrimmed by ``_rows``, TILE states at a
-    time, and row n - y is row y reversed.  P's and K_minus's entries below
-    UNDERFLOW_FLOOR in magnitude are zeroed; ``lost`` bounds what that adds
-    to the error of a step (see ``distance_profile``)."""
+    rows y <= h of P are built untrimmed by ``_rows`` and folded in, TILE
+    states at a time (row n - y is row y reversed).  P's and K_minus's
+    entries below UNDERFLOW_FLOOR in magnitude are zeroed; ``lost`` bounds
+    what that adds to the error of a step (see ``distance_profile``)."""
     n = params.n
     h, a = n // 2, (n + 1) // 2
-    rows = np.zeros((h + 1, n + 1))
+    k_plus, k_minus = np.empty((h + 1, h + 1)), np.empty((a, a))
+    zeroed, zeroed_minus = np.empty(h + 1), np.empty(a)
     for at in range(0, h + 1, TILE):
-        c0, block, _ = _rows(n, params.k, np.arange(at, min(at + TILE, h + 1)),
-                             False)
-        rows[at:at + len(block), c0:c0 + block.shape[1]] = block
-    zeroed = _flush(rows, rows)  # no entry of P is negative
-    mirrored = rows[:a, ::-1]  # rows n - y of the states y < n/2
-    k_plus = np.empty((h + 1, h + 1))
-    np.add(rows[:a, :h + 1], mirrored[:, :h + 1], out=k_plus[:a])
-    k_plus[a:] = rows[h, :h + 1]  # no row at odd n
-    k_minus = np.subtract(rows[:a, :a], mirrored[:, :a])
-    del rows, mirrored  # not held through K_minus's flush
-    zeroed_minus = _flush(k_minus, np.abs(k_minus))
+        states = np.arange(at, min(at + TILE, h + 1))
+        c0, block, _ = _rows(n, params.k, states, False)
+        rows = np.zeros((len(states), n + 1))
+        rows[:, c0:c0 + block.shape[1]] = block
+        zeroed[states] = _flush(rows, rows)  # no entry of P is negative
+        y = slice(at, min(at + TILE, a))  # the tile's states y < n/2
+        m = y.stop - at
+        mirrored = rows[:m, ::-1]  # their rows n - y
+        np.add(rows[:m, :h + 1], mirrored[:, :h + 1], out=k_plus[y])
+        k_plus[y.stop:at + len(states)] = rows[m:, :h + 1]  # P(h, .), even n
+        minus = np.subtract(rows[:m, :a], mirrored[:, :a], out=k_minus[y])
+        zeroed_minus[y] = _flush(minus, np.abs(minus))
     return k_plus, k_minus, float(zeroed.max()
                                   + (zeroed[:a] + zeroed_minus).max())
 
@@ -328,61 +330,62 @@ def _folded_distances(k_plus: np.ndarray, k_minus: np.ndarray,
     t = 0, 1, ..., len(rows) - 1, where ``rows`` never grows: ``(dist,
     lost)``, with dist[t] the largest distance of those starts at step t and
     lost[t] the bound so far on what the floor put into it (see
-    ``distance_profile``), not included in dist[t].  A step multiplies only
-    the columns from the first where S or V holds a nonzero, through the
-    halves' ``_reach``; the first step, from S_0 = V_0 = I, copies the
-    halves' leading rows instead.  S and V are updated in place, a block
-    of rows (``_row_blocks``) at a time: a block is multiplied into the
-    scratch, copied back, floored and measured before the next."""
+    ``distance_profile``), not included in dist[t].  The starts are split
+    once (``_row_blocks``), and each block is evolved alone, from S_0 = V_0
+    = I until a step keeps none of its rows: a step multiplies its kept rows
+    into the scratch over the columns from the first they hold a nonzero in
+    (``_reach``; the first step copies the halves' rows), copies them back,
+    floors and measures them.  dist[t] and the mass floored at step t are
+    maxima over the blocks."""
     h, a = len(k_plus) - 1, len(k_minus)
-    S, V = np.eye(rows[0], h + 1), np.eye(rows[0], a)
-    if a == h and rows[0] > h:
-        S[h, h] = 2.0  # the middle column of an even n holds 2 D_t(x, h)
-    # one scratch block per array, of at most an eighth of S's rows, and
-    # nothing else the size of S or V: the scratch holds a block's product,
-    # then its |S - 2 pi| and |V| with the floored entries at 0 (S >= 0, as
-    # S_0 = I and K_plus >= 0)
-    size = max(3, -(-(h + 1) // 8))
-    longest = min(size, rows[0])  # the longest block
-    S_tmp, V_tmp = np.empty((longest, h + 1)), np.empty((longest, a))
-    dist, lost = np.empty(len(rows)), np.zeros(len(rows))
-    for t, r in enumerate(rows):
-        if t == 1:  # I times a half is its rows, bit for bit
-            S[:r] = k_plus[:r]
-            if a == h and r > h:
-                S[h] *= 2.0
-            V[:min(r, a)] = k_minus[:r]  # V's row a, at even n, stays 0
-        elif t > 1:
-            live = S[:r].any(axis=0)
-            live[:a] |= V[:r].any(axis=0)
-            c = int(live.argmax())
-        far = zeroed = 0.0
-        for block in _row_blocks(r, size):
-            s, v = S[block], V[block]
-            s_tmp, v_tmp = S_tmp[:len(s)], V_tmp[:len(s)]
-            if t > 1:
+    # only one block of S and V is held, of at most an eighth of the starts,
+    # and a scratch per array that holds a step's product, then |S - 2 pi|
+    # and |V| with the floored entries at 0 (S >= 0, as S_0 = I, K_plus >= 0)
+    blocks = _row_blocks(rows[0], max(3, -(-(h + 1) // 8)))
+    longest = max(block.stop - block.start for block in blocks)
+    S, S_tmp = np.empty((longest, h + 1)), np.empty((longest, h + 1))
+    V, V_tmp = np.empty((longest, a)), np.empty((longest, a))
+    dist, zeroed = np.zeros(len(rows)), np.zeros(len(rows))
+    for block in blocks:
+        x0 = block.start
+        for t, r in enumerate(rows):
+            m = min(r, block.stop) - x0  # the block's starts kept at step t
+            if m <= 0:
+                break
+            s, v, s_tmp, v_tmp = S[:m], V[:m], S_tmp[:m], V_tmp[:m]
+            if t == 0:  # V's row h, at even n, is 0
+                s[:], v[:] = 0.0, 0.0
+                np.fill_diagonal(s[:, x0:], 1.0)
+                np.fill_diagonal(v[:, x0:], 1.0)
+            elif t == 1:  # I times a half is its rows, bit for bit
+                s[:], v[:a - x0] = k_plus[x0:x0 + m], k_minus[x0:x0 + m]
+            else:
+                live = s.any(axis=0)
+                live[:a] |= v.any(axis=0)
+                c = int(live.argmax())
                 s[:] = _window_matmul(s, k_plus, reach_plus, c, s_tmp)
                 v[:] = _window_matmul(v, k_minus, reach_minus, c, v_tmp)
+            if t < 2 and a == h and x0 + m > h:
+                s[-1] *= 2.0  # the middle column of an even n is 2 D_t(x, h)
             np.abs(v, out=v_tmp)
             if t:
-                zeroed = max(zeroed, float((_flush(s, s)
-                                            + _flush(v, v_tmp)).max()))
+                zeroed[t] = max(zeroed[t], (_flush(s, s)
+                                            + _flush(v, v_tmp)).max())
             gap = np.abs(np.subtract(s, two_pi, out=s_tmp), out=s_tmp)
             mag = np.maximum(gap[:, :a], v_tmp, out=v_tmp)
             # gap[:, a:] is the middle column of an even n (none at odd n)
-            far = max(far, (mag.sum(axis=1)
-                            + 0.5 * gap[:, a:].sum(axis=1)).max())
-        dist[t] = 0.5 * far
-        if t:
-            lost[t] = lost[t - 1] + (lost_k + zeroed)
-    return dist, lost
+            dist[t] = max(dist[t], 0.5 * (mag.sum(axis=1)
+                                          + 0.5 * gap[:, a:].sum(axis=1)).max())
+    zeroed[1:] += lost_k
+    return dist, np.cumsum(zeroed)  # a sum in step order
 
 
 def _row_blocks(r: int, size: int) -> list[slice]:
     """Rows 0..r-1 split into ceil(r / size) blocks of near-equal length,
     none longer than ``size``.  With size >= 3, no block is of one row
     unless r = 1: ceil(r/3) <= r // 2 for r >= 2, and OpenBLAS rounds a
-    product of one row on another path than one of several."""
+    product of one row on another path than one of several.  (A step of
+    the all-states loop can still cut a block down to one row.)"""
     m = -(-r // size)
     return [slice(r * i // m, r * (i + 1) // m) for i in range(m)]
 
@@ -616,7 +619,8 @@ def distance_profile(params: ChainParams, t_max: int,
     lower bound on the exact d_0 that the first pass gives, and a relative
     allowance rho for R_c's own rounding (``_rows_kept`` derives sigma and
     rho).  Step t multiplies only the leading r_t >= min(2, h + 1) rows of
-    S and V, r_t never growing, and ``lost_mass`` is taken over those rows.
+    S and V, r_t never growing, a block of them through every step at a
+    time, and ``lost_mass`` is taken over those rows.
     """
     if as_index(t_max, "t_max") < 0:
         raise ParameterError("t_max must be nonnegative")

@@ -61,6 +61,12 @@ class StoppingSpec:
     r: float | None = None  # distance threshold, tau_couple only
 
     def __post_init__(self):
+        if not isinstance(self.kind, StoppingKind):
+            raise ParameterError(
+                f"kind must be a StoppingKind, not {self.kind!r}")
+        if not isinstance(self.schedule, Schedule):
+            raise ParameterError(
+                f"schedule must be a Schedule, not {self.schedule!r}")
         check_real(self.kappa, "kappa")
         if not 0 < self.kappa < math.inf:
             raise ParameterError("kappa must be positive and finite")
@@ -210,14 +216,12 @@ def _hit_predicate(spec: StoppingSpec) -> Callable[[np.ndarray, np.ndarray], np.
     if spec.kind is StoppingKind.TAU1:
         band = spec.kappa * math.sqrt(n)
         return lambda x, y: (np.abs(x - half) < band) & (np.abs(y - half) < band)
-    if spec.kind in (StoppingKind.TAU3, StoppingKind.TAU4):
-        # tau3 and tau4 differ only in the width of the band about n/2
-        band = spec.kappa * (sched.r_n if spec.kind is StoppingKind.TAU3
-                             else math.sqrt(n))
-        return lambda x, y: ((np.abs(x - y) <= dist_thresh)
-                             & (np.abs(x - half) < band)
-                             & (np.abs(y - half) < band))
-    raise ParameterError(f"unknown stopping kind {spec.kind!r}")
+    # tau3 and tau4 differ only in the width of the band about n/2
+    band = spec.kappa * (sched.r_n if spec.kind is StoppingKind.TAU3
+                         else math.sqrt(n))
+    return lambda x, y: ((np.abs(x - y) <= dist_thresh)
+                         & (np.abs(x - half) < band)
+                         & (np.abs(y - half) < band))
 
 
 def default_horizon(spec: StoppingSpec) -> int:

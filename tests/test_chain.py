@@ -333,11 +333,12 @@ def test_all_states_underflow_floor(monkeypatch):
     half K_minus and of S and V below UNDERFLOW_FLOOR in magnitude, so its
     matmuls never meet a subnormal. Its d(t) is bit for bit that of the
     unfloored split loop, S <- S K_plus and V <- V K_minus, over the same
-    leading rows in the same row blocks (OpenBLAS's bits for a row can
-    depend on how many rows the product has), and lost_mass bounds the
-    error the floor put in: the floored S lies below the exact one, so the
-    floor dropped at least S's entries below it, weighed as the profile's
-    bound weighs them (1/2 on the middle column)."""
+    leading rows in the same row blocks, each evolved through every step
+    and cut at the rows a step keeps (OpenBLAS's bits for a row can depend
+    on how many rows the product has), and lost_mass bounds the error the
+    floor put in: the floored S lies below the exact one, so the floor
+    dropped at least S's entries below it, weighed as the profile's bound
+    weighs them (1/2 on the middle column)."""
     n, k = 300, 75
     h, a = n // 2, (n + 1) // 2
     t_max = _default_horizon(n, k)
@@ -353,21 +354,30 @@ def test_all_states_underflow_floor(monkeypatch):
     k_plus = np.vstack([P[:a, :h + 1] + P[n:h:-1, :h + 1], P[a:h + 1, :h + 1]])
     k_minus = P[:a, :a] - P[n:h:-1, :a]
     two_pi = 2 * stationary(params).dense_on(0, n)[:h + 1]
-    S, V = np.eye(h + 1), np.eye(h + 1, a)
-    S[h, h] = 2.0  # even n: the middle column holds 2 D_t(x, h)
-    d = np.empty(t_max + 1)
-    for t in range(t_max + 1):
-        S, V = S[:rows[t]], V[:rows[t]]
-        gap = np.maximum(np.abs(S[:, :a] - two_pi[:a]), np.abs(V))
-        row = gap.sum(axis=1) + 0.5 * np.abs(S[:, a:] - two_pi[a:]).sum(axis=1)
-        d[t] = 0.5 * row.max()
-        if t < t_max:
-            blocks = row_blocks(rows[t + 1], size)
-            S = np.vstack([S[block] @ k_plus for block in blocks])
-            V = np.vstack([V[block] @ k_minus for block in blocks])
+    blocks = row_blocks(rows[0], size)
+    d, last = np.zeros(t_max + 1), []
+    for block in blocks:
+        S, V = np.eye(h + 1)[block], np.eye(h + 1, a)[block]
+        if block.stop > h:
+            S[-1, h] = 2.0  # even n: the middle column holds 2 D_t(x, h)
+        for t in range(t_max + 1):
+            m = min(rows[t], block.stop) - block.start  # its rows kept
+            if m <= 0:
+                break
+            if t:
+                S, V = S[:m] @ k_plus, V[:m] @ k_minus
+            gap = np.maximum(np.abs(S[:, :a] - two_pi[:a]), np.abs(V))
+            row = (gap.sum(axis=1)
+                   + 0.5 * np.abs(S[:, a:] - two_pi[a:]).sum(axis=1))
+            d[t] = max(d[t], 0.5 * row.max())
+        else:
+            last.append(S)  # the block's rows kept at the last step
     np.minimum.accumulate(d, out=d)
+    S = np.vstack(last)
     assert rows[-1] < h + 1  # the profile dropped rows
-    assert len(row_blocks(rows[1], size)) > 1
+    assert len(blocks) > 1
+    # a step cut a block to one row
+    assert any(m == 1 for block in blocks for m in rows - block.start)
     assert profile.d_values.tobytes() == d.tobytes()
     assert 0 < profile.lost_mass <= t_max * (n + 2) * UNDERFLOW_FLOOR
     weight = np.ones(h + 1)
@@ -495,20 +505,24 @@ def test_row_block_loop_matches_the_whole_array_loop(n, monkeypatch):
 
 
 def test_all_states_peak_holds_no_second_copy_of_s_and_v():
-    """The all-states loop holds K_plus, K_minus, S and V, each of about
-    (n // 2 + 1)^2 doubles, and one scratch block per array, so the traced
-    peak of a profile at n = 1024, k = n/4 and the default horizon is at
-    most 5 (n // 2 + 1)^2 doubles (4.3 observed; 6.1 with a second S and V
-    to write the products into)."""
-    n, k = 1024, 256
+    """The all-states loop holds K_plus and K_minus, each of about
+    (n // 2 + 1)^2 doubles, and one row block of S and V with one scratch
+    per array, each block at most an eighth of the starts; the fold builds
+    the halves a tile of kernel rows at a time. So the traced peak of a
+    profile at k = n/4 and the default horizon is at most 3 (n // 2 + 1)^2
+    doubles (2.65 observed at 1024, 2.52 at 2048; 4.3 when S and V held
+    every start and the fold every row of P, 6.1 with a second S and V to
+    write the products into)."""
     distance_profile(ChainParams(40, 10), 5)  # numpy's lazy set-up
-    tracemalloc.start()
-    try:
-        distance_profile(ChainParams(n, k), _default_horizon(n, k))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * 8 * (n // 2 + 1) ** 2
+    for n in (1024, 2048):
+        k = n // 4
+        tracemalloc.start()
+        try:
+            distance_profile(ChainParams(n, k), _default_horizon(n, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * (n // 2 + 1) ** 2, n
 
 
 @pytest.mark.parametrize("n,k", [
@@ -739,7 +753,8 @@ def test_products_skip_the_dead_columns_at_1024(monkeypatch):
     UNDERFLOW_FLOOR for z below about 0.22 n, so S and V are exact zeros
     there once the chain has moved: the products of the loop over every row
     make at most 50% of the multiply-adds of full-width products over the
-    same steps (42.0% observed). Measured over every row, as the pruning
+    same steps (41.6% observed, each row block's window found from its own
+    rows; 42.0% from every kept row). Measured over every row, as the pruning
     drops the late steps, whose windows are the narrowest."""
     n, k = 1024, 256
     h, a = n // 2, (n + 1) // 2
@@ -749,19 +764,18 @@ def test_products_skip_the_dead_columns_at_1024(monkeypatch):
     monkeypatch.setattr(np, "matmul", lambda A, B, **kw: made.append(
         (A.shape[0], A.shape[0] * A.shape[1] * B.shape[1])) or matmul(A, B, **kw))
     distance_profile(ChainParams(n, k), t_max)
-    # each step after the first, which copies the halves' rows, multiplies
-    # a row block of S, then the same rows of V, until the blocks cover the
-    # kept rows exactly: row 0 alone, then every row
+    # row 0 alone, then each row block in turn: through every step after
+    # the first, which copies the halves' rows, a block multiplies its rows
+    # of S, then the same rows of V, and at each step the blocks cover the
+    # kept rows exactly (every row, unpruned)
     steps = t_max - 1
-    products = iter(made)
-    for r in [1] * steps + [h + 1] * steps:
-        covered = 0
-        while covered < r:
-            (s_rows, _), (v_rows, _) = next(products), next(products)
-            assert s_rows == v_rows
-            covered += s_rows
-        assert covered == r
-    assert next(products, None) is None
+    assert len(made) % 2 == 0
+    pairs = list(zip(made[0::2], made[1::2]))
+    assert all(s_rows == v_rows for (s_rows, _), (v_rows, _) in pairs)
+    walks = np.array([s_rows for (s_rows, _), _ in pairs]).reshape(-1, steps)
+    assert np.all(walks[0] == 1)
+    assert np.all(walks[1:] == walks[1:, :1])  # a block keeps every row
+    assert np.all(walks[1:].sum(axis=0) == h + 1)
     full = (steps + steps * (h + 1)) * ((h + 1) ** 2 + a ** 2)
     assert sum(flops for _, flops in made) <= 0.5 * full
 

@@ -311,7 +311,9 @@ def test_stopping_spec_validation():
     """A kappa or r that is not positive is refused, and so is a missing one
     (r only for tau_couple, the kind that reads it), an infinite one, which
     no replica could cross, True, which is not read as 1, and a string or
-    complex number, which would escape as TypeError."""
+    complex number, which would escape as TypeError. So is a kind that is
+    not a StoppingKind, or a schedule that is not a Schedule: they ended
+    late, in default_horizon's KeyError or stopping_tail's AttributeError."""
     sched = make_schedule(400, 100, 0.25)
     hostile = (math.inf, True, np.True_, "x", 1j)
     for kappa in (0.0, np.nan, None) + hostile:
@@ -323,6 +325,12 @@ def test_stopping_spec_validation():
     for r in (0.0, np.nan) + hostile:  # r is checked whenever it is given
         with pytest.raises(ParameterError):
             StoppingSpec(StoppingKind.TAU1, sched, r=r)
+    for kind in ("tau1", "tau_couple", None, 1):
+        with pytest.raises(ParameterError, match="StoppingKind"):
+            StoppingSpec(kind, sched, r=1.0)
+    for schedule in (None, (400, 100, 0.25), ChainParams(400, 100)):
+        with pytest.raises(ParameterError, match="Schedule"):
+            StoppingSpec(StoppingKind.TAU1, schedule)
 
 
 def test_default_horizons():
