@@ -19,8 +19,8 @@ from . import pmf as _pmf
 from .errors import (MATRIX_GUARD, HorizonExceededError, ParameterError,
                      check_size)
 from .pmf import (SUM_TOL, FinitePmf, HypergeomParams, as_index, check_bool,
-                  check_mass, check_real, hypergeom_pmf, point_mass,
-                  tv_distance)
+                  check_mass, check_real, check_type, hypergeom_pmf,
+                  point_mass, tv_distance)
 
 MONOTONE_TOL = 1e-12
 # all-states entries below this are zeroed: a product of two entries at or
@@ -66,12 +66,8 @@ class MixingProfile:
     lost_mass: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.params, ChainParams):
-            raise ParameterError(
-                f"params must be a ChainParams, not {self.params!r}")
-        if not isinstance(self.start_policy, StartPolicy):
-            raise ParameterError(f"start_policy must be a StartPolicy, not "
-                                 f"{self.start_policy!r}")
+        check_type(self.params, ChainParams, "params")
+        check_type(self.start_policy, StartPolicy, "start_policy")
         check_mass(self.lost_mass, "lost_mass")
         try:
             d = np.asarray(self.d_values, dtype=np.float64)
@@ -95,7 +91,7 @@ def _rows(n: int, k: int, states: np.ndarray, trim: bool):
     lost mass.  A row's bits do not depend on the other states it is built
     with.  Each row is one direct convolution.  Rows for k > n/2 are the
     rows of n - k reversed (P_k(x, y) = P_{n-k}(x, n - y): swap all n
-    balls), so trimmed rows take their Hoeffding window on n - k draws."""
+    balls), so trimmed rows take their Serfling window on n - k draws."""
     if 2 * k > n:
         c0, block, lost = _rows(n, n - k, states, trim)
         return n + 1 - c0 - block.shape[1], block[:, ::-1].copy(), lost
@@ -145,10 +141,11 @@ def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf
     gives both counts: outgoing reds are Hyp(n, x, k) and incoming reds are
     k minus an independent copy.
 
-    With ``trim`` the hypergeometric law is computed on its Hoeffding
+    With ``trim`` the hypergeometric law is computed on its Serfling
     window and the row's negligible tails are cut; ``lost_mass`` bounds the
     probability dropped.  Refused above LAW_GUARD.  Untrimmed at x = k =
     n/2, a row takes about 0.2 s at n = 10^6 and 1.6 s at 10^7 (2 vCPUs)."""
+    check_type(params, ChainParams, "params")
     x = as_index(x, "state")
     if not 0 <= x <= params.n:
         raise ParameterError(f"state {x} outside [0, {params.n}]")
@@ -161,6 +158,7 @@ def transition_row(params: ChainParams, x: int, trim: bool = False) -> FinitePmf
 def stationary(params: ChainParams) -> FinitePmf:
     """The unique invariant law: hypergeometric counts of red balls when the
     2n balls are split evenly at random.  Refused above LAW_GUARD."""
+    check_type(params, ChainParams, "params")
     n = params.n
     check_size("LAW_GUARD", n)
     return hypergeom_pmf(HypergeomParams(2 * n, n, n))
@@ -203,8 +201,10 @@ class _SparseKernel:
         both = np.zeros((half + 1, 2))
         both[:, 0] = x[:half + 1]
         both[:n - half, 1] = x[:half:-1]
-        carried = np.nonzero(both.any(axis=1))[0]
-        first, last = carried[0] // TILE, carried[-1] // TILE + 1
+        # the states c carrying mass are min(y, n - y) over mu's support lo
+        # <= y <= hi: c runs from min(lo, n - hi) to min(half, hi, n - lo)
+        first = min(mu.lo, n - mu.hi) // TILE
+        last = min(half, mu.hi, n - mu.lo) // TILE + 1
         tiles = self._tiles
         tiles[:first] = [None] * first
         tiles[last:] = [None] * (len(tiles) - last)
@@ -243,6 +243,8 @@ def evolve(params: ChainParams, mu: FinitePmf, steps: int,
     truncation losses from the rows used.  Refused above VECTOR_GUARD, before
     the kernel or any row is built: a step holds dense laws of n + 1
     points."""
+    check_type(params, ChainParams, "params")
+    check_type(mu, FinitePmf, "mu")
     if mu.lo < 0 or mu.hi > params.n:
         raise ParameterError("distribution leaves the state space")
     if as_index(steps, "steps") < 0:
@@ -622,11 +624,10 @@ def distance_profile(params: ChainParams, t_max: int,
     S and V, r_t never growing, a block of them through every step at a
     time, and ``lost_mass`` is taken over those rows.
     """
+    check_type(params, ChainParams, "params")
     if as_index(t_max, "t_max") < 0:
         raise ParameterError("t_max must be nonnegative")
-    if not isinstance(start_policy, StartPolicy):
-        raise ParameterError(
-            f"start_policy must be a StartPolicy, not {start_policy!r}")
+    check_type(start_policy, StartPolicy, "start_policy")
     check_size("MAX_HORIZON", t_max, "t_max")
     n = params.n
     # each branch refuses an oversized n before it builds anything of size n
@@ -662,6 +663,7 @@ def distance_profile(params: ChainParams, t_max: int,
 
 def t_mix(profile: MixingProfile, epsilon: float) -> int:
     """Smallest t in the profile with d(t) <= epsilon."""
+    check_type(profile, MixingProfile, "profile")
     check_real(epsilon, "epsilon")
     if not 0 < epsilon:
         raise ParameterError("epsilon must be positive")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .chain import ChainParams, Eigenfunction, eigen_eval
 from .errors import ParameterError, check_size
-from .pmf import as_index, check_real
+from .pmf import as_index, check_real, check_type
 from .rng import RngStream
 from .schedule import Schedule
 
@@ -61,12 +61,8 @@ class StoppingSpec:
     r: float | None = None  # distance threshold, tau_couple only
 
     def __post_init__(self):
-        if not isinstance(self.kind, StoppingKind):
-            raise ParameterError(
-                f"kind must be a StoppingKind, not {self.kind!r}")
-        if not isinstance(self.schedule, Schedule):
-            raise ParameterError(
-                f"schedule must be a Schedule, not {self.schedule!r}")
+        check_type(self.kind, StoppingKind, "kind")
+        check_type(self.schedule, Schedule, "schedule")
         check_real(self.kappa, "kappa")
         if not 0 < self.kappa < math.inf:
             raise ParameterError("kappa must be positive and finite")
@@ -251,6 +247,7 @@ def stopping_tail(params: ChainParams, spec: StoppingSpec, x0: int, y0: int,
     bound = np.ones(horizon + 1)
     if spec.kind is StoppingKind.TAU_COUPLE:
         rate = eigen_eval(params, Eigenfunction.F3, params.k)
-        bound = np.minimum(1.0, rate**t_grid * abs(x0 - y0) / spec.r)
+        with np.errstate(over="ignore"):  # a tiny r gives inf, capped at 1
+            bound = np.minimum(1.0, rate**t_grid * abs(x0 - y0) / spec.r)
     return SurvivalEstimate(t_grid, surv, _ci_halfwidth(surv, replicas), bound)
 

@@ -142,6 +142,12 @@ def check_bool(value, name: str) -> None:
         raise ParameterError(f"{name} must be a bool, not {value!r}")
 
 
+def check_type(value, kind: type, name: str) -> None:
+    """Raise ParameterError for a ``value`` that is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be a {kind.__name__}, not {value!r}")
+
+
 def _real_array(weights) -> np.ndarray:
     try:
         return np.asarray(weights, dtype=np.float64)
@@ -211,11 +217,12 @@ def hypergeom_pmf(params: HypergeomParams, trim: bool = False) -> FinitePmf:
     """Exact hypergeometric pmf, computed in log space by the weight-ratio
     recurrence spreading outward from the mode (``hypergeom_laws``).
 
-    With ``trim`` the recurrence runs only on the window of draws within
-    ``dev = sqrt(draws * ln(2/TRIM_REL) / 2)`` of the mean; when the window
-    cuts the support, the Hoeffding bound on the dropped two-sided tail
-    (at most ``TRIM_REL``) is recorded as ``lost_mass``.
+    With ``trim`` the recurrence runs only on Serfling's window: the draws
+    within sqrt(v ln(2/TRIM_REL)/2) of the mean, v = a(N+1-a)/N for a the
+    least of draws, successes and their complements in N.  When it cuts the
+    support, its bound on the two tails dropped, TRIM_REL, is ``lost_mass``.
     """
+    check_type(params, HypergeomParams, "params")
     check_bool(trim, "trim")
     lo, w, width, lost = hypergeom_laws(params.population, [params.successes],
                                         params.draws, trim)
@@ -229,32 +236,38 @@ def hypergeom_laws(pop: int, successes, draws: int, trim: bool = False):
     after them, and ``lost[r]`` is its lost mass.  A law's bits do not depend
     on the others: its masked lanes add exact zeros to its partial sums, and
     it is normalised by the pairwise sum of its own weights."""
-    m = draws
-    dev = math.sqrt(m * math.log(2.0 / TRIM_REL) / 2.0)
-    tail = hoeffding_tail(HypergeomParams(pop, 0, m), dev / m) if trim and m else 0.0
-    laws = []
+    m, laws = draws, []
     for succ in map(int, successes):
         lo, hi, lost = max(0, m - (pop - succ)), min(m, succ), 0.0
         if trim:
-            mean = m * succ / pop
-            # round outward so every dropped point lies strictly beyond mean +- dev
-            window = max(lo, math.floor(mean - dev)), min(hi, math.ceil(mean + dev))
+            # Serfling (1974): a law lies beyond mean +- dev with probability
+            # at most 2 exp(-2 dev^2 / v), v = a (pop + 1 - a) / pop for a =
+            # min(m, pop - m), or min(succ, pop - succ), as the law is
+            # symmetric in draws and successes; dev spends TRIM_REL.  In
+            # Python ints, as doubles round pop - succ and the mean above 2^53
+            a = min(m, pop - m, succ, pop - succ)
+            dev = math.sqrt(a * (pop + 1 - a) / pop * (math.log(2 / TRIM_REL) / 2))
+            # the mean is q + r/pop exactly; round outward so every dropped
+            # point lies strictly beyond mean +- dev
+            q, r = divmod(m * succ, pop)
+            window = (max(lo, q + math.floor(r / pop - dev)),
+                      min(hi, q + math.ceil(r / pop + dev)))
             if window != (lo, hi):
-                (lo, hi), lost = window, tail
+                (lo, hi), lost = window, TRIM_REL
         check_size("LAW_GUARD", hi - lo, "hi - lo")
         mode = min(hi, max(lo, (m + 1) * (succ + 1) // (pop + 2)))
-        laws.append((succ, lo, hi - lo + 1, mode - lo, lost))
-    succ, lo, width, i, lost = (np.array(v)[:, None] for v in zip(*laws))
+        laws.append((lo, hi - lo + 1, mode - lo, lost, *map(float, (
+            succ - lo, m - lo, lo + 1, pop - succ - m + lo + 1))))
+    lo, width, i, lost, *at_lo = (np.array(v)[:, None] for v in zip(*laws))
     # ratio p(j+1)/p(j) = (succ-j)(m-j) / ((j+1)(pop-succ-m+j+1)), one law
-    # a row; lanes past a law's support take arguments of at least 1, so
-    # that their logs are finite, and are masked out of the sums below
+    # a row; its factors at j = lo are taken in ints, then to doubles, and
+    # each moves by one a lane, as doubles would round j above 2^53; lanes
+    # past a law's support take arguments of at least 1, so that their logs
+    # are finite, and are masked out of the sums below
     lane = np.arange(width.max() - 1)
-    j = (lo + lane).astype(np.float64)
-    logs = np.empty((4,) + j.shape)
-    np.subtract(succ, j, out=logs[0])
-    np.subtract(m, j, out=logs[1])
-    np.add(j, 1.0, out=logs[2])
-    np.add(j, pop - succ - m + 1, out=logs[3])
+    logs = np.empty((4, len(laws), lane.size))
+    for out, factor, step in zip(logs, at_lo, (-lane, -lane, lane, lane)):
+        np.add(factor, step, out=out)
     np.log(np.maximum(logs, 1.0, out=logs), out=logs)
     logratio = logs[0]  # logs[0] + logs[1] - logs[2] - logs[3], in place
     logratio += logs[1]
@@ -344,8 +357,9 @@ def discrete_normal_pmf(params: DiscreteNormalParams) -> FinitePmf:
 def tv_distance(p: FinitePmf, q: FinitePmf) -> float:
     """Half the L1 distance over the union of supports (absent points count
     as zero weight)."""
-    lo = min(p.lo, q.lo)
-    hi = max(p.hi, q.hi)
+    check_type(p, FinitePmf, "p")
+    check_type(q, FinitePmf, "q")
+    lo, hi = min(p.lo, q.lo), max(p.hi, q.hi)
     return float(0.5 * np.abs(p.dense_on(lo, hi) - q.dense_on(lo, hi)).sum())
 
 

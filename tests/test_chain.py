@@ -1122,6 +1122,39 @@ def test_sparse_kernel_holds_the_tiles_with_mass(n, monkeypatch):
         assert fresh.lost_mass == out.lost_mass
 
 
+@pytest.mark.parametrize("n", [64, 65, 127, 128])
+def test_sparse_kernel_tile_range_is_the_scan_of_every_state(n):
+    """A step takes its tiles, from the first to the last that carry mass,
+    from mu's support alone, as the states c <= n/2 with mass are min(y,
+    n - y) over lo <= y <= hi.  For laws with mass on every point of
+    [lo, hi], below, across and above n/2, touching 0, n or neither, the
+    range is the one a scan of every state finds: from a kernel holding
+    every tile, the step keeps exactly those tiles, and the step is the
+    law times the full kernel matrix within 1e-15."""
+    params = ChainParams(n, n // 4)
+    kernel = chain._SparseKernel(params, False)
+    everywhere = from_weights(0, np.ones(n + 1), normalize=True)
+    matrix = dense_kernel(params)
+    h = n // 2
+    ends = sorted({0, 1, TILE - 1, TILE, h - 1, h, h + 1, n - TILE - 1,
+                   n - TILE, n - 1, n})
+    for lo in ends:
+        for hi in [e for e in ends if e >= lo]:
+            mu = from_weights(lo, np.ones(hi - lo + 1), normalize=True)
+            x = mu.dense_on(0, n)
+            both = np.zeros((h + 1, 2))  # the reference: scan every state
+            both[:, 0] = x[:h + 1]
+            both[:n - h, 1] = x[:h:-1]
+            carried = np.nonzero(both.any(axis=1))[0]
+            tiles = range(carried[0] // TILE, carried[-1] // TILE + 1)
+            kernel.step(everywhere)
+            assert None not in kernel._tiles
+            out = kernel.step(mu)
+            held = [t for t, tile in enumerate(kernel._tiles) if tile is not None]
+            assert held == list(tiles)
+            assert np.abs(out.dense_on(0, n) - x @ matrix).max() <= 1e-15
+
+
 def test_state_zero_profile_peak_is_below_the_tiles_built(monkeypatch):
     """The kernel holds only the tiles the current law steps from, so the
     traced peak of a trimmed profile (n = 2 * 10^4, k = n/4, the default

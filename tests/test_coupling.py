@@ -159,6 +159,14 @@ def test_survival_bound_frozen_value():
     assert np.all(est.theoretical_bound <= 1.0)
 
 
+def test_survival_bound_of_a_tiny_distance_is_one():
+    """A distance threshold as small as the least subnormal takes the bound
+    past the double range; it is capped at 1, with no overflow warning."""
+    est = stopping_tail(ChainParams(3, 1), tau_couple(3, 1, 5e-324), 0, 3,
+                        10, RngStream(3, 0), horizon=2)
+    assert est.theoretical_bound.tolist() == [1.0, 1.0, 1.0]
+
+
 def test_survival_below_bound_with_slack():
     est = stopping_tail(ChainParams(100, 25), tau_couple(100, 25, 5.0), 0, 100,
                         10_000, RngStream(17, 0), horizon=20)

@@ -60,9 +60,16 @@ PINS = {
     # test_sparse_kernel_step_matches_kernel_matrix checks a step against
     # the kernel that tests/oracles.py::dense_kernel assembles from
     # transition rows within 1e-15.
+    # Retaken again when trimmed hypergeometric laws began to be cut at
+    # Serfling's finite-population window, narrower than Hoeffding's: only
+    # n=5000, the trimmed profile, moved, 39 of its 43 d(t) by at most
+    # 2.2e-16, and its lost_mass from 8.5706446036354778e-16 to
+    # 8.5705885235921769e-16; n=40 and n=700 are byte-identical.
+    # tests/test_pmf.py::test_serfling_window_is_exact checks the window's
+    # lost mass against the exact mass it drops.
     "profile": (
         {"experiment": "profile", "n_grid": [40, 700, 5000], "lambda": 0.25},
-        "478aec535b402ef39f436c9f137d2bea21533b8a14df062cc164cb964d5cdc7e"),
+        "4fd4e814cad62809fe52c1d2830223be1eab9063ae0d235af5eb94e052bc4d17"),
     "mixtime": (
         {"experiment": "mixtime", "n_grid": [100, 200], "lambda": 0.3},
         "0e8f5cb214833685887e48ed42032f87a11f896a1c37c63993ecadfd1fc10837"),

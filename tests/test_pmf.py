@@ -217,13 +217,14 @@ def hypergeom_params(draw):
 @settings(max_examples=300, deadline=None)
 @given(hypergeom_params())
 def test_windowed_hypergeom_matches_full(params):
-    """The Hoeffding-window pmf agrees with the full pmf on its window, and
+    """The Serfling-window pmf agrees with the full pmf on its window, and
     its lost mass bounds the mass it leaves out."""
     full = hypergeom_pmf(params)
     win = hypergeom_pmf(params, trim=True)
-    m = params.draws
-    mean = m * params.successes / params.population
-    dev = math.sqrt(m * math.log(2 / TRIM_REL) / 2)
+    m, s, pop = params.draws, params.successes, params.population
+    mean = m * s / pop
+    a = min(m, pop - m, s, pop - s)
+    dev = math.sqrt(a * (pop + 1 - a) / pop * (math.log(2 / TRIM_REL) / 2))
     covers = (math.floor(mean - dev) <= params.support_lo
               and math.ceil(mean + dev) >= params.support_hi)
     assert (win.lost_mass == 0.0) == covers
@@ -240,6 +241,77 @@ def test_windowed_hypergeom_matches_full(params):
     dropped = (full.weights[:win.lo - full.lo].sum()
                + full.weights[win.hi - full.lo + 1:].sum())
     assert win.lost_mass >= dropped
+
+
+@pytest.mark.parametrize("pop", [150, 201, 399, 400])
+def test_serfling_window_is_exact(pop):
+    """Over a grid of laws Hyp(N, s, m) with N <= 400, in exact fractions:
+    wherever Serfling's window cuts the support, the mass it leaves out is
+    at most its lost_mass, which is at most TRIM_REL, and it is never wider
+    than Hoeffding's window; and the window of Hyp(N, N - s, m) is m minus
+    that of Hyp(N, s, m), the reflection ``chain._rows`` takes for a row's
+    incoming reds."""
+    grid = sorted({0, 1, 2, pop // 4, pop // 3, pop // 2, (pop + 1) // 2,
+                   pop - 2, pop - 1, pop} | set(range(0, pop + 1, 17)))
+    cut = narrower = 0
+    for s in grid:
+        for m in grid:
+            params = HypergeomParams(pop, s, m)
+            win = hypergeom_pmf(params, trim=True)
+            swapped = hypergeom_pmf(HypergeomParams(pop, pop - s, m), trim=True)
+            assert (swapped.lo, swapped.hi) == (m - win.hi, m - win.lo)
+            assert swapped.lost_mass == win.lost_mass
+            support = range(params.support_lo, params.support_hi + 1)
+            if win.lost_mass == 0.0:
+                assert (win.lo, win.hi) == (support[0], support[-1])
+                continue
+            cut += 1
+            outside = sum(math.comb(s, j) * math.comb(pop - s, m - j)
+                          for j in support if not win.lo <= j <= win.hi)
+            assert (0 < Fraction(outside, math.comb(pop, m))
+                    <= Fraction(win.lost_mass) <= Fraction(TRIM_REL))
+            mean, dev = m * s / pop, math.sqrt(m * math.log(2 / TRIM_REL) / 2)
+            hoeffding = (max(support[0], math.floor(mean - dev)),
+                         min(support[-1], math.ceil(mean + dev)))
+            assert hoeffding[0] <= win.lo and win.hi <= hoeffding[1]
+            narrower += hoeffding != (win.lo, win.hi)
+    assert cut >= 20 and narrower >= cut // 2
+
+
+def _exact_hypergeom(pop, s, m, j):
+    """P(X = j) for X ~ Hyp(pop, s, m) as a Fraction, taken through the
+    fewest draws: Hyp(pop, s, m) is Hyp(pop, m, s), and s - X is
+    Hyp(pop, s, pop - m)."""
+    if min(s, pop - s) < min(m, pop - m):
+        s, m = m, s
+    if 2 * m > pop:
+        return _exact_hypergeom(pop, s, pop - m, s - j)
+    if not 0 <= j <= m:
+        return Fraction(0)
+    return Fraction(math.comb(s, j) * math.comb(pop - s, m - j),
+                    math.comb(pop, m))
+
+
+@pytest.mark.parametrize("pop,s,m", [
+    (2**60, 2**59, 2**60 - 1), (2**60, 2**59, 2**60 - 200),
+    (2**60, 2**59, 200), (2**60, 2**60 - 200, 2**59 + 1),
+    (2**61 + 1, 2**60, 7), (2**53 + 1, 2**52, 2**53 - 150),
+    (2**60, 3, 2**60 - 5), (2**64 + 5, 3, 2), (2**70, 2**69, 2**70 - 300)])
+def test_serfling_window_is_exact_above_2_53(pop, s, m):
+    """For populations where doubles round pop - s and the mean, the window
+    still drops at most its lost_mass, in exact fractions, and the kept
+    weights are the exact law's.  Hyp(2^60, 2^59, 2^60 - 1) puts 1/2 on
+    each of 2^59 - 1 and 2^59; a window set around the mean rounded to a
+    double, 2^59, kept one of them.  The weights of Hyp(2^60, 2^59,
+    2^60 - 200) were 4,900 times off where the ratio recurrence took its
+    draws j as doubles, and a population of 2^63 or more was refused by
+    numpy's int64."""
+    p = hypergeom_pmf(HypergeomParams(pop, s, m), trim=True)
+    exact = [_exact_hypergeom(pop, s, m, j) for j in range(p.lo, p.hi + 1)]
+    assert 1 - sum(exact) <= Fraction(p.lost_mass) <= Fraction(TRIM_REL)
+    assert np.allclose(p.weights, [float(x) for x in exact], rtol=1e-9, atol=0)
+    if (pop, s, m) == (2**60, 2**59, 2**60 - 1):
+        assert (p.lo, p.hi, p.lost_mass) == (2**59 - 1, 2**59, 0.0)
 
 
 def test_windowed_hypergeom_examples():
