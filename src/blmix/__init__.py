@@ -20,8 +20,7 @@ from .coupling import (StoppingKind, StoppingSpec, SurvivalEstimate,
 from .errors import (BlmixError, ConfigError, HorizonExceededError,
                      InfeasibleSizeError, ParameterError)
 from .pmf import (DiscreteNormalParams, FinitePmf, HypergeomParams,
-                  discrete_normal_pmf, hoeffding_tail, hypergeom_pmf,
-                  point_mass, tv_distance)
+                  discrete_normal_pmf, hypergeom_pmf, point_mass, tv_distance)
 from .rng import RngStream
 from .schedule import Schedule, floor_k, make_schedule
 from .approx import (ApproxParams, FourChainSetup, TvDecomposition,

@@ -180,6 +180,8 @@ class _SparseKernel:
     tile with mass (the last tile holds fewer states when TILE does not
     divide n // 2 + 1), added in tile order; the tiles without mass would
     add exact zeros, so the result is the same bits as over every tile.
+    A kernel lives for one ``evolve`` or state-zero ``distance_profile``
+    call and is dropped on its return.
     """
 
     def __init__(self, params: ChainParams, trim: bool):
@@ -228,21 +230,13 @@ class _SparseKernel:
                                  lost_mass=min(lost, 1.0))
 
 
-@functools.lru_cache(maxsize=1)
-def _kernel(params: ChainParams, trim: bool) -> _SparseKernel:
-    """The kernel of the latest ``(params, trim)``, kept so that a law
-    stepped call by call builds each row once; a tile it leaves is dropped.
-    Its results do not depend on which rows it holds: a row rebuilt is the
-    same bits, and rows of states without mass add exact zeros."""
-    return _SparseKernel(params, trim)
-
-
 def evolve(params: ChainParams, mu: FinitePmf, steps: int,
            trim: bool = False) -> FinitePmf:
     """Push ``mu`` through the kernel ``steps`` times, accumulating any
-    truncation losses from the rows used.  Refused above VECTOR_GUARD, before
-    the kernel or any row is built: a step holds dense laws of n + 1
-    points."""
+    truncation losses from the rows used.  The kernel lives for this call
+    alone, so a law stepped many times is passed with ``steps``, not
+    stepped call by call.  Refused above VECTOR_GUARD, before the kernel or
+    any row is built: a step holds dense laws of n + 1 points."""
     check_type(params, ChainParams, "params")
     check_type(mu, FinitePmf, "mu")
     if mu.lo < 0 or mu.hi > params.n:
@@ -251,7 +245,7 @@ def evolve(params: ChainParams, mu: FinitePmf, steps: int,
         raise ParameterError("steps must be nonnegative")
     check_bool(trim, "trim")
     check_size("VECTOR_GUARD", params.n)
-    kernel = _kernel(params, trim)
+    kernel = _SparseKernel(params, trim)
     out = mu
     for _ in range(steps):
         out = kernel.step(out)
@@ -648,7 +642,7 @@ def distance_profile(params: ChainParams, t_max: int,
                    "the lower-bound certificate")
         d = np.empty(t_max + 1)
         pi = stationary(params)
-        kernel = _kernel(params, n > MATRIX_GUARD)
+        kernel = _SparseKernel(params, n > MATRIX_GUARD)
         mu = point_mass(0)
         for t in range(t_max + 1):
             d[t] = min(1.0, tv_distance(mu, pi) + mu.lost_mass)

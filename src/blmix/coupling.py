@@ -16,8 +16,7 @@ replicas survive each t; the curve is the sum over chunks.  The chunks run on
 up to ``threads`` worker threads (numpy releases the interpreter lock while it
 draws), and since the layout is fixed the curve does not depend on
 ``threads``.  The chunk generators start afresh from the stream's key, so a
-curve depends on the stream's (master_seed, stream_id) alone, not on draws
-already taken from ``RngStream.gen``.
+curve depends on the stream's (master_seed, stream_id) alone.
 """
 
 from __future__ import annotations

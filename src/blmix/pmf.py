@@ -1,8 +1,8 @@
 """Finite-distribution algebra on contiguous integer supports.
 
-Hypergeometric and discrete-normal pmfs, total-variation distance, tail
-cuts, and a Hoeffding tail bound.  All pmfs are immutable and all operations
-are pure functions.  Kernel rows convolve these laws directly, never by FFT.
+Hypergeometric and discrete-normal pmfs, total-variation distance and tail
+cuts.  All pmfs are immutable and all operations are pure functions.  Kernel
+rows convolve these laws directly, never by FFT.
 """
 
 from __future__ import annotations
@@ -367,12 +367,3 @@ def lost_either(la, lb):
     """The mass lost by A - B when A and B have lost ``la`` and ``lb``."""
     # written without 1 - (1 - a)(1 - b), which rounds masses below 1e-16 to 0
     return la + lb - la * lb
-
-
-def hoeffding_tail(params: HypergeomParams, deviation: float) -> float:
-    """Two-sided exponential tail bound 2*exp(-2*draws*deviation^2) for the
-    draw fraction deviating by more than ``deviation``.  May exceed 1."""
-    check_real(deviation, "deviation")
-    if not deviation >= 0:
-        raise ParameterError("deviation must be nonnegative")
-    return 2.0 * math.exp(-2.0 * params.draws * deviation * deviation)

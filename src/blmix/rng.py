@@ -7,7 +7,7 @@ scheduling or worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,11 +16,10 @@ from .errors import ParameterError
 _U64 = 1 << 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class RngStream:
     master_seed: int
     stream_id: int = 0
-    _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
@@ -28,18 +27,9 @@ class RngStream:
             if type(v) is not int or not -_U64 < v < _U64:
                 raise ParameterError(f"{name} must be a 64-bit integer, got {v!r}")
 
-    def _philox(self) -> np.random.Philox:
-        key = (self.master_seed % _U64) * _U64 + (self.stream_id % _U64)
-        return np.random.Philox(key=key)
-
-    @property
-    def gen(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = np.random.Generator(self._philox())
-        return self._gen
-
     def chunk(self, c: int) -> np.random.Generator:
         """A fresh generator for chunk ``c``: the stream's start jumped ahead
-        c times by 2^128 draws, so chunk 0 repeats ``gen`` from its start and
-        no two chunks overlap."""
-        return np.random.Generator(self._philox().jumped(c))
+        c times by 2^128 draws, so chunk 0 is the stream itself and no two
+        chunks overlap."""
+        key = (self.master_seed % _U64) * _U64 + (self.stream_id % _U64)
+        return np.random.Generator(np.random.Philox(key=key).jumped(c))

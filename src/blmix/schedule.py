@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import ChainParams, Eigenfunction, eigen_eval
 from .errors import ParameterError
 from .pmf import as_index, check_real
 
@@ -24,8 +23,6 @@ class Schedule:
     s_n: float           # log log n / lam
     p_lambda: float      # log(1-2 lam) * 2 / lam
     r_n: float           # sqrt(n) * (log n)^(|p_lambda|/2)
-    delta_prime: float   # h1(k) - h2(lam), from the quadratic eigenvalue
-    delta_dprime: float  # k(n-k)/n^2 - (lam - lam^2)
 
     @property
     def window_end(self) -> float:
@@ -53,12 +50,7 @@ def make_schedule(n: int, k: int, lam: float) -> Schedule:
     s_n = math.log(logn) / lam
     p_lambda = math.log(1.0 - 2.0 * lam) * 2.0 / lam
     r_n = math.sqrt(n) * logn ** (abs(p_lambda) / 2.0)
-    f2k = eigen_eval(ChainParams(n, k), Eigenfunction.F2, k)
-    h1 = (1.0 - f2k) / 2.0
-    h2 = (1.0 - (1.0 - 2.0 * lam) ** 2) / 2.0
-    delta_dprime = k * (n - k) / n**2 - (lam - lam * lam)
-    return Schedule(n, k, lam, delta_n, t_n, s_n, p_lambda, r_n,
-                    h1 - h2, delta_dprime)
+    return Schedule(n, k, lam, delta_n, t_n, s_n, p_lambda, r_n)
 
 
 def floor_k(n: int, lam: float) -> int:

@@ -20,8 +20,8 @@ PUBLIC = [
     "StoppingKind", "StoppingSpec", "SurvivalEstimate", "TvDecomposition",
     "approx", "chain", "coupling", "default_horizon", "discrete_normal_pmf",
     "distance_profile", "eigen_eval", "errors", "evolve", "floor_k",
-    "hoeffding_tail", "hyper_vs_dnormal_tv", "hypergeom_pmf",
-    "lower_bound_certificate", "make_schedule", "normalization_constant",
+    "hyper_vs_dnormal_tv", "hypergeom_pmf", "lower_bound_certificate",
+    "make_schedule", "normalization_constant",
     "one_step_tv", "pmf", "point_mass", "rng", "schedule", "stationary",
     "stopping_tail", "t_mix", "transition_row", "tv_distance",
 ]

@@ -859,14 +859,15 @@ def test_every_row_kept_where_nothing_is_certified(n, k, t_max, monkeypatch):
 def test_trimmed_evolution_above_matrix_guard():
     """Above MATRIX_GUARD the from-zero profile evolves with trimmed rows:
     they must track the exact rows, certify a negligible lost mass, and stay
-    within the span of their two Hoeffding-window inputs."""
+    within the span of their two Serfling-window inputs."""
     params = ChainParams(5000, 1250)
     assert params.n > MATRIX_GUARD
     laws = {}
     for trim in (False, True):
+        kernel = chain._SparseKernel(params, trim)
         mu, laws[trim] = point_mass(0), []
         for _ in range(10):
-            mu = evolve(params, mu, 1, trim=trim)
+            mu = kernel.step(mu)
             laws[trim].append(mu)
     reached = set()
     for exact, trimmed in zip(laws[False], laws[True]):
@@ -1027,29 +1028,39 @@ def test_sparse_kernel_step_over_rows_with_mass_is_the_full_product(n, trim):
 
 
 @pytest.mark.parametrize("n", [126, 300, 5000])
-def test_state_zero_profile_ignores_build_history(n, row_builds):
-    """The cached kernel's rows do not depend on the order states were
-    reached in: a state-zero profile on a fresh kernel is byte-equal to one
-    that steps through tile 0 as an evolution from state n, which starts
-    above n/2, built it."""
+def test_state_zero_profile_ignores_build_history(n, row_builds, monkeypatch):
+    """A kernel's rows do not depend on the order states were reached in:
+    a kernel that built tile 0 stepping from state n, which starts above
+    n/2, steps the state-zero laws byte-equal to the ones the profile's own
+    fresh kernel stepped, with the same lost mass."""
     params = ChainParams(n, n // 4)
-    t_max = _default_horizon(n, n // 4)
-    fresh = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
+    step, laws = chain._SparseKernel.step, []
+
+    def recorded(kernel, mu):
+        laws.append(step(kernel, mu))
+        return laws[-1]
+
+    monkeypatch.setattr(chain._SparseKernel, "step", recorded)
+    fresh = distance_profile(params, _default_horizon(n, n // 4),
+                             StartPolicy.STATE_ZERO)
     fresh_builds = row_builds[0]  # an untrimmed law can come back to tile 0
-    chain._kernel.cache_clear()
-    evolve(params, point_mass(n), 1, trim=n > MATRIX_GUARD)
+    kernel = chain._SparseKernel(params, n > MATRIX_GUARD)
+    step(kernel, point_mass(n))
     # state n is stepped through the row of its colour swap 0
-    assert chain._kernel(params, n > MATRIX_GUARD)._tiles[0] is not None
+    assert kernel._tiles[0] is not None
     row_builds.clear()
-    after = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
+    mu = point_mass(0)
+    for law in laws:
+        mu = step(kernel, mu)
+        assert mu.dense_on(0, n).tobytes() == law.dense_on(0, n).tobytes()
+        assert mu.lost_mass == law.lost_mass
     assert row_builds[0] == fresh_builds - 1  # step 0 used the tile held
-    assert after.d_values.tobytes() == fresh.d_values.tobytes()
-    assert after.lost_mass == fresh.lost_mass
+    assert mu.lost_mass == fresh.lost_mass
 
 
 @pytest.fixture
 def row_builds(monkeypatch):
-    """A counter of the kernel rows built, by state, on a fresh kernel."""
+    """A counter of the kernel rows built, by state."""
     built = collections.Counter()
     rows = chain._rows
 
@@ -1058,9 +1069,7 @@ def row_builds(monkeypatch):
         return rows(n_, k_, states, trim)
 
     monkeypatch.setattr(chain, "_rows", counted)
-    chain._kernel.cache_clear()
-    yield built
-    chain._kernel.cache_clear()
+    return built
 
 
 def test_state_zero_profile_builds_each_colour_swap_pair_once(row_builds):
@@ -1072,17 +1081,17 @@ def test_state_zero_profile_builds_each_colour_swap_pair_once(row_builds):
     built = row_builds
     for n, k in ((10_000, 2500), (5001, 500), (5001, 1667), (5001, 2500)):
         params = ChainParams(n, k)
-        chain._kernel.cache_clear()
         built.clear()
         t_max = _default_horizon(n, k)
         profile = distance_profile(params, t_max, StartPolicy.STATE_ZERO)
         assert max(built.values()) == 1
         assert max(built) <= n // 2
-        # the states with mass at t < t_max, through the cached kernel
+        # the states with mass at t < t_max, through one kernel
+        kernel = chain._SparseKernel(params, True)
         reached, mu = set(), point_mass(0)
         for _ in range(t_max):
             reached.update(mu.support[mu.weights > 0].tolist())
-            mu = evolve(params, mu, 1, trim=True)
+            mu = kernel.step(mu)
         # the upper half was reached too, and no row was stored for it
         assert max(reached) > n // 2
         tiles = {min(x, n - x) // TILE for x in reached}
@@ -1112,9 +1121,7 @@ def test_sparse_kernel_holds_the_tiles_with_mass(n, monkeypatch):
         return out
 
     monkeypatch.setattr(chain._SparseKernel, "step", checked)
-    chain._kernel.cache_clear()
     distance_profile(params, t_max, StartPolicy.STATE_ZERO)
-    chain._kernel.cache_clear()
     assert len(steps) == t_max
     for mu, out in steps[::3]:
         fresh = step(chain._SparseKernel(params, trim), mu)
@@ -1170,7 +1177,6 @@ def test_state_zero_profile_peak_is_below_the_tiles_built(monkeypatch):
         return c0, block, lost
 
     monkeypatch.setattr(chain, "_rows", counted)
-    chain._kernel.cache_clear()
     tracemalloc.start()
     try:
         distance_profile(ChainParams(n, k), _default_horizon(n, k),
@@ -1178,8 +1184,25 @@ def test_state_zero_profile_peak_is_below_the_tiles_built(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        chain._kernel.cache_clear()
     assert peak <= 0.75 * sum(built)
+
+
+def test_no_kernel_outlives_its_call():
+    """A state-zero profile and an evolution each drop their kernel on
+    return: at n = 2 * 10^4, k = n/4, the traced bytes still held after
+    either stay below 1 MiB, a fraction of the tiles either steps through."""
+    n, k = 20_000, 5000
+    params = ChainParams(n, k)
+    tracemalloc.start()
+    try:
+        distance_profile(params, _default_horizon(n, k),
+                         StartPolicy.STATE_ZERO)
+        after_profile = tracemalloc.get_traced_memory()[0]
+        evolve(params, point_mass(0), 20, trim=True)
+        after_evolve = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert max(after_profile, after_evolve) < 1 << 20
 
 
 def test_evolve_from_the_top_builds_each_canonical_row_once(row_builds):
@@ -1189,11 +1212,11 @@ def test_evolve_from_the_top_builds_each_canonical_row_once(row_builds):
     n, k = 5000, 1250
     params = ChainParams(n, k)
     # the states with mass at t < 40
+    kernel = chain._SparseKernel(params, True)
     reached, mu = set(), point_mass(n)
     for _ in range(40):
         reached.update(mu.support[mu.weights > 0].tolist())
-        mu = evolve(params, mu, 1, trim=True)
-    chain._kernel.cache_clear()
+        mu = kernel.step(mu)
     row_builds.clear()
     evolve(params, point_mass(n), 40, trim=True)
     tiles = {min(x, n - x) // TILE for x in reached}

@@ -70,7 +70,7 @@ def test_coupled_step_simulation_matches_exact_law():
     law = block_joint_law(n, k, x, y)
     draws = 20_000
     xs, ys = _step_arrays(n, k, np.full(draws, x), np.full(draws, y),
-                          RngStream(99, 0).gen)
+                          RngStream(99, 0).chunk(0))
     counts = collections.Counter(zip(xs.tolist(), ys.tolist()))
     assert set(counts) <= set(law)
     tv = 0.5 * sum(abs(counts.get(key, 0) / draws - float(w))
@@ -107,7 +107,7 @@ def test_survival_matches_the_exact_oracle():
 
 def test_equal_copies_stay_equal():
     x = y = np.array([17])
-    gen = RngStream(5, 0).gen
+    gen = RngStream(5, 0).chunk(0)
     for _ in range(50):
         x, y = _step_arrays(40, 11, x, y, gen)
         assert x[0] == y[0]
@@ -380,8 +380,8 @@ def test_tau1_tail_decreasing_in_kappa():
 def band_excursion(schedule, x0, r, s, replicas, rng):
     """The share of ``replicas`` single chains from x0 that leave the band
     of half-width r about n/2 at some t in [s, s + ceil(s_n)], all drawing
-    from ``rng.gen`` in turn."""
-    n, k, gen = schedule.n, schedule.k, rng.gen
+    from ``rng.chunk(0)`` in turn."""
+    n, k, gen = schedule.n, schedule.k, rng.chunk(0)
     x = np.full(replicas, x0, dtype=np.int64)
     out = np.zeros(replicas, dtype=bool)
     for t in range(s + math.ceil(schedule.s_n) + 1):

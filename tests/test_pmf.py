@@ -1,6 +1,7 @@
 """Distribution algebra: pmfs, TV distance, convolution, and the seeded
 hypergeometric draws the coupling takes."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,8 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from blmix import (DiscreteNormalParams, FinitePmf, HypergeomParams, RngStream,
-                   discrete_normal_pmf, hoeffding_tail, hypergeom_pmf,
-                   point_mass, tv_distance)
+                   discrete_normal_pmf, hypergeom_pmf, point_mass, tv_distance)
 from blmix.errors import LAW_GUARD, InfeasibleSizeError, ParameterError
 from blmix.pmf import TRIM_REL, discrete_normal_norm_const, from_weights
 from oracles import difference_law, enum_hypergeom, truncated
@@ -491,21 +491,6 @@ def test_difference_law_moments(p, q):
                                          rel=1e-9, abs=1e-9)
 
 
-# -------------------------------------------------------------- tail bound
-
-def test_hoeffding_examples():
-    params = HypergeomParams(200, 100, 100)
-    assert hoeffding_tail(params, 0.0) == 2.0
-    assert hoeffding_tail(params, 0.1) == pytest.approx(2 * math.exp(-2))
-    grid = np.linspace(0.01, 0.5, 20)
-    values = [hoeffding_tail(params, d) for d in grid]
-    assert np.all(np.diff(values) < 0)
-    # True is not read as 1; a string, None or 0.1j would escape as TypeError
-    for bad in (-0.1, np.nan, True, np.True_, "x", None, 0.1j):
-        with pytest.raises(ParameterError):
-            hoeffding_tail(HypergeomParams(10, 5, 4), bad)
-
-
 # --------------------------------------------------------------- size guard
 
 @pytest.mark.parametrize("call", [
@@ -540,7 +525,7 @@ def test_oversized_laws_are_refused_before_allocating(call):
 def sample_hypergeom(params: HypergeomParams, rng: RngStream, size: int):
     """Hypergeometric draws from the stream's generator, as the coupling's
     step takes them."""
-    return rng.gen.hypergeometric(params.successes,
+    return rng.chunk(0).hypergeometric(params.successes,
                                   params.population - params.successes,
                                   params.draws, size)
 
@@ -555,14 +540,26 @@ def test_sampling_determinism():
 
 
 def test_chunk_streams_start_at_the_stream_and_differ():
-    """Chunk 0 repeats the stream's generator from its start; the chunks
+    """Chunk 0 is the stream itself, each call from its start; the chunks
     jumped apart draw pairwise different sequences, each reproducible."""
     rng = RngStream(7, 1)
     draws = [rng.chunk(c).integers(0, 2**63, size=16) for c in range(8)]
-    assert np.array_equal(draws[0], rng.gen.integers(0, 2**63, size=16))
+    assert np.array_equal(draws[0], rng.chunk(0).integers(0, 2**63, size=16))
     assert np.array_equal(draws[5], RngStream(7, 1).chunk(5)
                           .integers(0, 2**63, size=16))
     assert len({d.tobytes() for d in draws}) == len(draws)
+
+
+def test_rng_stream_is_its_key_alone():
+    """A stream holds its (master_seed, stream_id) and no generator, so
+    drawing leaves it as it was and equal keys are equal streams."""
+    rng = RngStream(7, 1)
+    assert [f.name for f in dataclasses.fields(rng)] == ["master_seed",
+                                                         "stream_id"]
+    rng.chunk(0).integers(0, 2**63, size=16)
+    assert rng == RngStream(7, 1) and hash(rng) == hash(RngStream(7, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rng.stream_id = 2
 
 
 @pytest.mark.parametrize("args", [(True, 2), (7, False), (np.True_, 2),

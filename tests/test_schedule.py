@@ -10,15 +10,26 @@ from blmix import ChainParams, Eigenfunction, chain, eigen_eval, floor_k, make_s
 from blmix.errors import ParameterError
 
 
+def deviations(s):
+    """``(delta_prime, delta_dprime)``: the deviations of the quadratic
+    eigenvalue's rate, h1(k) - h2(lam), and of k(n-k)/n^2 from their
+    limit-rate values."""
+    n, k, lam = s.n, s.k, s.lam
+    h1 = (1.0 - eigen_eval(ChainParams(n, k), Eigenfunction.F2, k)) / 2.0
+    h2 = (1.0 - (1.0 - 2.0 * lam) ** 2) / 2.0
+    return h1 - h2, k * (n - k) / n**2 - (lam - lam * lam)
+
+
 def lemma2_expansion(s, which, t):
     """``(exact, leading, corrected)``: the eigenvalue power beta^t, its
     limit-rate value beta(lam)^t, and that value with the first-order
     deviation correction."""
     lam = s.lam
+    delta_prime, delta_dprime = deviations(s)
     base, delta = {
         Eigenfunction.F1: (1.0 - 2.0 * lam, s.delta_n),
-        Eigenfunction.F2: ((1.0 - 2.0 * lam) ** 2, s.delta_prime),
-        Eigenfunction.F3: (1.0 - 2.0 * lam + 2.0 * lam * lam, s.delta_dprime),
+        Eigenfunction.F2: ((1.0 - 2.0 * lam) ** 2, delta_prime),
+        Eigenfunction.F3: (1.0 - 2.0 * lam + 2.0 * lam * lam, delta_dprime),
     }[which]
     leading = base ** t
     return (eigen_eval(ChainParams(s.n, s.k), which, s.k) ** t, leading,
@@ -44,7 +55,7 @@ def test_make_schedule_frozen_values():
     assert s.s_n == pytest.approx(8.8813, abs=5e-5)
     assert s.p_lambda == pytest.approx(8 * math.log(0.5), rel=1e-12)
     assert s.delta_n == 0.0
-    assert s.delta_dprime == pytest.approx(0.0, abs=1e-15)
+    assert deviations(s)[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_make_schedule_validation():
@@ -96,8 +107,9 @@ def test_deviation_inequalities(lam):
         for dk in (-3, 0, 2):
             k = min(n, max(0, floor_k(n, lam) + dk))
             s = make_schedule(n, k, lam)
-            assert abs(s.delta_prime) <= 2 * abs(s.delta_n) + 5.0 / n
-            assert abs(s.delta_dprime) <= abs(s.delta_n) + 1e-15
+            delta_prime, delta_dprime = deviations(s)
+            assert abs(delta_prime) <= 2 * abs(s.delta_n) + 5.0 / n
+            assert abs(delta_dprime) <= abs(s.delta_n) + 1e-15
 
 
 def test_schedule_growth_and_r_n_identity():
