@@ -6,6 +6,14 @@ materializing label sets, the step samples the selection counts falling in
 each of the three label blocks the two urns induce; this is equivalent by
 exchangeability of labels within a block and costs O(1) per step.
 
+The middle block of each urn holds the D = |x - y| labels on which the copies
+differ, and the counts A and B of the selections falling there, independent
+Hyp(n, D, k) draws, take the distance to |D - A - B|: the distance is a
+Markov chain of its own.  The step draws A and B first, and the counts of
+the outer blocks given them only when the stopping time reads the copies'
+states; ``tau_couple``, which reads the distance alone, keeps only the
+distance of each replica.
+
 The distance between the coupled copies never increases; this is asserted on
 every step of every replica still running and any violation aborts the run.
 
@@ -37,11 +45,13 @@ from .schedule import Schedule
 
 Z_CRIT = 1.96  # normal-approximation 95% binomial interval
 CHUNKS = 8  # most replica chunks of a survival curve, each with its own stream
-# fewest replicas of a chunk: a step of a chunk costs about 0.2 ms however few
-# replicas it holds (numpy checks the arrays of every draw call), against
-# about 0.4 us a replica, so smaller chunks would spend more on calls than
-# threads save, and a curve of fewer than 2 * MIN_CHUNK replicas stays one
-# chunk, drawing from the stream itself
+# fewest replicas of a chunk: a step of a chunk costs a fixed time however few
+# replicas it holds (numpy checks the arrays of every draw call), about
+# 0.04 ms for tau_couple's one sampler call and 0.1 ms for the band kinds'
+# three, against about 0.3 us and 0.6 us a replica (n = 10^6 on a 2-core
+# host), so smaller chunks would spend more on calls than threads save, and a
+# curve of fewer than 2 * MIN_CHUNK replicas stays one chunk, drawing from
+# the stream itself
 MIN_CHUNK = 4096
 
 
@@ -81,28 +91,50 @@ class SurvivalEstimate:
     theoretical_bound: np.ndarray
 
 
-def _step_arrays(n: int, k: int, x: np.ndarray, y: np.ndarray,
-                 gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One coupled step for replica arrays x, y: the new states of the copies
-    at min(x, y) and at max(x, y), in that order.  Every stopping predicate
-    is symmetric in the two copies, so which copy is which is not kept."""
+@dataclass(frozen=True)
+class _Hit:
+    """The hit set of a stopping time over arrays of replicas: ``test``
+    reads the copies' states x, y if ``positions`` holds, and their
+    distances |x - y| alone if not."""
+    test: Callable[..., np.ndarray]
+    positions: bool
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The hit set at the copies' states x, y."""
+        return self.test(x, y) if self.positions else self.test(np.abs(x - y))
+
+
+def _step_arrays(n: int, k: int, state: tuple[np.ndarray, ...],
+                 gen: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """One coupled step for the replica arrays ``state``: the pair (x, y) of
+    the copies' states, or the 1-tuple (d,) of their distances |x - y|.
+    The new state has the same form; a new pair holds first the copy that
+    was at min(x, y).  Every stopping predicate is symmetric in the two
+    copies, so which copy is which is not kept."""
     if k == 0:
-        return x, y
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    # Left urns: red labels fill [1, lo] in both copies, (lo, hi] in the
-    # hi-copy only.  Selection counts per block via sequential conditionals.
-    a1 = gen.hypergeometric(lo, n - lo, k)
-    a2 = gen.hypergeometric(hi - lo, n - hi, k - a1)
-    # Right urns: red labels fill the first n-hi slots in both copies and the
-    # next hi-lo slots in the lo-copy only.
-    b1 = gen.hypergeometric(n - hi, hi, k)
-    b2 = gen.hypergeometric(hi - lo, lo, k - b1)
-    new_lo = lo - a1 + b1 + b2
-    new_hi = hi - a1 - a2 + b1
-    if np.any(np.abs(new_hi - new_lo) > hi - lo):
+        return state
+    if len(state) == 1:
+        (d,) = state
+    else:
+        lo, hi = np.minimum(*state), np.maximum(*state)
+        d = hi - lo
+    # The left urns' labels (lo, hi] are red in the hi-copy only, and the
+    # right urns' d slots after the first n - hi red in the lo-copy only:
+    # one draw per urn of the selections falling there, in one call.
+    a, b = gen.hypergeometric(d, n - d, k, size=(2, d.size))
+    gap = d - a - b  # the new hi-copy less the new lo-copy
+    dist = np.abs(gap)
+    if np.any(dist > d):
         raise AssertionError("coupling contraction violated")
-    return new_lo, new_hi
+    if len(state) == 1:
+        return (dist,)
+    # The rest of each selection falls among the n - d labels the copies
+    # agree on: red in both ([1, lo] on the left, the first n - hi slots on
+    # the right) or blue in both.
+    a1 = gen.hypergeometric(lo, n - hi, k - a)
+    b1 = gen.hypergeometric(n - hi, lo, k - b)
+    new_lo = lo - a1 + b1 + b
+    return new_lo, new_lo + gap
 
 
 def _chunk_sizes(replicas: int) -> list[int]:
@@ -129,34 +161,33 @@ def _worker_count(threads: int | None, chunks: int) -> int:
 
 
 def _chunk_survivors(params: ChainParams, x0: int, y0: int, horizon: int,
-                     size: int, gen: np.random.Generator,
-                     hit: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                     size: int, gen: np.random.Generator, hit: _Hit
                      ) -> np.ndarray:
     """How many of ``size`` replicas drawing from ``gen`` are not yet hit at
-    t = 0..horizon.
+    t = 0..horizon.  A replica keeps the states of both copies if ``hit``
+    reads them, and their distance alone if not.
 
     A replica is dropped once hit, so each step draws only for the replicas
     still running, and the loop ends when none are left (later counts stay
     0).  Up to and including the first step at which a replica is hit, the
     draws are those of stepping every replica; after it the counts differ
     from that by sampling noise only."""
-    x = np.full(size, x0, dtype=np.int64)
-    y = np.full(size, y0, dtype=np.int64)
+    start = (x0, y0) if hit.positions else (abs(x0 - y0),)
+    state = tuple(np.full(size, s, dtype=np.int64) for s in start)
     alive = np.zeros(horizon + 1, dtype=np.int64)
     for t in range(horizon + 1):
         if t > 0:
-            x, y = _step_arrays(params.n, params.k, x, y, gen)
-        running = ~hit(x, y)
-        x, y = x[running], y[running]
-        alive[t] = x.size
-        if x.size == 0:
+            state = _step_arrays(params.n, params.k, state, gen)
+        running = ~hit.test(*state)
+        state = tuple(s[running] for s in state)
+        alive[t] = state[0].size
+        if alive[t] == 0:
             break
     return alive
 
 
 def _survival_of_hits(params: ChainParams, x0: int, y0: int, horizon: int,
-                      replicas: int, rng: RngStream,
-                      hit: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                      replicas: int, rng: RngStream, hit: _Hit,
                       threads: int | None = None) -> np.ndarray:
     """P(tau > t) for t = 0..horizon where tau is the first time ``hit``
     holds for the coupled pair: the survivors of every chunk over
@@ -201,22 +232,23 @@ def _ci_halfwidth(p_hat: np.ndarray, replicas: int) -> np.ndarray:
     return np.maximum(hw, Z_CRIT / (2.0 * replicas))
 
 
-def _hit_predicate(spec: StoppingSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _hit_predicate(spec: StoppingSpec) -> _Hit:
     sched = spec.schedule
     n = sched.n
     half = n / 2.0
     dist_thresh = math.sqrt(n) / math.log(math.log(n))
     if spec.kind is StoppingKind.TAU_COUPLE:
-        return lambda x, y: np.abs(x - y) <= spec.r
+        return _Hit(lambda d: d <= spec.r, positions=False)
     if spec.kind is StoppingKind.TAU1:
         band = spec.kappa * math.sqrt(n)
-        return lambda x, y: (np.abs(x - half) < band) & (np.abs(y - half) < band)
+        return _Hit(lambda x, y: (np.abs(x - half) < band)
+                   & (np.abs(y - half) < band), positions=True)
     # tau3 and tau4 differ only in the width of the band about n/2
     band = spec.kappa * (sched.r_n if spec.kind is StoppingKind.TAU3
                          else math.sqrt(n))
-    return lambda x, y: ((np.abs(x - y) <= dist_thresh)
-                         & (np.abs(x - half) < band)
-                         & (np.abs(y - half) < band))
+    return _Hit(lambda x, y: ((np.abs(x - y) <= dist_thresh)
+                             & (np.abs(x - half) < band)
+                             & (np.abs(y - half) < band)), positions=True)
 
 
 def default_horizon(spec: StoppingSpec) -> int:

@@ -22,9 +22,9 @@ from math import comb
 
 import numpy as np
 
-from blmix import (Eigenfunction, FinitePmf, eigen_eval, evolve, point_mass,
+from blmix import (Eigenfunction, FinitePmf, eigen_eval, point_mass,
                    transition_row)
-from blmix.chain import _flush, _window_matmul
+from blmix.chain import _SparseKernel, _flush, _window_matmul
 from blmix.pmf import TRIM_REL, from_weights, lost_either, tail_cut
 
 
@@ -262,16 +262,24 @@ def unblocked_folded_distances(k_plus, k_minus, reach_plus, reach_minus,
     return dist, lost
 
 
-def verify_moment_identities(params, x0: int, t: int) -> tuple:
+def verify_moment_identities(params, x0: int, t_max: int) -> list:
     """The first and second moments of the linear eigenfunction f1 under
-    P^t(x0, .), each as ``(evolved, closed_form)``: E f1 = f1(k)^t f1(x0)
-    and E f1^2 = 1/(2n-1) + (2n-2)/(2n-1) f2(k)^t f2(x0)."""
+    P^t(x0, .) for t = 0..t_max, each as ``(evolved, closed_form)``: E f1 =
+    f1(k)^t f1(x0) and E f1^2 = 1/(2n-1) + (2n-2)/(2n-1) f2(k)^t f2(x0).
+    The law takes one walk of t_max steps from x0, each by the kernel that
+    ``evolve`` steps by."""
     n, k = params.n, params.k
     F1, F2 = Eigenfunction.F1, Eigenfunction.F2
-    mu = evolve(params, point_mass(x0), t)
-    f1 = 1.0 - 2.0 * mu.support / n
-    first = eigen_eval(params, F1, k)**t * eigen_eval(params, F1, x0)
-    second = (1.0 / (2 * n - 1) + (2 * n - 2) / (2 * n - 1)
-              * eigen_eval(params, F2, k)**t * eigen_eval(params, F2, x0))
-    return ((float(np.dot(mu.weights, f1)), first),
-            (float(np.dot(mu.weights, f1**2)), second))
+    kernel = _SparseKernel(params, trim=False)
+    mu = point_mass(x0)
+    moments = []
+    for t in range(t_max + 1):
+        if t:
+            mu = kernel.step(mu)
+        f1 = 1.0 - 2.0 * mu.support / n
+        first = eigen_eval(params, F1, k)**t * eigen_eval(params, F1, x0)
+        second = (1.0 / (2 * n - 1) + (2 * n - 2) / (2 * n - 1)
+                  * eigen_eval(params, F2, k)**t * eigen_eval(params, F2, x0))
+        moments.append(((float(np.dot(mu.weights, f1)), first),
+                        (float(np.dot(mu.weights, f1**2)), second)))
+    return moments

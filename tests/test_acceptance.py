@@ -67,8 +67,8 @@ def test_criterion_03_moment_identities():
     for n in (10, 100, 1000):
         params = ChainParams(n, n // 4)
         for x0 in (0, n // 4, n // 2):
-            for t in range(31):
-                for lhs, rhs in verify_moment_identities(params, x0, t):
+            for moments in verify_moment_identities(params, x0, 30):
+                for lhs, rhs in moments:
                     err = abs(lhs - rhs)
                     if abs(rhs) < 1e-6:
                         ok = ok and err <= 1e-12

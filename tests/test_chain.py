@@ -1294,20 +1294,34 @@ def test_t_mix_and_eigen_eval_refuse_non_real_arguments(bad):
 # ---------------------------------------------------------- moment identities
 
 def test_moment_identities_frozen_examples():
-    (lhs, rhs), _ = verify_moment_identities(ChainParams(2, 1), 0, 1)
+    (lhs, rhs), _ = verify_moment_identities(ChainParams(2, 1), 0, 1)[1]
     assert lhs == pytest.approx(0.0, abs=1e-15)
     assert rhs == pytest.approx(0.0, abs=1e-15)
-    for lhs, rhs in verify_moment_identities(ChainParams(6, 2), 4, 0):
+    (moments,) = verify_moment_identities(ChainParams(6, 2), 4, 0)
+    for lhs, rhs in moments:
         assert abs(lhs - rhs) <= 1e-15
-    (lhs, _), _ = verify_moment_identities(ChainParams(4, 1), 0, 2)
+    (lhs, _), _ = verify_moment_identities(ChainParams(4, 1), 0, 2)[2]
     assert lhs == pytest.approx(0.25, abs=1e-12)
+
+
+def test_moment_walk_matches_evolve():
+    """The moments of the one walk are those of the law ``evolve`` takes
+    from x0 to each t, bit for bit."""
+    params, x0 = ChainParams(60, 15), 7
+    walk = verify_moment_identities(params, x0, 6)
+    for t, ((first, _), (second, _)) in enumerate(walk):
+        mu = evolve(params, point_mass(x0), t)
+        f1 = 1.0 - 2.0 * mu.support / params.n
+        assert first == float(np.dot(mu.weights, f1))
+        assert second == float(np.dot(mu.weights, f1**2))
 
 
 @pytest.mark.parametrize("n,k", [(10, 2), (60, 15), (151, 37)])
 def test_moment_identities_grid(n, k):
     for x0 in (0, n // 3, n // 2):
+        walk = verify_moment_identities(ChainParams(n, k), x0, 7)
         for t in (1, 3, 7):
-            for lhs, rhs in verify_moment_identities(ChainParams(n, k), x0, t):
+            for lhs, rhs in walk[t]:
                 if abs(rhs) < 1e-6:
                     assert abs(lhs - rhs) <= 1e-12
                 else:

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import statistics
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,19 +64,45 @@ def test_unordered_pair_symmetry():
         assert law == swapped
 
 
+def test_distance_is_a_markov_chain():
+    """For every n <= 8, every k and every lo <= hi, the distance |x' - y'|
+    after one coupled step has exactly the law of |D - A - B|, with
+    D = hi - lo and A, B independent Hyp(n, D, k): the selections falling
+    in the D labels on which the copies differ, one draw per urn.  So the
+    distance steps on its own, as ``_step_arrays`` draws it."""
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for hi in range(n + 1):
+                for lo in range(hi + 1):
+                    d = hi - lo
+                    hyp = [Fraction(math.comb(d, a) * math.comb(n - d, k - a),
+                                    math.comb(n, k))
+                           for a in range(min(d, k) + 1)]
+                    law = collections.Counter()
+                    for a, pa in enumerate(hyp):
+                        for b, pb in enumerate(hyp):
+                            law[abs(d - a - b)] += pa * pb
+                    dist = collections.Counter()
+                    for (x, y), w in block_joint_law(n, k, lo, hi).items():
+                        dist[abs(x - y)] += w
+                    assert +law == +dist, (n, k, lo, hi)
+
+
 def test_coupled_step_simulation_matches_exact_law():
-    """20,000 replicas stepped once from (x, y) as one array: the empirical
-    joint law of the pair is within 0.02 in TV of the exact one."""
-    n, k, x, y = 5, 2, 1, 4
-    law = block_joint_law(n, k, x, y)
+    """20,000 replicas stepped once from (x, y), x <= y, as one array: the
+    empirical joint law of the pair is within 0.02 in TV of the exact one.
+    At (8, 3, 2, 3) the outer blocks differ in size (lo = 2, n - hi = 5),
+    so a draw of either urn's outer counts from the other's blocks shows."""
     draws = 20_000
-    xs, ys = _step_arrays(n, k, np.full(draws, x), np.full(draws, y),
-                          RngStream(99, 0).chunk(0))
-    counts = collections.Counter(zip(xs.tolist(), ys.tolist()))
-    assert set(counts) <= set(law)
-    tv = 0.5 * sum(abs(counts.get(key, 0) / draws - float(w))
-                   for key, w in law.items())
-    assert tv <= 0.02
+    for n, k, x, y in [(5, 2, 1, 4), (8, 3, 2, 3)]:
+        law = block_joint_law(n, k, x, y)
+        xs, ys = _step_arrays(n, k, (np.full(draws, x), np.full(draws, y)),
+                              RngStream(99, 0).chunk(0))
+        counts = collections.Counter(zip(xs.tolist(), ys.tolist()))
+        assert set(counts) <= set(law)
+        tv = 0.5 * sum(abs(counts.get(key, 0) / draws - float(w))
+                       for key, w in law.items())
+        assert tv <= 0.02
 
 
 def test_survival_matches_the_exact_oracle():
@@ -109,7 +136,7 @@ def test_equal_copies_stay_equal():
     x = y = np.array([17])
     gen = RngStream(5, 0).chunk(0)
     for _ in range(50):
-        x, y = _step_arrays(40, 11, x, y, gen)
+        x, y = _step_arrays(40, 11, (x, y), gen)
         assert x[0] == y[0]
 
 
@@ -177,15 +204,16 @@ def test_survival_below_bound_with_slack():
 
 def _every_replica_survivors(params, x0, y0, horizon, size, gen, hit):
     """Reference loop: step every replica to the horizon, hit or not, and
-    count the replicas never hit."""
-    x = np.full(size, x0, dtype=np.int64)
-    y = np.full(size, y0, dtype=np.int64)
-    alive = ~hit(x, y)
+    count the replicas never hit.  As in ``_chunk_survivors``, a replica
+    keeps the copies' states if ``hit`` reads them, their distance if not."""
+    start = (x0, y0) if hit.positions else (abs(x0 - y0),)
+    state = tuple(np.full(size, s, dtype=np.int64) for s in start)
+    alive = ~hit.test(*state)
     survivors = np.empty(horizon + 1, dtype=np.int64)
     survivors[0] = alive.sum()
     for t in range(1, horizon + 1):
-        x, y = _step_arrays(params.n, params.k, x, y, gen)
-        alive &= ~hit(x, y)
+        state = _step_arrays(params.n, params.k, state, gen)
+        alive &= ~hit.test(*state)
         survivors[t] = alive.sum()
     return survivors
 
@@ -282,14 +310,15 @@ def test_worker_count_is_capped_at_the_chunks():
 
 class _ExpandingGen:
     """A generator whose every hypergeometric draw is -1, so each coupled
-    step moves the two copies apart; records the threads that drew."""
+    step takes the distance D between the copies to D + 2; records the
+    threads that drew."""
 
     def __init__(self):
         self.threads = set()
 
-    def hypergeometric(self, ngood, nbad, nsample):
+    def hypergeometric(self, ngood, nbad, nsample, size=None):
         self.threads.add(threading.get_ident())
-        return np.full(np.shape(ngood), -1)
+        return np.full(np.shape(ngood) if size is None else size, -1)
 
 
 def test_contraction_violation_in_a_worker_reaches_the_caller(monkeypatch):
@@ -302,6 +331,32 @@ def test_contraction_violation_in_a_worker_reaches_the_caller(monkeypatch):
         _survival_of_hits(params, 0, 200, horizon, 4 * MIN_CHUNK,
                           RngStream(5, 1), hit, threads=2)
     assert bad.threads and threading.get_ident() not in bad.threads
+
+
+class _CountingGen:
+    """A generator that draws from ``gen`` and counts the variates drawn."""
+
+    def __init__(self, gen):
+        self.gen, self.variates = gen, 0
+
+    def hypergeometric(self, ngood, nbad, nsample, size=None):
+        out = self.gen.hypergeometric(ngood, nbad, nsample, size)
+        self.variates += out.size
+        return out
+
+
+@pytest.mark.parametrize("kind, n, kappa, seed, replicas", COUPLING_PINS)
+def test_variates_per_replica_step(kind, n, kappa, seed, replicas):
+    """tau_couple reads the distance alone, so each step of a running
+    replica draws the two counts that fix it; the band kinds read the
+    copies' states and draw the two counts of the outer blocks as well."""
+    params, hit, horizon = _pin_setup(kind, n, kappa)
+    gen = _CountingGen(RngStream(seed, 1).chunk(0))
+    alive = _chunk_survivors(params, 0, n, horizon, replicas, gen, hit)
+    replica_steps = int(alive[:-1].sum())  # those running into t = 1..horizon
+    assert replica_steps > 0
+    per_step = 2 if kind is StoppingKind.TAU_COUPLE else 4
+    assert gen.variates == per_step * replica_steps
 
 
 def test_survival_reproducible():
