@@ -677,6 +677,7 @@ def eigen_eval(params: ChainParams, kind: Eigenfunction, x: float) -> float:
     it has no eigenvalue; F3(k) = 1 - 2k(n - k)/n^2 is the contraction rate
     of the path-coupling bound."""
     n = params.n
+    check_size("MAX_N", n)
     check_real(x, "argument")
     if not 0 <= x <= n:
         raise ParameterError(f"argument {x} outside [0, {n}]")

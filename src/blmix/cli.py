@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 config error (a malformed config, a value outside a
 chain's domain, or a horizon too short for an epsilon), 3 infeasible size,
 4 I/O error.
-Seed precedence: config < BLMIX_SEED environment variable < --seed flag.
+Seed precedence: config ``master_seed`` < ``--seed`` flag.
 """
 
 from __future__ import annotations
@@ -64,12 +64,6 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(text, experiment=args.experiment)
-        env_seed = os.environ.get("BLMIX_SEED")
-        if env_seed is not None:
-            try:
-                config = dataclasses.replace(config, master_seed=int(env_seed))
-            except ValueError:
-                raise ConfigError(f"BLMIX_SEED is not an integer: {env_seed!r}")
         if args.seed is not None:
             config = dataclasses.replace(config, master_seed=args.seed)
         if args.output_dir is not None:

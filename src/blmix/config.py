@@ -102,8 +102,6 @@ class ExperimentConfig:
         lambda v: (isinstance(v, list) and len(v) > 0
                    and all(_is_int(n) and 0 < n <= MAX_N for n in v)),
         coerce=_unique_grid)
-    k_rule: str = _field(*_one_of("floor_lambda_n", "explicit"),
-                         default="floor_lambda_n")
     k: int | None = _field(*_NONNEGATIVE_INT, default=None)
     epsilons: tuple[float, ...] = _field(
         "a non-empty list of numbers inside (0, 1)",
@@ -115,9 +113,7 @@ class ExperimentConfig:
     horizon: int | None = _field(*_int_range(0, MAX_HORIZON), default=None)
     output_dir: str = _field("a string", lambda v: isinstance(v, str),
                              default=".")
-    kappa1: float = _field(*_POSITIVE, default=10.0, coerce=float)
-    kappa3: float = _field(*_POSITIVE, default=10.0, coerce=float)
-    kappa4: float = _field(*_POSITIVE, default=10.0, coerce=float)
+    kappa: float = _field(*_POSITIVE, default=10.0, coerce=float)
     start_policy: str = _field(*_one_of("auto", *(p.value for p in StartPolicy)),
                                default="auto")
     kind: str = _field(*_one_of(*(m.value for m in StoppingKind)),
@@ -141,9 +137,7 @@ class ExperimentConfig:
         return sha256(blob.encode()).hexdigest()[:8]
 
     def k_for(self, n: int) -> int:
-        if self.k_rule == "explicit":
-            return self.k
-        return _schedule.floor_k(n, self.lam)
+        return self.k if self.k is not None else _schedule.floor_k(n, self.lam)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -197,10 +191,6 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         if not spec["check"](value):
             raise ConfigError(f"{key} must be {spec['must']}, got {value!r}")
         values[f.name] = spec["coerce"](value) if spec["coerce"] else value
-    # a k the rule would not use is refused, not silently replaced
-    if (values["k_rule"] == "explicit") != (values["k"] is not None):
-        raise ConfigError("k is required with k_rule=explicit and refused "
-                          "without it")
     config = ExperimentConfig(**values)
     for n in config.n_grid:
         # k = 0 swaps nothing, so d(t) never falls and every horizon is
@@ -237,7 +227,7 @@ def _horizon(config: ExperimentConfig, sched: _schedule.Schedule,
     and s_n without bound."""
     if config.horizon is not None:
         return config.horizon
-    if config.k_rule == "explicit" and 0 < 2 * sched.k < sched.n:
+    if config.k is not None and 0 < 2 * sched.k < sched.n:
         sched = _schedule.make_schedule(sched.n, sched.k, sched.k / sched.n)
     horizon = math.ceil(length(sched))
     if horizon > MAX_HORIZON:
@@ -291,10 +281,8 @@ def _sweep_rows(config, n, k, sched, threads):
 
 
 def _coupling_rows(config, n, k, sched, threads):
-    # tau_couple has no band, so any positive kappa serves it
-    kappa = {"tau1": config.kappa1, "tau3": config.kappa3,
-             "tau4": config.kappa4}.get(config.kind, 10.0)
-    spec = StoppingSpec(StoppingKind(config.kind), sched, kappa, config.r)
+    spec = StoppingSpec(StoppingKind(config.kind), sched, config.kappa,
+                        config.r)
     horizon = _horizon(config, sched, lambda s: _coupling.default_horizon(
         dataclasses.replace(spec, schedule=s)))
     x0 = config.x0 if config.x0 is not None else 0

@@ -16,7 +16,7 @@ SAMPLER_LIMIT = 10**9
 EXACT_TV_GUARD = 10_000  # not a refusal: one_step_tv's exact TV up to this n
 MAX_HORIZON = 10**6  # t_max or horizon: a double of d(t) or survival a step
 MAX_REPLICAS = 10**7  # replicas of a survival curve: ~120 bytes of state each
-MAX_N = 2**53  # a config's n, exact in the doubles lambda * n is taken in
+MAX_N = 2**53  # n of configs, schedules, floor_k, eigen_eval: exact as doubles
 
 
 class BlmixError(Exception):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, check_size
 from .pmf import as_index, check_real
 
 
@@ -33,6 +33,7 @@ class Schedule:
 
 def make_schedule(n: int, k: int, lam: float) -> Schedule:
     n, k = as_index(n, "n"), as_index(k, "k")
+    check_size("MAX_N", n)
     check_real(lam, "lam")
     if n < 3:
         raise ParameterError("n must be at least 3 (log log n must be positive)")
@@ -54,9 +55,10 @@ def make_schedule(n: int, k: int, lam: float) -> Schedule:
 
 
 def floor_k(n: int, lam: float) -> int:
-    """floor(lam n), the swap count of the floor_lambda_n rule."""
+    """floor(lam n), the swap count of a config that gives no k."""
     if as_index(n, "n") < 1:
         raise ParameterError("n must be positive")
+    check_size("MAX_N", n)
     check_real(lam, "lam")
     if not 0.0 <= lam <= 1.0:  # NaN fails it too
         raise ParameterError(f"lam must lie in [0, 1], not {lam!r}")

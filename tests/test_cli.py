@@ -55,8 +55,9 @@ def test_parse_minimal_applies_defaults():
     assert cfg.n_grid == (100,)
     assert cfg.epsilons == (0.25, 0.5, 0.75)
     assert cfg.replicas == 10_000
-    assert cfg.kappa1 == cfg.kappa4 == 10.0
-    assert cfg.k_for(100) == 25
+    assert cfg.kappa == 10.0
+    assert cfg.k is None and cfg.k_for(100) == 25
+    assert parse_config(minimal(k=7)).k_for(100) == 7
 
 
 def test_parse_rejects_unknown_fields():
@@ -89,12 +90,12 @@ def test_parse_value_validation():
         parse_config(minimal(epsilons=[0.5, 1.5]))
     with pytest.raises(ConfigError, match="replicas"):
         parse_config(minimal(replicas=0))
-    with pytest.raises(ConfigError, match="explicit"):
-        parse_config(minimal(k_rule="explicit"))
+    with pytest.raises(ConfigError, match="kappa must be a positive number"):
+        parse_config(minimal(kappa=0))
     with pytest.raises(ConfigError, match="kappa2"):
         parse_config(minimal(kappa2=-1.0))
     for name, value in [("n", True), ("replicas", True), ("master_seed", "abc"),
-                        ("kappa1", "x"), ("x0", -1), ("k", 2.5)]:
+                        ("kappa", "x"), ("x0", -1), ("k", 2.5)]:
         with pytest.raises(ConfigError, match=name):
             parse_config(minimal(**{name: value}))
     with pytest.raises(ConfigError, match="not valid JSON"):
@@ -214,31 +215,34 @@ def read_output(out_dir) -> bytes:
         return fh.read()
 
 
-def test_cli_seed_precedence(tmp_path, monkeypatch):
-    """config < BLMIX_SEED < --seed, verified through the emitted payloads."""
-    outs = {name: tmp_path / name for name in ("a", "b", "c", "d")}
+def test_cli_seed_precedence(tmp_path):
+    """config < --seed, verified through the emitted payloads."""
+    outs = {name: tmp_path / name for name in ("a", "b", "c")}
     for d in outs.values():
         d.mkdir()
 
-    monkeypatch.delenv("BLMIX_SEED", raising=False)
     main(["coupling", "--config", coupling_config(tmp_path, outs["a"], seed=2)])
-    monkeypatch.setenv("BLMIX_SEED", "2")
-    main(["coupling", "--config", coupling_config(tmp_path, outs["b"], seed=1)])
-    main(["coupling", "--config", coupling_config(tmp_path, outs["c"], seed=1),
-          "--seed", "3"])
-    monkeypatch.delenv("BLMIX_SEED")
-    main(["coupling", "--config", coupling_config(tmp_path, outs["d"], seed=3)])
+    main(["coupling", "--config", coupling_config(tmp_path, outs["b"], seed=1),
+          "--seed", "2"])
+    main(["coupling", "--config", coupling_config(tmp_path, outs["c"], seed=1)])
 
     payload = {k: read_output(v) for k, v in outs.items()}
-    assert payload["a"] == payload["b"]  # env overrode the config seed
-    assert payload["c"] == payload["d"]  # flag overrode the env seed
+    assert payload["a"] == payload["b"]  # the flag overrode the config seed
     assert payload["a"] != payload["c"]
 
 
-def test_cli_bad_env_seed(tmp_path, monkeypatch):
-    monkeypatch.setenv("BLMIX_SEED", "not-a-number")
+def test_cli_ignores_env_seed(tmp_path, monkeypatch):
+    """The seed comes from the config or --seed alone: a BLMIX_SEED in the
+    environment, an integer or not, leaves the run and its bytes as they
+    are without it."""
+    monkeypatch.delenv("BLMIX_SEED", raising=False)
     cfg = coupling_config(tmp_path, tmp_path)
-    assert main(["coupling", "--config", cfg]) == 2
+    assert main(["coupling", "--config", cfg]) == 0
+    first = read_output(tmp_path)
+    for env_seed in ("not-a-number", "2"):
+        monkeypatch.setenv("BLMIX_SEED", env_seed)
+        assert main(["coupling", "--config", cfg]) == 0
+        assert read_output(tmp_path) == first
 
 
 def test_cli_threads_do_not_change_bytes(tmp_path):
@@ -275,11 +279,11 @@ def test_cli_rejects_bad_horizon(tmp_path, horizon):
     ("coupling", {"x0": 100}),
     ("schedule", {"n": 2}),
     ("schedule", {"master_seed": "abc"}),
-    ("schedule", {"k_rule": "explicit", "k": 500}),
+    ("schedule", {"k": 500}),
     ("schedule", {"n": True}),
     ("mixtime", {"horizon": 1}),
     ("approx", {"ell": 0}),
-    ("coupling", {"kind": "tau1", "kappa1": "x"}),
+    ("coupling", {"kind": "tau1", "kappa": "x"}),
     ("coupling", {"replicas": True}),
     ("coupling", {"r": -1}),
     ("mixtime", {"lambda": 1e-300}),
@@ -288,19 +292,19 @@ def test_cli_rejects_bad_horizon(tmp_path, horizon):
     ("profile", {"n": 50, "lambda": 1e-15}),
     ("coupling", {"kind": "tau1", "lambda": 1e-15}),
     ("profile", {"n": 50, "lambda": 1e-5}),
-    ("profile", {"k_rule": "explicit", "k": 0}),
+    ("profile", {"k": 0}),
     ("coupling", {"n": 3}),
     ("schedule", {"experiment": "coupling"}),
     ("schedule", {"experiment": [[["schedule"]]]}),
     ("schedule", {"n": 2**53 + 1}),
     ("lowerbound", {"n": 10**400}),
-    ("schedule", {"k": 5}),
+    ("schedule", {"k_rule": "explicit", "k": 5}),
 ])
 def test_cli_bad_values_exit_2(tmp_path, experiment, extra):
     """Malformed values, values outside a chain's domain, a horizon too
     short for an epsilon, a horizon or replica count too large to allocate,
     an n beyond 2**53, a lambda too small for the schedule, a k of 0 (lambda < 1/n or an
-    explicit 0), a k given without k_rule=explicit and a config naming
+    explicit 0), a field the config no longer has and a config naming
     another experiment than the command, or a malformed one, all end in exit
     2 and write nothing."""
     doc = {"experiment": experiment, "n": 60 if experiment == "coupling" else 100,
@@ -308,6 +312,21 @@ def test_cli_bad_values_exit_2(tmp_path, experiment, extra):
     doc.update(extra)
     cfg = write_config(tmp_path, json.dumps(doc))
     assert main([experiment, "--config", cfg]) == 2
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k_rule", "explicit"), ("kappa1", 1.0), ("kappa3", 1.0), ("kappa4", 1.0)])
+def test_cli_removed_fields_exit_2(tmp_path, capsys, field, value):
+    """A config gives k alone for an explicit k and one kappa for every band
+    kind: the fields that said so before are unknown, exit 2 and write
+    nothing."""
+    doc = {"experiment": "coupling", "n": 60, "lambda": 0.25, "k": 15,
+           "kind": "tau1", "replicas": 50, "horizon": 3, field: value,
+           "output_dir": str(tmp_path)}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    assert main(["coupling", "--config", cfg]) == 2
+    assert f"unknown config fields: {field}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["config.json"]
 
 
@@ -442,7 +461,7 @@ def test_cli_explicit_k_horizon_follows_k_over_n(tmp_path):
     default horizon comes from k/n: at n = 64 and k = 16 it is t = 0..31,
     not the 531,557 steps lambda = 1e-5 would set."""
     cfg = write_config(tmp_path, json.dumps({
-        "experiment": "profile", "n": 64, "k_rule": "explicit", "k": 16,
+        "experiment": "profile", "n": 64, "k": 16,
         "lambda": 1e-5, "output_dir": str(tmp_path)}))
     assert main(["profile", "--config", cfg]) == 0
     rows = parse_csv(read_output(tmp_path).decode()).rows
@@ -457,7 +476,7 @@ def test_cli_explicit_k_coupling_horizon_follows_k_over_n(tmp_path, kind,
     t_n, s_n, 2 s_n and t_n + 3 s_n at k/n = 1/4, not the 10**5 steps and
     more that lambda = 1e-5 would set."""
     cfg = write_config(tmp_path, json.dumps({
-        "experiment": "coupling", "n": 64, "k_rule": "explicit", "k": 16,
+        "experiment": "coupling", "n": 64, "k": 16,
         "lambda": 1e-5, "replicas": 50, "kind": kind,
         "output_dir": str(tmp_path)}))
     assert main(["coupling", "--config", cfg]) == 0
@@ -488,7 +507,7 @@ def test_cli_approx_takes_no_schedule(tmp_path):
         out.mkdir()
         cfg = write_config(out, json.dumps({
             "experiment": "approx", "n": 1000, "lambda": lam,
-            "k_rule": "explicit", "k": 250, "output_dir": str(out)}))
+            "k": 250, "output_dir": str(out)}))
         assert main(["approx", "--config", cfg]) == 0
         lines = read_output(out).decode().split("\r\n")
         bodies.add(tuple(line.rsplit(",", 1)[0] for line in lines))
@@ -517,7 +536,7 @@ def test_cli_sweep_without_complement_time_writes_strict_json(tmp_path):
     """When t_mix(1 - epsilon) is 0 the cutoff ratio is undefined: it is an
     empty CSV cell and a JSON null, never Infinity, which is not JSON."""
     cfg = write_config(tmp_path, json.dumps({
-        "experiment": "sweep", "n": 3, "k_rule": "explicit", "k": 1,
+        "experiment": "sweep", "n": 3, "k": 1,
         "lambda": 0.25, "epsilons": [0.04], "output_dir": str(tmp_path)}))
     assert main(["sweep", "--config", cfg]) == 0
     [path] = [p for p in os.listdir(tmp_path) if p.endswith(".json")
@@ -540,7 +559,6 @@ _FUZZ_FIELDS = {
                         st.sampled_from([1e-300, 1e-5, 0.01])),
     "n": st.integers(1, 64),
     "n_grid": st.lists(st.integers(1, 64), min_size=1, max_size=3),
-    "k_rule": st.sampled_from(["floor_lambda_n", "explicit"]),
     "k": st.integers(0, 64),
     "epsilons": st.lists(_in_range(0.0, 1.0), min_size=1, max_size=3),
     "replicas": st.integers(1, 50),
@@ -548,9 +566,7 @@ _FUZZ_FIELDS = {
     "start_policy": st.sampled_from(["auto", "all_states", "state_zero"]),
     "kind": st.sampled_from(["tau_couple", "tau1", "tau3", "tau4"]),
     "r": _in_range(0.0, 50.0),
-    "kappa1": _in_range(0.0, 20.0),
-    "kappa3": _in_range(0.0, 20.0),
-    "kappa4": _in_range(0.0, 20.0),
+    "kappa": _in_range(0.0, 20.0),
     "x0": st.integers(0, 64),
     "y0": st.integers(0, 64),
     "ell": st.integers(1, 64),
@@ -565,14 +581,11 @@ def _config_docs(draw):
         {"lambda": _FUZZ_FIELDS["lambda"], grid: _FUZZ_FIELDS[grid]},
         optional={k: v for k, v in _FUZZ_FIELDS.items()
                   if k not in ("lambda", "n", "n_grid")}))
-    # An explicit k with 2k >= n keeps the default horizon of lambda, and a
+    # A given k with 2k >= n keeps the default horizon of lambda, and a
     # small lambda then sets up to 10^6 steps: a valid but slow run.  Such
     # documents always carry a horizon.
     ns = doc["n_grid"] if grid == "n_grid" else [doc["n"]]
-    if doc.get("k_rule") == "explicit":
-        doc.setdefault("k", draw(_FUZZ_FIELDS["k"]))
-    if (doc.get("k_rule") == "explicit"
-            and any(2 * doc["k"] >= n for n in ns)):
+    if "k" in doc and any(2 * doc["k"] >= n for n in ns):
         doc["horizon"] = draw(st.integers(0, 20))
     elif draw(st.booleans()):
         doc["horizon"] = draw(st.integers(0, 20))

@@ -11,6 +11,9 @@ import sys
 import pytest
 
 import blmix
+from blmix import (ChainParams, Eigenfunction, eigen_eval, floor_k,
+                   lower_bound_certificate, make_schedule)
+from blmix.errors import InfeasibleSizeError
 
 SRC = pathlib.Path(blmix.__file__).resolve().parent
 LIMITS = ("LAW_GUARD", "MATRIX_GUARD", "VECTOR_GUARD", "SAMPLER_LIMIT",
@@ -100,3 +103,29 @@ def test_oversized_requests_are_refused_before_allocating(call):
     assert kind == "InfeasibleSizeError", out.stdout
     assert int(peak) < 1 << 16
     assert re.search(r"is above (MAX_HORIZON|MAX_REPLICAS)=", message)
+
+
+# the closed forms take n as a double: above MAX_N it is rounded before the
+# product lambda * n, and from about n = 2**341 on, n**2 (n - 1) overflows
+ABOVE_MAX_N = {
+    "floor_k": lambda n: floor_k(n, 0.25),
+    "make_schedule": lambda n: make_schedule(n, n // 4, 0.25),
+    **{f"eigen_eval-{f.name}": lambda n, f=f: eigen_eval(ChainParams(n, 1),
+                                                          f, 0)
+       for f in Eigenfunction},
+    "lower_bound_certificate":
+        lambda n: lower_bound_certificate(ChainParams(n, n // 4), 1),
+}
+
+
+@pytest.mark.parametrize("call", ABOVE_MAX_N.values(), ids=ABOVE_MAX_N.keys())
+@pytest.mark.parametrize("n", [2**53 + 1, 2**500, 2**1024],
+                         ids=["2**53+1", "2**500", "2**1024"])
+def test_closed_forms_refuse_n_above_max_n(call, n):
+    """The closed forms refuse an n above MAX_N as an InfeasibleSizeError,
+    never a silently rounded k or an OverflowError, and still run at
+    MAX_N itself."""
+    with pytest.raises(InfeasibleSizeError, match="above MAX_N="):
+        call(n)
+    call(2**53)
+

@@ -75,7 +75,7 @@ PINS = {
         "0e8f5cb214833685887e48ed42032f87a11f896a1c37c63993ecadfd1fc10837"),
     "sweep": (
         {"experiment": "sweep", "n_grid": [64, 128], "lambda": 0.2,
-         "epsilons": [0.1, 0.5], "k_rule": "explicit", "k": 16},
+         "epsilons": [0.1, 0.5], "k": 16},
         "9142d54ff5ac981e689889791b2947e53c22ce31cfbd8991439e07dc762aabb0"),
     # The coupling pins were retaken when hit replicas stopped being stepped:
     # the generator's draws then go to fewer replicas after the first hit,
@@ -99,15 +99,15 @@ PINS = {
         "79cf343d5c510919564878ce5ae8952e1d902ce41b9ebf3fb7c8792bbf9b109e"),
     "coupling-tau1": (
         {"experiment": "coupling", "n": 400, "lambda": 0.25, "replicas": 1000,
-         "kind": "tau1", "kappa1": 1.0, "master_seed": 8},
+         "kind": "tau1", "kappa": 1.0, "master_seed": 8},
         "47ed20f441c21b25e79a570290b3fb1dc493c89ecf944b858ec928de593a0748"),
     "coupling-tau3": (
         {"experiment": "coupling", "n": 400, "lambda": 0.25, "replicas": 1000,
-         "kind": "tau3", "kappa3": 0.2, "master_seed": 9},
+         "kind": "tau3", "kappa": 0.2, "master_seed": 9},
         "952ab4b13550fc439cf449968b174af3e34e6465091700e4edeabe376b1c6786"),
     "coupling-tau4": (
         {"experiment": "coupling", "n": 400, "lambda": 0.25, "replicas": 1000,
-         "kind": "tau4", "kappa4": 1.0, "master_seed": 10},
+         "kind": "tau4", "kappa": 1.0, "master_seed": 10},
         "9a6edb563da9e9185ca92b0e5f7cf99ac47d794b9f006f0c01878fb65e9fb336"),
     # Retaken when each kernel row began to take its incoming reds as the
     # reflection of its outgoing reds' law: exact_tv at n=1000 moved by
